@@ -104,11 +104,17 @@ def load_config(path: str) -> dict:
 
 
 def _get(cfg: dict, key: str, kind, required: bool = True, default=None):
+    if not isinstance(cfg, dict):
+        raise ConfigError(
+            f"expected an object holding {key!r}, got {type(cfg).__name__}"
+        )
     if key not in cfg:
         if required:
             raise ConfigError(f"missing config key {key!r}")
         return default
     value = cfg[key]
+    if isinstance(value, bool) and kind in (int, float):
+        raise ConfigError(f"config key {key!r} must be {kind}, got bool")
     if kind is float and isinstance(value, int):
         value = float(value)
     if not isinstance(value, kind):
@@ -118,7 +124,9 @@ def _get(cfg: dict, key: str, kind, required: bool = True, default=None):
 
 def _nu_grid(cfg: dict) -> list[int]:
     grid = _get(cfg, "nu_grid", list)
-    if not grid or not all(isinstance(v, int) and v > 0 for v in grid):
+    if not grid or not all(
+        isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in grid
+    ):
         raise ConfigError("nu_grid must be a non-empty list of positive integers")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("nu_grid must be strictly increasing")
@@ -542,6 +550,9 @@ def main(argv=None) -> int:
             return 3
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"environment error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .errors import StateValidationError
 
 # Construction tolerances (norm, trace, hermiticity) and the eigenvalue
 # floor admitted for positive semidefiniteness.  The looser spectral floor
-# absorbs round-off from noise channels and eigensolvers.
+# absorbs round-off from noise channels and factorizations.
 NORM_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 PRODUCT_AMPLITUDE_TOL = 1e-10
@@ -43,6 +43,8 @@ class PureTwoModeState:
             raise StateValidationError(
                 f"expected {self.n_particles + 1} amplitudes, got {amps.shape[0]}"
             )
+        if not np.isfinite(amps).all():
+            raise StateValidationError("amplitudes have non-finite entries")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise StateValidationError(f"state not normalized: sum |c_k|^2 = {norm_sq!r}")
@@ -57,11 +59,15 @@ class PureTwoModeState:
 class TwoModeDensityMatrix:
     """Density matrix over the basis |k> (x) |M-k|, k = 0..M.
 
-    Hermiticity and unit trace are always enforced.  The positive
-    semidefiniteness check costs a full eigendecomposition; constructors
-    whose output is PSD by construction (outer products of amplitude
-    vectors, Schur products with Gaussian kernels, unitary conjugations)
-    pass validate_spectrum=False to keep large-nu sweeps O(nu N).
+    Finite entries, hermiticity and unit trace are always enforced.
+    Positive semidefiniteness is certified by one Cholesky factorization of
+    m - PSD_EIG_FLOOR * 1 (see `_psd_certified`); only when that fails is
+    the spectrum computed, to decide against the floor and name the minimum
+    eigenvalue.  Three constructors whose output is PSD by construction
+    (amplitude outer products in `ResourceState.from_amplitudes`,
+    `resources.fock_separable`, `resources.apply_phases`) pass
+    validate_spectrum=False to keep large-nu sweeps O(nu N); every other
+    state, noise-channel outputs included, is certified.
     """
 
     total_particles: int
@@ -75,13 +81,15 @@ class TwoModeDensityMatrix:
         dim = self.total_particles + 1
         if m.shape != (dim, dim):
             raise StateValidationError(f"expected shape {(dim, dim)}, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise StateValidationError("matrix has non-finite entries")
         herm = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
         if herm > NORM_TOL:
             raise StateValidationError(f"matrix not Hermitian: max |m - m^+| = {herm:g}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > NORM_TOL:
             raise StateValidationError(f"matrix trace {tr!r} != 1")
-        if self.validate_spectrum:
+        if self.validate_spectrum and not _psd_certified(m):
             min_eig = float(np.min(np.linalg.eigvalsh(m)))
             if min_eig < PSD_EIG_FLOOR:
                 raise StateValidationError(f"matrix not PSD: min eigenvalue {min_eig:g}")
@@ -90,6 +98,25 @@ class TwoModeDensityMatrix:
     @property
     def dim(self) -> int:
         return self.total_particles + 1
+
+
+def _psd_certified(m: np.ndarray) -> bool:
+    """True if Cholesky certifies that every eigenvalue of m is >= PSD_EIG_FLOOR.
+
+    Factors m - PSD_EIG_FLOOR * 1 with LAPACK zpotrf in one buffer; success
+    proves the shifted matrix positive definite up to Cholesky's backward
+    error (~dim * eps * ||m||; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10).  zpotrf reads the upper triangle of m.T,
+    i.e. the lower triangle of m that eigvalsh reads, so both test the same
+    Hermitian matrix.  A False result proves nothing; the caller then
+    decides with the spectrum.
+    """
+    from scipy.linalg.lapack import zpotrf
+
+    a = np.array(m.T, order="F")  # same buffer layout as m: a plain copy
+    a.flat[:: a.shape[0] + 1] -= PSD_EIG_FLOOR  # the diagonal
+    _, info = zpotrf(a, clean=0, overwrite_a=1)
+    return info == 0
 
 
 class ResourceState(TwoModeDensityMatrix):

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -79,9 +80,12 @@ def dephase(rho: ResourceState, spec: DephasingSpec) -> ResourceState:
     is preserved as well.
     """
     nu = rho.n_particles
-    k = np.arange(nu + 1)
-    expo = -0.5 * spec.t * spec.rate_sum * (k[:, None] - k[None, :]) ** 2
-    return ResourceState(nu, rho.matrix * np.exp(expo))
+    d = np.arange(nu + 1)
+    w = np.exp(-0.5 * spec.t * spec.rate_sum * d ** 2)
+    # Toeplitz view kernel[k, j] = w[|k - j|]: row r of the reversed windows
+    # over (w_nu .. w_1, w_0 .. w_nu) starts at w_r
+    kernel = sliding_window_view(np.concatenate((w[:0:-1], w)), nu + 1)[::-1]
+    return ResourceState(nu, rho.matrix * kernel)
 
 
 def four_coherence_state(
@@ -283,9 +287,8 @@ def particle_loss_analytic(
     requested, come from the numerical integrator.
     """
     nu = rho.n_particles
-    eta = eta_rates(spec, nu)
-    damp = np.exp(-spec.t * (eta[:, None] + eta[None, :]))
-    surviving = damp * rho.matrix
+    e = np.exp(-spec.t * eta_rates(spec, nu))
+    surviving = e[:, None] * rho.matrix * e[None, :]
     weight = float(np.trace(surviving).real)
     lower = None
     if compute_lower:
@@ -424,8 +427,8 @@ def loss_fidelity_bounds(
     times = np.linspace(0.0, spec.t, n_times)
     fid = []
     for t in times:
-        damp = np.exp(-t * (eta[:, None] + eta[None, :]))
-        fid.append(fidelity_closed(damp * rho.matrix, N))
+        e = np.exp(-t * eta)
+        fid.append(fidelity_closed(e[:, None] * rho.matrix * e[None, :], N))
     bound = (np.exp(-2.0 * times * max_eta) * f0).tolist()
     ratio = f0 * (N + 2) / 2.0
     if max_eta == 0.0:

@@ -95,6 +95,34 @@ def test_sweep_maxent_column_values(tmp_path):
         assert float(vals[5]) >= -1e-10
 
 
+def test_unwritable_output_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, sweep_config(nu_grid=[10]))
+    out = tmp_path / "missing-dir" / "x.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("environment error:") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("overrides", [
+    {"N": True},
+    {"nu_grid": [True, 2]},
+    {"resource": {"name": "gaussian", "beta": False}},
+])
+def test_bool_for_number_exits_2(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, sweep_config(**overrides))
+    assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_non_object_section_exits_2(tmp_path, capsys):
+    resource = {"name": "max_entangled", "phases": "alt"}
+    cfg = write_config(tmp_path, sweep_config(resource=resource))
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "got str" in err and "missing config key" not in err
+
+
 def test_sweep_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path, sweep_config())
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from telefock import noise
 from telefock.errors import StateValidationError
 from telefock.fock import (
+    PSD_EIG_FLOOR,
     PureTwoModeState,
     ResourceState,
     TwoModeDensityMatrix,
@@ -35,6 +39,85 @@ def test_density_matrix_validation():
         TwoModeDensityMatrix(1, 2.0 * good)
     with pytest.raises(StateValidationError):
         TwoModeDensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(StateValidationError, match="non-finite"):
+        PureTwoModeState(1, np.array([bad, 1.0]))
+    with pytest.raises(StateValidationError, match="non-finite"):
+        TwoModeDensityMatrix(1, np.array([[bad, 0.0], [0.0, 0.5]]))
+    with pytest.raises(StateValidationError, match="non-finite"):
+        TwoModeDensityMatrix(1, np.array([[0.5, bad], [bad, 0.5]]))
+
+
+@pytest.mark.parametrize("min_eig", [-2e-10, -1.01e-10])
+def test_spectral_floor_rejects_with_min_eigenvalue(min_eig):
+    m = np.diag([1.0 - min_eig, min_eig]).astype(complex)
+    with pytest.raises(StateValidationError, match=f"min eigenvalue {min_eig:g}$"):
+        TwoModeDensityMatrix(1, m)
+
+
+@pytest.mark.parametrize("min_eig", [-0.99e-10, -5e-11, 0.0])
+def test_spectral_floor_accepts_down_to_floor(min_eig):
+    TwoModeDensityMatrix(2, np.diag([1.0 - min_eig, 0.0, min_eig]).astype(complex))
+
+
+def test_rank_one_states_pass_spectral_check():
+    rng = np.random.default_rng(15)
+    for nu in (1, 7, 64, 200):
+        x = haar_amplitude_batch(nu, 1, rng)[0]
+        pure = ResourceState(nu, np.outer(x, x.conj()))
+        PureTwoModeState(nu, x).density()
+        evolved = noise.dephase(pure, noise.DephasingSpec(0.7, 0.3, 0.0))
+        assert np.array_equal(evolved.matrix, pure.matrix)
+
+
+def test_accepted_states_need_no_eigensolve(monkeypatch):
+    rng = np.random.default_rng(16)
+    rho = random_resource(40, rng)
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    noise.dephase(rho, noise.DephasingSpec(0.5, 0.5, 0.2))
+    assert calls == []
+    with pytest.raises(StateValidationError):
+        TwoModeDensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
+    assert calls == [(2, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nu=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.floats(-1e-9, 1e-9) | st.floats(-0.3, 0.3),
+    zeros=st.integers(0, 11),
+)
+def test_spectral_verdict_matches_eigvalsh(nu, seed, offset, zeros):
+    # eigenvalues: one at PSD_EIG_FLOOR + offset, some exact zeros, the rest
+    # positive and summing to the remaining trace, in a random eigenbasis
+    rng = np.random.default_rng(seed)
+    lam0 = PSD_EIG_FLOOR + offset
+    rest = rng.random(nu)
+    rest[: min(zeros, nu - 1)] = 0.0
+    lam = np.concatenate(([lam0], (1.0 - lam0) * rest / rest.sum()))
+    g = rng.standard_normal((nu + 1, nu + 1)) + 1j * rng.standard_normal((nu + 1, nu + 1))
+    q, _ = np.linalg.qr(g)
+    m = (q * lam) @ q.conj().T
+    m = 0.5 * (m + m.conj().T)
+    min_eig = float(np.min(np.linalg.eigvalsh(m)))
+    assume(abs(min_eig - PSD_EIG_FLOOR) > 1e-12)
+    try:
+        TwoModeDensityMatrix(nu, m)
+        accepted = True
+    except StateValidationError:
+        accepted = False
+    assert accepted == (min_eig >= PSD_EIG_FLOOR)
 
 
 def test_matrices_are_immutable():

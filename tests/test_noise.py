@@ -105,6 +105,16 @@ def test_dephase_damping_factor():
     assert abs(out.matrix[0, 2] / rho.matrix[0, 2]) == pytest.approx(np.exp(-2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("nu", [5, 64, 300])
+def test_dephase_matches_entrywise_formula_exactly(nu):
+    rng = np.random.default_rng(nu)
+    rho = random_resource(nu, rng)
+    spec = noise.DephasingSpec(0.3, 0.45, 0.37)
+    k = np.arange(nu + 1)
+    expo = -0.5 * spec.t * spec.rate_sum * (k[:, None] - k[None, :]) ** 2
+    assert np.array_equal(noise.dephase(rho, spec).matrix, rho.matrix * np.exp(expo))
+
+
 def test_dephase_semigroup():
     rng = np.random.default_rng(65)
     rho = random_resource(5, rng)
