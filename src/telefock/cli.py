@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -120,6 +121,25 @@ def _get(cfg: dict, key: str, kind, required: bool = True, default=None):
     if not isinstance(value, kind):
         raise ConfigError(f"config key {key!r} must be {kind}, got {type(value).__name__}")
     return value
+
+
+def _finite(value, key: str) -> float:
+    """A config number that must be a finite int or float (not a bool)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{key} entries must be finite numbers, got {value!r}")
+
+
+def _nonnegative_list(values: list, key: str) -> list[float]:
+    numbers = [_finite(v, key) for v in values]
+    if not numbers or any(v < 0 for v in numbers):
+        raise ConfigError(f"{key} must be a non-empty list of nonnegative numbers")
+    return numbers
 
 
 def _nu_grid(cfg: dict) -> list[int]:
@@ -246,9 +266,7 @@ def resolve_noise(spec: dict, nu: int | None = None):
 def _time_grid(cfg: dict) -> np.ndarray:
     times = cfg.get("times")
     if isinstance(times, list):
-        if not times or any(t < 0 for t in times):
-            raise ConfigError("times must be a non-empty list of nonnegative numbers")
-        return np.asarray(times, dtype=float)
+        return np.asarray(_nonnegative_list(times, "times"))
     if isinstance(times, dict):
         return np.linspace(
             _get(times, "start", float), _get(times, "stop", float),
@@ -281,6 +299,18 @@ def resolve_family(spec: dict) -> continuum.ContinuumProfile:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _psi_amplitudes(psi_cfg, N: int) -> np.ndarray:
+    """The normalized input state from N+1 `[re, im]` pairs of finite numbers."""
+    if not (isinstance(psi_cfg, list) and len(psi_cfg) == N + 1
+            and all(isinstance(p, list) and len(p) == 2 for p in psi_cfg)):
+        raise ConfigError(f"psi must be a list of N+1 = {N + 1} [re, im] pairs")
+    amps = np.array([complex(_finite(re, "psi"), _finite(im, "psi")) for re, im in psi_cfg])
+    norm = float(np.linalg.norm(amps))
+    if not 0.0 < norm < math.inf:
+        raise ConfigError(f"psi must have a finite nonzero norm, got {norm!r}")
+    return amps / norm
+
+
 def cmd_teleport(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     nu = _get(cfg, "nu", int)
@@ -288,8 +318,7 @@ def cmd_teleport(cfg: dict, args) -> int:
     rho = resource.state()
     psi_cfg = cfg.get("psi")
     if psi_cfg is not None:
-        amps = np.array([complex(re, im) for re, im in psi_cfg])
-        psi = fock.PureTwoModeState(N, amps / np.linalg.norm(amps))
+        psi = fock.PureTwoModeState(N, _psi_amplitudes(psi_cfg, N))
     else:
         psi = fock.sample_haar(N, args.seed)
 
@@ -375,13 +404,10 @@ def cmd_noise(cfg: dict, args) -> int:
     f_sep = protocol.separable_fidelity(N)
     if isinstance(noise_spec, noise.MixingSpec):
         # scan over the mixing weight; the scan column is s, not time
-        weights = _get(cfg, "weights", list)
-        if not weights or any(w < 0 for w in weights):
-            raise ConfigError("weights must be a non-empty list of nonnegative numbers")
-        for s in weights:
-            mixed = noise.mix(rho, noise.MixingSpec(noise_spec.undesired, float(s)))
+        for s in _nonnegative_list(_get(cfg, "weights", list), "weights"):
+            mixed = noise.mix(rho, noise.MixingSpec(noise_spec.undesired, s))
             rows.append({
-                "t": float(s), "N": N,
+                "t": s, "N": N,
                 "fidelity": protocol.fidelity_closed(mixed, N),
                 "avg_entanglement": protocol.avg_entanglement_closed(mixed, N),
                 "f_sep": f_sep, "lower_bound": 0.0, "survival_weight": 1.0,

@@ -123,6 +123,46 @@ def test_non_object_section_exits_2(tmp_path, capsys):
     assert "got str" in err and "missing config key" not in err
 
 
+def noise_config(**overrides):
+    cfg = {
+        "schema_version": 1,
+        "kind": "noise",
+        "N": 2,
+        "nu": 6,
+        "resource": {"name": "max_entangled"},
+        "noise": {"kind": "dephasing", "lambda3": 1.0, "lambda4": 1.0},
+        "times": [0.0],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+MIXING = {"kind": "mixing", "undesired": {"name": "fock_separable", "k": 2}}
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"times": ["a"]}, "times"),
+    ({"times": [True, 0.5]}, "times"),
+    ({"times": [float("nan")]}, "times"),
+    ({"noise": MIXING, "weights": [None]}, "weights"),
+])
+def test_non_number_scan_entry_exits_2(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, noise_config(**overrides))
+    assert main(["noise", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("psi", [[[1, 0], "x"], [[0, 0], [0, 0]]])
+def test_malformed_psi_exits_2(tmp_path, capsys, psi):
+    cfg = write_config(tmp_path, teleport_config(psi=psi))
+    with np.errstate(all="raise"):
+        assert main(["teleport", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "psi" in err
+    assert "non-finite" not in err
+
+
 def test_sweep_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path, sweep_config())
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from telefock import continuum, resources
-from telefock.errors import HypothesisViolationError, StateValidationError
+from telefock.errors import HypothesisViolationError, QuadratureError, StateValidationError
 
 
 # Exact values of the continuum integrals for the flat profile chi = 1/sqrt(2),
@@ -215,3 +216,152 @@ def test_report_json_round_trip():
     assert set(payload) >= {
         "nu_grid", "one_minus_f", "fitted_exponent", "converges", "hypothesis_flags"
     }
+
+
+# ---------------------------------------------------------------------------
+# The strip integral: vectorized GK21 first step with adaptive fallback
+# ---------------------------------------------------------------------------
+
+def scalar_band_integral(omega, nu, N, features):
+    """The band integral by nested scalar `quad`, independent of the GK21 path."""
+    tol = dict(epsabs=continuum.QUAD_EPSABS, epsrel=continuum.QUAD_EPSREL, limit=400)
+    w = 2.0 * (N + 1.0) / nu
+
+    def inner(u):
+        b = min(w, 2.0 - 2.0 * abs(u))
+        if b <= 0.0:
+            return 0.0
+        g = lambda v: float(np.real(
+            (N + 1.0 - abs(v) * nu / 2.0) * omega(u + v / 2.0, u - v / 2.0)))
+        return integrate.quad(g, -b, b, points=[0.0], **tol)[0]
+
+    pts = sorted({-1.0 + w / 2.0, 1.0 - w / 2.0, *features})
+    return integrate.quad(inner, -1.0, 1.0, points=[p for p in pts if -1.0 < p < 1.0],
+                          **tol)[0]
+
+
+def scalar_reference(profile, N, nu):
+    """(f, E) from the scalar band integral, for profiles with omega >= 0."""
+    om = continuum._checked_omega(profile, nu)
+    band = scalar_band_integral(om, nu, N, profile._features(nu))
+    f = 1.0 / (N + 2.0) + (nu / 2.0) * band / ((N + 1.0) * (N + 2.0))
+    e = -np.pi / 8.0 + (np.pi * nu / 16.0) * band / (N + 1.0)
+    return f, e
+
+
+@pytest.fixture
+def strip_quad_calls(monkeypatch):
+    """Counts `quad` calls on a strip [-b, b] split at 0 (the adaptive fallback)."""
+    calls = []
+    quad = integrate.quad
+
+    def counting(func, a, b, *args, **kwargs):
+        if kwargs.get("points") == [0.0] and a == -b:
+            calls.append((a, b))
+        return quad(func, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counting)
+    return calls
+
+
+@pytest.mark.parametrize("profile", [
+    continuum.flat_family(),
+    continuum.gaussian_beta_family(0.8),
+    continuum.double_well_profile(lambda nu: 10.0),
+    continuum.double_well_bimodal_profile(-2.0),
+], ids=["flat", "gaussian", "double_well", "bimodal"])
+def test_strip_integral_agrees_with_scalar_quad(profile):
+    # every stock profile is real and nonnegative, so one band integral
+    # serves both functionals
+    for nu in (100, 1000, 10000):
+        for N in (1, 2, 3):
+            f_ref, e_ref = scalar_reference(profile, N, nu)
+            f = continuum.fidelity_continuum(profile, N, nu)
+            e = continuum.entanglement_continuum(profile, N, nu)
+            assert abs(f - f_ref) <= 1e-14 * abs(f_ref)
+            assert abs(e - e_ref) <= 1e-14 * abs(e_ref)
+
+
+def test_smooth_profile_needs_no_fallback(strip_quad_calls):
+    continuum.fidelity_continuum(continuum.flat_family(), 2, 100)
+    assert strip_quad_calls == []
+
+
+def test_spike_profile_falls_back_to_adaptive_quad(strip_quad_calls):
+    prof = continuum.spike_profile(width=1e-4)
+    f = continuum.fidelity_continuum(prof, 2, 100)
+    assert len(strip_quad_calls) > 0
+    f_ref, _ = scalar_reference(prof, 2, 100)
+    assert abs(f - f_ref) <= 1e-14 * abs(f_ref)
+
+
+def test_gk21_pair_is_quadpack_first_step():
+    # same nodes as `quad` on [-b, 0] + [0, b]; where `quad` stops after its
+    # first step (42 evaluations) value and error estimate agree, elsewhere
+    # the error estimate fails the acceptance test
+    for b in (2e-4, 0.3, 1.5):
+        for s in np.geomspace(b / 3.0, 30.0 * b, 7):
+            f = lambda v: np.exp(-(np.asarray(v) / s) ** 2) * np.cos(3.0 * np.asarray(v)) - 0.2
+            seen = []
+            val, err, info = integrate.quad(
+                lambda v: seen.append(v) or float(f(v)), -b, b, points=[0.0],
+                epsabs=continuum.QUAD_EPSABS, epsrel=continuum.QUAD_EPSREL,
+                limit=400, full_output=1,
+            )
+            nodes = []
+            got, got_err = continuum._gk21_pair(lambda v: nodes.append(v) or f(v), b)
+            assert set(np.concatenate(nodes).tolist()) == set(seen[:42])
+            tol = max(continuum.QUAD_EPSABS, continuum.QUAD_EPSREL * abs(got))
+            if info["neval"] == 42:
+                assert abs(got - val) <= 1e-15 * abs(val)
+                assert abs(got_err - err) <= 1e-13 * err
+                assert got_err <= tol
+            else:
+                assert got_err > tol
+
+
+def test_constant_density_broadcasts():
+    const = continuum.ContinuumProfile(
+        kind="density", smoothness="twice", omega_of_nu=lambda nu: (lambda z, y: 0.5),
+    )
+    flat = continuum.flat_family()
+    for N, nu in [(1, 100), (3, 1000)]:
+        assert continuum.fidelity_continuum(const, N, nu) == pytest.approx(
+            continuum.fidelity_continuum(flat, N, nu), rel=1e-14)
+        assert continuum.entanglement_continuum(const, N, nu) == pytest.approx(
+            continuum.entanglement_continuum(flat, N, nu), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_nan_pure_profile_raises():
+    def chi(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(z > 0.5, np.nan, 1.0 / np.sqrt(2.0))
+
+    prof = continuum.ContinuumProfile(kind="pure", smoothness="twice",
+                                      chi_of_nu=lambda nu: chi)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        continuum.fidelity_continuum(prof, 1, 100)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        continuum.entanglement_continuum(prof, 1, 100)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_nan_density_profile_raises():
+    # finite on the diagonal, so the norm check passes; the NaN above it
+    # reaches the strip integral, whose quadrature must raise
+    def omega(z, y):
+        return np.where(np.asarray(z) > np.asarray(y), np.nan, 0.5)
+
+    prof = continuum.ContinuumProfile(kind="density", smoothness="twice",
+                                      omega_of_nu=lambda nu: omega)
+    assert prof.diagonal_norm(100) == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        continuum.fidelity_continuum(prof, 1, 100)
+
+
+def test_non_finite_diagonal_norm_rejected(monkeypatch):
+    monkeypatch.setattr(continuum.ContinuumProfile, "diagonal_norm",
+                        lambda self, nu: float("nan"))
+    with pytest.raises(StateValidationError, match="nan"):
+        continuum.fidelity_continuum(continuum.flat_family(), 1, 100)
