@@ -128,17 +128,26 @@ class ResourceState(TwoModeDensityMatrix):
 
     @classmethod
     def from_amplitudes(cls, x) -> "ResourceState":
-        """Pure resource state from an amplitude vector (renormalized defensively)."""
-        x = normalized_amplitudes(x)
+        """Pure resource state from an amplitude vector (renormalized defensively).
+
+        The vector is cast to complex before it is normalized, so a real and
+        a complex copy of the same amplitudes give the same matrix.
+        """
+        x = normalized_amplitudes(np.asarray(x, dtype=complex))
         return cls(len(x) - 1, np.outer(x, x.conj()), validate_spectrum=False)
 
 
 def normalized_amplitudes(x) -> np.ndarray:
-    """Flatten a complex amplitude vector and normalize it to unit norm."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0:
-        raise StateValidationError("zero amplitude vector")
+    """Flatten an amplitude vector and normalize it to unit norm.
+
+    A real input stays real (float64) and a complex one complex (complex128),
+    so real resource families keep real arithmetic downstream.
+    """
+    x = np.asarray(x)
+    x = x.astype(complex if np.iscomplexobj(x) else float, copy=False).reshape(-1)
+    nrm = float(np.linalg.norm(x))
+    if not 0.0 < nrm < np.inf:
+        raise StateValidationError(f"amplitude vector norm must be finite and nonzero, got {nrm!r}")
     return x / nrm
 
 

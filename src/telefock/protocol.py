@@ -267,9 +267,10 @@ def fidelity_closed_pure(amplitudes: np.ndarray, N: int) -> float:
 
     Same band formula as `fidelity_closed` with rho_{k,j} = x_k conj(x_j),
     evaluated as N shifted dot products: O(nu N) time, O(nu) memory, which
-    is what makes nu ~ 10^4 sweeps practical.
+    is what makes nu ~ 10^4 sweeps practical.  Real amplitudes take real
+    dot products.
     """
-    x = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    x = np.asarray(amplitudes).reshape(-1)
     nu = len(x) - 1
     _check_regime(N, nu)
     band = 0.0
@@ -281,7 +282,7 @@ def fidelity_closed_pure(amplitudes: np.ndarray, N: int) -> float:
 
 def avg_entanglement_closed_pure(amplitudes: np.ndarray, N: int) -> float:
     """Average final entanglement of a pure resource from its amplitudes."""
-    x = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    x = np.asarray(amplitudes).reshape(-1)
     nu = len(x) - 1
     _check_regime(N, nu)
     r = np.abs(x)

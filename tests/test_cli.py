@@ -1,7 +1,12 @@
 """Command-line driver: subcommands, exit codes, determinism, performance."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +174,94 @@ def test_sweep_byte_identical_reruns(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["sweep", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_consecutive_calls_share_no_options(tmp_path):
+    cfg = write_config(tmp_path, sweep_config(nu_grid=[10, 20]))
+    timed, plain = tmp_path / "timed.json", tmp_path / "plain.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(timed),
+                 "--timings", "--format", "json"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(plain)]) == 0
+    assert cli._parser() is cli._parser()
+    fresh = tmp_path / "fresh.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-m", "telefock.cli", "sweep", "--config", cfg,
+                    "--out", str(fresh)], check=True, env={**os.environ, "PYTHONPATH": src})
+    assert plain.read_bytes() == fresh.read_bytes()
+    assert all(row["wall_time_s"] > 0.0 for row in json.loads(timed.read_text()))
+
+
+def phased_uniform_fidelity(N, nu, c):
+    """f = 2/(N+2) + sum_d 2(N+1-d)(nu+1-d) cos(c d) / ((nu+1)(N+1)(N+2)) for the
+    uniform resource with phases e^{i c k}."""
+    band = sum(2 * (N + 1 - d) * (nu + 1 - d) * math.cos(c * d) for d in range(1, N + 1))
+    return 2.0 / (N + 2) + band / ((nu + 1) * (N + 1) * (N + 2))
+
+
+@pytest.mark.parametrize("phases, c", [
+    ({"kind": "linear", "coefficient": -0.05}, -0.05),
+    ({"kind": "linear", "coefficient": 0.03}, 0.03),
+    ({"kind": "alternating"}, math.pi),
+])
+def test_sweep_phases_match_closed_form(tmp_path, capsys, phases, c):
+    grid = [10, 100, 1000, 4096]
+    for N in (1, 4):
+        plain = sweep_config(N=N, nu_grid=grid)
+        phased = sweep_config(N=N, nu_grid=grid,
+                              resource={"name": "max_entangled", "phases": phases})
+        assert main(["sweep", "--config", write_config(tmp_path, plain), "--format", "json"]) == 0
+        base = json.loads(capsys.readouterr().out)
+        assert main(["sweep", "--config", write_config(tmp_path, phased), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for row, ref in zip(rows, base):
+            nu = row["nu"]
+            assert abs(row["fidelity"] - phased_uniform_fidelity(N, nu, c)) < 1e-12
+            assert abs(row["avg_entanglement"] - ref["avg_entanglement"]) < 1e-12
+
+
+@pytest.mark.parametrize("times", [
+    {"start": 0.0, "stop": 0.4, "num": -2},
+    {"start": 0.0, "stop": 0.4, "num": 0},
+    {"start": 0.0, "stop": 0.4, "num": 2.5},
+    {"start": 0.0, "stop": 0.4, "num": "3"},
+    {"start": 0.0, "stop": 0.4, "num": True},
+    {"start": 0.0, "stop": 0.4},
+])
+def test_bad_times_num_exits_2(tmp_path, capsys, times):
+    cfg = write_config(tmp_path, noise_config(times=times))
+    assert main(["noise", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and "times.num" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind, overrides, key", [
+    ("sweep", {"resource": {"name": "max_entangled",
+                            "phases": {"kind": "linear", "coefficient": math.inf}}},
+     "coefficient"),
+    ("sweep", {"resource": {"name": "gaussian", "beta": math.nan}}, "beta"),
+    ("sweep", {"resource": {"name": "gaussian", "beta": 10 ** 400}}, "beta"),
+    ("noise", {"noise": {"kind": "dephasing", "lambda3": -math.inf, "lambda4": 1.0}},
+     "lambda3"),
+    ("noise", {"times": {"start": 0.0, "stop": math.nan, "num": 3}}, "stop"),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, kind, overrides, key):
+    base = sweep_config if kind == "sweep" else noise_config
+    cfg = write_config(tmp_path, base(**overrides))
+    assert main([kind, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and repr(key) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+SAMPLE_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=lambda p: p.stem)
+def test_sample_config_runs(path, capsys):
+    kind = json.loads(path.read_text())["kind"]
+    assert main([kind, "--config", str(path), "--format", "json"]) == 0
+    json.loads(capsys.readouterr().out)
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):

@@ -16,6 +16,7 @@ from telefock.fock import (
     is_product_pure,
     negativity,
     negativity_partial_transpose,
+    normalized_amplitudes,
     sample_haar,
 )
 
@@ -221,3 +222,22 @@ def test_resource_from_amplitudes_normalizes():
     state = ResourceState.from_amplitudes(np.array([3.0, 4.0]))
     assert abs(np.trace(state.matrix) - 1.0) < 1e-14
     assert state.n_particles == 1
+
+
+def test_normalized_amplitudes_keeps_real_and_complex_dtypes():
+    assert normalized_amplitudes([3, 4]).dtype == np.float64
+    assert normalized_amplitudes(np.array([3.0, 4.0])).tolist() == [0.6, 0.8]
+    assert normalized_amplitudes(np.array([3.0, 4.0j])).dtype == np.complex128
+    # a real input gives the same dense state as its complex copy
+    x = np.array([0.3, 0.2, 0.9])
+    assert np.array_equal(ResourceState.from_amplitudes(x).matrix,
+                          ResourceState.from_amplitudes(x.astype(complex)).matrix)
+
+
+@pytest.mark.parametrize("bad", [
+    [0.0, 0.0], [1.0, np.nan], [np.inf, 0.0], [0j, 0j],
+])
+def test_normalized_amplitudes_rejects_zero_or_non_finite_norm(bad):
+    with pytest.raises(StateValidationError, match="norm"):
+        normalized_amplitudes(np.array(bad))
+

@@ -263,6 +263,21 @@ def test_pure_fast_paths_match_matrix_paths():
             )
 
 
+@pytest.mark.parametrize("x", [
+    resources.max_entangled_amplitudes(300),
+    resources.gaussian_amplitudes(resources.GaussianSpec.from_beta(500, 0.75)),
+    resources.double_well_ground_amplitudes(resources.BoseHubbardParams.from_gamma(64, 3.0)),
+    resources.noon_amplitudes(40),
+])
+def test_pure_functionals_real_and_complex_input_agree(x):
+    assert x.dtype == np.float64
+    z = x.astype(complex)
+    for N in (1, 4, 16):
+        assert fidelity_closed_pure(x, N) == pytest.approx(fidelity_closed_pure(z, N), rel=1e-15)
+        assert avg_entanglement_closed_pure(x, N) == pytest.approx(
+            avg_entanglement_closed_pure(z, N), rel=1e-15, abs=0.0)
+
+
 def test_fidelity_requires_supported_regime():
     with pytest.raises(UnsupportedRegimeError):
         fidelity_closed(resources.max_entangled(2), 4)

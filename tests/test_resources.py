@@ -236,3 +236,30 @@ def test_constructors_produce_valid_states():
     ]
     for state in candidates:
         ResourceState(state.n_particles, state.matrix)  # validate_spectrum=True
+
+
+@pytest.mark.parametrize("c", [0.05, -0.05, np.pi, 6.2])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 1000, 2 ** 20 + 1])
+def test_linear_phase_matches_direct_exponential(c, n):
+    got = resources.linear_phase(c, n)
+    want = np.exp(1j * c * np.arange(n))
+    assert got.shape == (n,) and got.dtype == complex
+    bound = 2.0 * np.finfo(float).eps * max(1.0, abs(c) * (n - 1))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def test_real_families_return_float64_amplitudes():
+    real = [
+        resources.max_entangled_amplitudes(9),
+        resources.noon_amplitudes(9),
+        resources.gaussian_amplitudes(resources.GaussianSpec.from_beta(40, 0.7)),
+        resources.double_well_ground_amplitudes(
+            resources.BoseHubbardParams.from_gamma(16, 3.0)),
+        resources.double_well_ground_amplitudes(
+            resources.BoseHubbardParams.from_gamma(16, -2.0)),
+    ]
+    for x in real:
+        assert x.dtype == np.float64
+        assert abs(np.linalg.norm(x) - 1.0) < 1e-15
+    assert resources.su2_coherent_amplitudes(9, 1.1, 0.7).dtype == np.complex128
+
