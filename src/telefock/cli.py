@@ -12,12 +12,12 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     NumericalError,
     QuadratureError,
+    StateValidationError,
     TelefockError,
 )
 
@@ -94,7 +95,7 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int beyond Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -120,6 +121,9 @@ def _get(cfg: dict, key: str, kind, required: bool = True, default=None):
         value = _finite(value, f"config key {key!r}")
     if not isinstance(value, kind):
         raise ConfigError(f"config key {key!r} must be {kind}, got {type(value).__name__}")
+    if kind is int and not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError(f"config key {key!r} must fit in a 64-bit integer, "
+                          f"got {value.bit_length()} bits")
     return value
 
 
@@ -145,39 +149,23 @@ def _nonnegative_list(values: list, key: str) -> list[float]:
 def _nu_grid(cfg: dict) -> list[int]:
     grid = _get(cfg, "nu_grid", list)
     if not grid or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in grid
+        isinstance(v, int) and not isinstance(v, bool) and 0 < v < 2 ** 63 for v in grid
     ):
-        raise ConfigError("nu_grid must be a non-empty list of positive integers")
+        raise ConfigError("nu_grid must be a non-empty list of positive 64-bit integers")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("nu_grid must be strictly increasing")
     return grid
 
 
-@dataclass
-class ResolvedResource:
-    """A named resource at fixed nu: amplitudes for pure families, or a state."""
-
-    name: str
-    amplitudes: np.ndarray | None
-    _state: fock.ResourceState | None = None
-
-    def state(self) -> fock.ResourceState:
-        if self._state is None:
-            self._state = fock.ResourceState.from_amplitudes(self.amplitudes)
-        return self._state
-
-    def fidelity(self, N: int) -> float:
-        if self.amplitudes is not None:
-            return protocol.fidelity_closed_pure(self.amplitudes, N)
-        return protocol.fidelity_closed(self.state(), N)
-
-    def avg_entanglement(self, N: int) -> float:
-        if self.amplitudes is not None:
-            return protocol.avg_entanglement_closed_pure(self.amplitudes, N)
-        return protocol.avg_entanglement_closed(self.state(), N)
+def _dense(resource) -> fock.ResourceState:
+    """The state of a resolved resource (pure families resolve to amplitudes)."""
+    if isinstance(resource, np.ndarray):
+        return fock.ResourceState.from_amplitudes(resource)
+    return resource
 
 
-def resolve_resource(spec: dict, nu: int) -> ResolvedResource:
+def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.ResourceState:
+    """The amplitude vector of a pure family, or the state of a mixed one."""
     if not isinstance(spec, dict):
         raise ConfigError("resource spec must be an object")
     name = _get(spec, "name", str)
@@ -188,7 +176,7 @@ def resolve_resource(spec: dict, nu: int) -> ResolvedResource:
             amps = resources.noon_amplitudes(nu)
         elif name == "fock_separable":
             k = _get(spec, "k", int, required=False, default=nu)
-            return ResolvedResource(name, None, resources.fock_separable(nu, k))
+            return resources.fock_separable(nu, k)
         elif name == "gaussian":
             beta = _get(spec, "beta", float, required=False)
             if beta is not None:
@@ -218,12 +206,11 @@ def resolve_resource(spec: dict, nu: int) -> ResolvedResource:
                 )
             amps = resources.double_well_ground_amplitudes(params)
         elif name == "four_coherence":
-            state = noise.four_coherence_state(
+            return noise.four_coherence_state(
                 _get(spec, "a", float), _get(spec, "b", float),
                 _get(spec, "c", float), _get(spec, "d", float),
                 _get(spec, "x", float), _get(spec, "y", float), nu,
             )
-            return ResolvedResource(name, None, state)
         else:
             raise ConfigError(f"unknown resource name {name!r}")
     except TelefockError:
@@ -237,7 +224,7 @@ def resolve_resource(spec: dict, nu: int) -> ResolvedResource:
             amps = amps * resources.linear_phase(_get(phase, "coefficient", float), nu + 1)
         else:
             raise ConfigError(f"unknown phase kind {kind!r}")
-    return ResolvedResource(name, amps)
+    return amps
 
 
 def resolve_noise(spec: dict, nu: int | None = None):
@@ -257,8 +244,8 @@ def resolve_noise(spec: dict, nu: int | None = None):
     if kind == "mixing":
         if nu is None:
             raise ConfigError("mixing channel needs a fixed nu")
-        undesired = resolve_resource(_get(spec, "undesired", dict), nu)
-        return noise.MixingSpec(undesired.state(), _get(spec, "s", float, required=False, default=0.0))
+        undesired = _dense(resolve_resource(_get(spec, "undesired", dict), nu))
+        return noise.MixingSpec(undesired, _get(spec, "s", float, required=False, default=0.0))
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
@@ -269,7 +256,7 @@ def _time_grid(cfg: dict) -> np.ndarray:
     if isinstance(times, dict):
         start, stop = _get(times, "start", float), _get(times, "stop", float)
         num = times.get("num")
-        if isinstance(num, bool) or not isinstance(num, int) or num < 1:
+        if isinstance(num, bool) or not isinstance(num, int) or not 1 <= num < 2 ** 63:
             raise ConfigError(f"times.num must be an integer >= 1, got {num!r}")
         return np.linspace(start, stop, num)
     raise ConfigError("missing or malformed 'times'")
@@ -314,8 +301,8 @@ def _psi_amplitudes(psi_cfg, N: int) -> np.ndarray:
 def cmd_teleport(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     nu = _get(cfg, "nu", int)
-    resource = resolve_resource(_get(cfg, "resource", dict), nu)
-    rho = resource.state()
+    resource_spec = _get(cfg, "resource", dict)
+    rho = _dense(resolve_resource(resource_spec, nu))
     psi_cfg = cfg.get("psi")
     if psi_cfg is not None:
         psi = fock.PureTwoModeState(N, _psi_amplitudes(psi_cfg, N))
@@ -331,7 +318,7 @@ def cmd_teleport(cfg: dict, args) -> int:
         })
     report = protocol.performance_report(rho, N)
     payload = {
-        "N": N, "nu": nu, "resource": resource.name,
+        "N": N, "nu": nu, "resource": resource_spec["name"],
         "fidelity": report.fidelity,
         "avg_entanglement": report.avg_entanglement,
         "f_sep": report.f_sep,
@@ -342,7 +329,7 @@ def cmd_teleport(cfg: dict, args) -> int:
     if args.format == "json":
         _write_json(args.out, payload)
     else:
-        print(f"resource={resource.name}  N={N}  nu={nu}")
+        print(f"resource={resource_spec['name']}  N={N}  nu={nu}")
         print(f"{'l':>4} {'lam':>4} {'probability':>20} {'negativity':>20}")
         for r in rows:
             print(f"{r['l']:>4} {r['lam']:>4} {r['probability']:>20.12f} {r['negativity']:>20.12f}")
@@ -357,17 +344,12 @@ def cmd_teleport(cfg: dict, args) -> int:
 
 def _sweep_row(nu: int, N: int, resource_spec: dict, timings: bool) -> dict:
     start = time.perf_counter()
-    resource = resolve_resource(resource_spec, nu)
-    f = resource.fidelity(N)
-    e = resource.avg_entanglement(N)
-    f_sep = protocol.separable_fidelity(N)
-    slack = 8.0 * e / np.pi - (N + 2) * f + 2.0
-    if slack < -1e-10:
-        raise NumericalError(f"triangle slack {slack} negative at nu={nu}")
+    report = protocol.performance_report(resolve_resource(resource_spec, nu), N)
     elapsed = time.perf_counter() - start if timings else 0.0
     return {
-        "nu": nu, "N": N, "fidelity": f, "avg_entanglement": e,
-        "f_sep": f_sep, "triangle_slack": slack, "wall_time_s": elapsed,
+        "nu": nu, "N": N, "fidelity": report.fidelity,
+        "avg_entanglement": report.avg_entanglement, "f_sep": report.f_sep,
+        "triangle_slack": report.triangle_slack, "wall_time_s": elapsed,
     }
 
 
@@ -389,64 +371,40 @@ def cmd_sweep(cfg: dict, args) -> int:
 def cmd_noise(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     nu = _get(cfg, "nu", int)
-    resource = resolve_resource(_get(cfg, "resource", dict), nu)
-    rho = resource.state()
+    resource_spec = _get(cfg, "resource", dict)
+    rho = _dense(resolve_resource(resource_spec, nu))
     noise_spec = resolve_noise(_get(cfg, "noise", dict), nu)
 
-    rows = []
+    # a mixing scan runs over the weight s, written to the `t` column
+    mixing = isinstance(noise_spec, noise.MixingSpec)
+    scan = _nonnegative_list(_get(cfg, "weights", list), "weights") if mixing else _time_grid(cfg)
+    floor = np.zeros(len(scan))
+    if isinstance(noise_spec, noise.LossSpec):
+        max_eta = float(np.max(noise.eta_rates(noise_spec, nu)))
+        floor = noise.loss_floor(protocol.fidelity_closed(rho, N), max_eta, scan)
     f_sep = protocol.separable_fidelity(N)
-    if isinstance(noise_spec, noise.MixingSpec):
-        # scan over the mixing weight; the scan column is s, not time
-        for s in _nonnegative_list(_get(cfg, "weights", list), "weights"):
-            mixed = noise.mix(rho, noise.MixingSpec(noise_spec.undesired, s))
-            rows.append({
-                "t": s, "N": N,
-                "fidelity": protocol.fidelity_closed(mixed, N),
-                "avg_entanglement": protocol.avg_entanglement_closed(mixed, N),
-                "f_sep": f_sep, "lower_bound": 0.0, "survival_weight": 1.0,
-            })
-        if args.format == "json":
-            _write_json(args.out, {"rows": rows, "threshold": None})
-        else:
-            _write_rows(args.out, NOISE_COLUMNS, rows)
-        return 0
+    rows = []
+    for x, lower in zip(scan, floor):
+        block, weight = noise.apply(
+            rho, dataclasses.replace(noise_spec, **{"s" if mixing else "t": float(x)}))
+        rows.append({
+            "t": float(x), "N": N,
+            "fidelity": protocol.fidelity_closed(block, N),
+            "avg_entanglement": protocol.avg_entanglement_closed(block, N),
+            "f_sep": f_sep, "lower_bound": float(lower), "survival_weight": weight,
+        })
 
-    times = _time_grid(cfg)
-    if isinstance(noise_spec, noise.DephasingSpec):
-        for t in times:
-            evolved = noise.dephase(rho, noise.DephasingSpec(
-                noise_spec.lambda3, noise_spec.lambda4, float(t)))
-            rows.append({
-                "t": float(t), "N": N,
-                "fidelity": protocol.fidelity_closed(evolved, N),
-                "avg_entanglement": protocol.avg_entanglement_closed(evolved, N),
-                "f_sep": f_sep, "lower_bound": 0.0, "survival_weight": 1.0,
-            })
-    else:
-        eta = noise.eta_rates(noise_spec, nu)
-        max_eta = float(np.max(eta))
-        f0 = protocol.fidelity_closed(rho, N)
-        for t in times:
-            timed = noise.LossSpec(noise_spec.channels, float(t))
-            res = noise.particle_loss_analytic(rho, timed)
-            rows.append({
-                "t": float(t), "N": N,
-                "fidelity": protocol.fidelity_closed(res.surviving_block, N),
-                "avg_entanglement": protocol.avg_entanglement_closed(res.surviving_block, N),
-                "f_sep": f_sep,
-                "lower_bound": float(np.exp(-2.0 * t * max_eta) * f0),
-                "survival_weight": res.survival_weight,
-            })
-
-    extra = None
-    if (isinstance(noise_spec, noise.DephasingSpec) and resource.name == "four_coherence"
-            and N > 2):
-        spec = cfg["resource"]
-        report = noise.dephasing_threshold_demo(
-            spec["a"], spec["b"], spec["c"], spec["d"], spec["x"], spec["y"],
-            N, noise_spec.lambda3, noise_spec.lambda4, nu=nu,
-        )
-        extra = json.loads(report.to_json())
+    report = None
+    if (isinstance(noise_spec, noise.DephasingSpec)
+            and resource_spec["name"] == "four_coherence" and N > 2):
+        try:
+            report = noise.dephasing_threshold_demo(
+                *(resource_spec[k] for k in "abcdxy"),
+                N, noise_spec.lambda3, noise_spec.lambda4, nu=nu,
+            )
+        except StateValidationError:
+            pass  # no crossing: x >= 0, y <= 0, no initial advantage or no dephasing
+    extra = json.loads(report.to_json()) if report is not None else None
     if args.format == "json":
         _write_json(args.out, {"rows": rows, "threshold": extra})
     else:
@@ -578,6 +536,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"environment error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"environment error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

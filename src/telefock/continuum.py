@@ -23,7 +23,7 @@ from scipy import integrate
 
 from .errors import HypothesisViolationError, QuadratureError, StateValidationError
 from .fock import ResourceState, normalized_amplitudes
-from .protocol import fidelity_closed, fidelity_closed_pure
+from .protocol import fidelity_closed_pure
 from . import resources
 
 QUAD_EPSABS = 1e-12
@@ -48,10 +48,9 @@ class ContinuumProfile:
 
     `smoothness` declares the regularity class of the shape function
     ("twice", "once", "continuous", or "none"); it is asserted by the
-    convergence checks, never inferred.  `amplitudes_of_nu` /
-    `resource_of_nu` optionally supply the discrete counterpart used for
-    closed-form sweeps (defaulting to discretizing chi for pure profiles);
-    sweeps prefer the amplitude form, which stays O(nu) in memory.
+    convergence checks, never inferred.  `amplitudes_of_nu` optionally
+    supplies the discrete amplitudes used for closed-form sweeps (defaulting
+    to discretizing chi for pure profiles), which stay O(nu) in memory.
     `features_of_nu` lists interior z-points (bump centers) handed to the
     quadrature as breakpoints.
 
@@ -72,7 +71,6 @@ class ContinuumProfile:
     omega_plus: Callable[[np.ndarray], np.ndarray] | None = None
     omega_minus: Callable[[np.ndarray], np.ndarray] | None = None
     amplitudes_of_nu: Callable[[int], np.ndarray] | None = None
-    resource_of_nu: Callable[[int], ResourceState] | None = None
     features_of_nu: Callable[[float], tuple] = lambda nu: ()
 
     def __post_init__(self):
@@ -116,8 +114,6 @@ class ContinuumProfile:
 
     def to_resource(self, nu: int) -> ResourceState:
         """Discrete counterpart at nu particles."""
-        if self.resource_of_nu is not None:
-            return self.resource_of_nu(nu)
         return ResourceState.from_amplitudes(self.amplitudes(nu))
 
     def amplitudes(self, nu: int) -> np.ndarray:
@@ -131,11 +127,8 @@ class ContinuumProfile:
         return normalized_amplitudes(x)
 
     def one_minus_fidelity(self, nu: int, N: int) -> float:
-        """1 - f of the discrete counterpart, via the cheapest available path."""
-        try:
-            return 1.0 - fidelity_closed_pure(self.amplitudes(nu), N)
-        except StateValidationError:
-            return 1.0 - fidelity_closed(self.to_resource(nu), N)
+        """1 - f of the discrete counterpart, from its amplitudes."""
+        return 1.0 - fidelity_closed_pure(self.amplitudes(nu), N)
 
     def _features(self, nu: float) -> list[float]:
         return [float(p) for p in self.features_of_nu(nu) if -1.0 < p < 1.0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -234,13 +234,22 @@ def eta_rates(spec: LossSpec, nu: int) -> np.ndarray:
     """Fock-diagonal decay rates eta_k = sum_i (rate_i/2) k!/(k-m)! (nu-k)!/(nu-k-n)!.
 
     Falling factorials vanish whenever the channel would remove more
-    particles than a mode holds.
+    particles than a mode holds.  They are float products of integers, so
+    exact while below 2**53.
     """
+    k = np.arange(nu + 1)
     eta = np.zeros(nu + 1)
     for ch in spec.channels:
-        for k in range(nu + 1):
-            eta[k] += 0.5 * ch.rate * math.perm(k, ch.m) * math.perm(nu - k, ch.n)
+        eta += 0.5 * ch.rate * _falling(k, ch.m) * _falling(nu - k, ch.n)
     return eta
+
+
+def _falling(x: np.ndarray, m: int) -> np.ndarray:
+    """x!/(x-m)! elementwise, zero where x < m."""
+    out = np.ones(x.shape)
+    for i in range(m):
+        out *= np.maximum(x - i, 0)
+    return out
 
 
 @dataclass
@@ -318,13 +327,7 @@ def particle_loss_lindblad(
     size = int(offsets[-1])
 
     # per-block diagonal rates and per-(channel, source-block) jump amplitudes
-    block_eta = []
-    for b in range(nu + 1):
-        eta = np.zeros(b + 1)
-        for ch in spec.channels:
-            for k in range(b + 1):
-                eta[k] += 0.5 * ch.rate * math.perm(k, ch.m) * math.perm(b - k, ch.n)
-        block_eta.append(eta)
+    block_eta = [eta_rates(spec, b) for b in range(nu + 1)]
     jumps = []
     for ch in spec.channels:
         drop = ch.m + ch.n
@@ -332,9 +335,7 @@ def particle_loss_lindblad(
             k = np.arange(ch.m, src - ch.n + 1)
             if k.size == 0:
                 continue
-            amp = np.sqrt(
-                [math.perm(int(kk), ch.m) * math.perm(src - int(kk), ch.n) for kk in k]
-            )
+            amp = np.sqrt(_falling(k, ch.m) * _falling(src - k, ch.n))
             jumps.append((ch.rate, src, src - drop, int(k[0]), amp))
 
     def unpack(yflat: np.ndarray) -> list[np.ndarray]:
@@ -377,6 +378,26 @@ def particle_loss_lindblad(
     )
 
 
+def apply(
+    rho: ResourceState, spec: MixingSpec | DephasingSpec | LossSpec
+) -> tuple[ResourceState | np.ndarray, float]:
+    """(block, survival_weight) of one channel acting on the resource.
+
+    Mixing and dephasing keep every particle: the block is the output
+    state and the weight 1.  Loss gives the unnormalized surviving
+    nu-particle block of `particle_loss_analytic` and its trace.  The band
+    functionals read either form.
+    """
+    if isinstance(spec, MixingSpec):
+        return mix(rho, spec), 1.0
+    if isinstance(spec, DephasingSpec):
+        return dephase(rho, spec), 1.0
+    if isinstance(spec, LossSpec):
+        res = particle_loss_analytic(rho, spec)
+        return res.surviving_block, res.survival_weight
+    raise StateValidationError(f"unknown noise channel {type(spec).__name__}")
+
+
 @dataclass
 class BoundsReport:
     """Loss-channel fidelity trajectory against its exponential lower bound."""
@@ -409,6 +430,11 @@ class BoundsReport:
         )
 
 
+def loss_floor(f0: float, max_eta: float, times) -> np.ndarray:
+    """The bound exp(-2 t max_k eta_k) f(0) on the loss-channel fidelity at each time."""
+    return np.exp(-2.0 * np.asarray(times) * max_eta) * f0
+
+
 def loss_fidelity_bounds(
     rho: ResourceState, spec: LossSpec, N: int, n_times: int = 20
 ) -> BoundsReport:
@@ -420,16 +446,11 @@ def loss_fidelity_bounds(
     time 2 t max eta = ln(f(0) (N+2)/2) bounds the window in which the
     evolved state still beats the separable baseline.
     """
-    nu = rho.n_particles
-    eta = eta_rates(spec, nu)
-    max_eta = float(np.max(eta))
+    max_eta = float(np.max(eta_rates(spec, rho.n_particles)))
     f0 = fidelity_closed(rho, N)
     times = np.linspace(0.0, spec.t, n_times)
-    fid = []
-    for t in times:
-        e = np.exp(-t * eta)
-        fid.append(fidelity_closed(e[:, None] * rho.matrix * e[None, :], N))
-    bound = (np.exp(-2.0 * times * max_eta) * f0).tolist()
+    fid = [fidelity_closed(apply(rho, replace(spec, t=float(t)))[0], N) for t in times]
+    bound = loss_floor(f0, max_eta, times).tolist()
     ratio = f0 * (N + 2) / 2.0
     if max_eta == 0.0:
         t_crit = math.inf
@@ -507,18 +528,9 @@ def noisy_convergence(
     one_minus_f = []
     survival = []
     for nu in grid:
-        state = profile.to_resource(nu)
-        t = float(t_of_nu(nu))
-        if isinstance(noise, DephasingSpec):
-            evolved = dephase(state, DephasingSpec(noise.lambda3, noise.lambda4, t))
-            f = fidelity_closed(evolved, N)
-            survival.append(1.0)
-        else:
-            timed = LossSpec(noise.channels, t)
-            res = particle_loss_analytic(state, timed)
-            f = fidelity_closed(res.surviving_block, N)
-            survival.append(res.survival_weight)
-        one_minus_f.append(1.0 - f)
+        block, weight = apply(profile.to_resource(nu), replace(noise, t=float(t_of_nu(nu))))
+        one_minus_f.append(1.0 - fidelity_closed(block, N))
+        survival.append(weight)
     one_minus_f = np.array(one_minus_f)
 
     from .continuum import _convergence_flags, _fit_tail_exponent

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import StateValidationError, UnsupportedRegimeError
+from .errors import NumericalError, StateValidationError, UnsupportedRegimeError
 from .fock import (
     PureTwoModeState,
     ResourceState,
@@ -202,18 +203,50 @@ def average_teleported(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _band_sums(matrix: np.ndarray, N: int, weights_on_abs: bool) -> complex:
-    """sum over k != j of max(0, N+1-|k-j|) times the (absolute) entries."""
-    total = 0.0 + 0.0j
+def _band(rho, N: int, moduli: bool) -> tuple[float, float]:
+    """(weight, band): the trace and sum_{0 < |k-j| <= N} (N+1-|k-j|) rho_{k,j}
+    (of |rho_{k,j}| with `moduli`) of a state, a raw coefficient matrix, or a
+    normalized amplitude vector x (rho_{k,j} = x_k conj(x_j), weight 1).
+
+    Vectors take N shifted dot products, O(nu N) time and O(nu) memory;
+    real amplitudes take real dot products.
+    """
+    matrix = np.asarray(getattr(rho, "matrix", rho))
     nu = matrix.shape[0] - 1
+    _check_regime(N, nu)
+    if matrix.ndim == 1:
+        x = np.abs(matrix) if moduli else matrix
+        band = 0.0
+        for d in range(1, min(N, nu) + 1):
+            band += 2.0 * (N + 1 - d) * float(np.vdot(x[:-d], x[d:]).real)
+        return 1.0, band
+    total = 0.0 + 0.0j
     for d in range(1, min(N, nu) + 1):
         upper = np.diagonal(matrix, offset=d)
         lower = np.diagonal(matrix, offset=-d)
-        if weights_on_abs:
-            total += (N + 1 - d) * (np.sum(np.abs(upper)) + np.sum(np.abs(lower)))
-        else:
-            total += (N + 1 - d) * (np.sum(upper) + np.sum(lower))
-    return total
+        if moduli:
+            upper, lower = np.abs(upper), np.abs(lower)
+        total += (N + 1 - d) * (np.sum(upper) + np.sum(lower))
+    if abs(total.imag) > IMAG_RESIDUE_TOL:
+        raise StateValidationError(f"band sum has imaginary residue {total.imag:g}")
+    return float(np.trace(matrix).real), total.real
+
+
+def _fidelity(rho, N: int) -> float:
+    weight, band = _band(rho, N, moduli=False)
+    f = 2.0 * weight / (N + 2) + band / ((N + 1) * (N + 2))
+    if not -1e-10 <= f <= weight + 1e-10:
+        raise StateValidationError(f"fidelity {f!r} outside [0, {weight}]")
+    return float(min(max(f, 0.0), weight))
+
+
+def _avg_entanglement(rho, N: int) -> float:
+    _, band = _band(rho, N, moduli=True)
+    e = (np.pi / 8.0) * band / (N + 1)
+    upper = np.pi * N / 8.0
+    if not -1e-10 <= e <= upper + 1e-8:
+        raise StateValidationError(f"entanglement {e!r} outside [0, {upper}]")
+    return float(min(max(e, 0.0), upper))
 
 
 def fidelity_closed(rho: ResourceState | np.ndarray, N: int) -> float:
@@ -222,44 +255,24 @@ def fidelity_closed(rho: ResourceState | np.ndarray, N: int) -> float:
     f = 2/(N+2) + sum_{k != j} max(0, N+1-|k-j|) rho_{k,j} / ((N+1)(N+2)),
     evaluated over the |k-j| <= N band only, so the cost is O(nu N).
     Accepts a raw (possibly subnormalized) coefficient matrix, in which case
-    the constant term is weighted by its trace.
+    the constant term is weighted by its trace, or an amplitude vector,
+    which goes to `fidelity_closed_pure`.
     """
-    if isinstance(rho, TwoModeDensityMatrix):
-        matrix = rho.matrix
-        nu = rho.total_particles
-    else:
-        matrix = np.asarray(rho)
-        nu = matrix.shape[0] - 1
-    _check_regime(N, nu)
-    weight = float(np.trace(matrix).real)
-    band = _band_sums(matrix, N, weights_on_abs=False)
-    if abs(band.imag) > IMAG_RESIDUE_TOL:
-        raise StateValidationError(f"fidelity sum has imaginary residue {band.imag:g}")
-    f = 2.0 * weight / (N + 2) + band.real / ((N + 1) * (N + 2))
-    if not -1e-10 <= f <= weight + 1e-10:
-        raise StateValidationError(f"fidelity {f!r} outside [0, {weight}]")
-    return float(min(max(f, 0.0), weight))
+    if np.ndim(rho) == 1:
+        return fidelity_closed_pure(rho, N)
+    return _fidelity(rho, N)
 
 
-def avg_entanglement_closed(rho: ResourceState, N: int) -> float:
+def avg_entanglement_closed(rho: ResourceState | np.ndarray, N: int) -> float:
     """Haar- and outcome-averaged negativity of the teleported state.
 
     E = (pi/8) sum_{k != j} max(0, N+1-|k-j|) |rho_{k,j}| / (N+1),
-    bounded by pi N / 8.
+    bounded by pi N / 8.  An amplitude vector goes to
+    `avg_entanglement_closed_pure`.
     """
-    if isinstance(rho, TwoModeDensityMatrix):
-        matrix = rho.matrix
-        nu = rho.total_particles
-    else:
-        matrix = np.asarray(rho)
-        nu = matrix.shape[0] - 1
-    _check_regime(N, nu)
-    band = _band_sums(matrix, N, weights_on_abs=True)
-    e = (np.pi / 8.0) * band.real / (N + 1)
-    upper = np.pi * N / 8.0
-    if not -1e-10 <= e <= upper + 1e-8:
-        raise StateValidationError(f"entanglement {e!r} outside [0, {upper}]")
-    return float(min(max(e, 0.0), upper))
+    if np.ndim(rho) == 1:
+        return avg_entanglement_closed_pure(rho, N)
+    return _avg_entanglement(rho, N)
 
 
 def fidelity_closed_pure(amplitudes: np.ndarray, N: int) -> float:
@@ -267,29 +280,14 @@ def fidelity_closed_pure(amplitudes: np.ndarray, N: int) -> float:
 
     Same band formula as `fidelity_closed` with rho_{k,j} = x_k conj(x_j),
     evaluated as N shifted dot products: O(nu N) time, O(nu) memory, which
-    is what makes nu ~ 10^4 sweeps practical.  Real amplitudes take real
-    dot products.
+    is what makes nu ~ 10^4 sweeps practical.
     """
-    x = np.asarray(amplitudes).reshape(-1)
-    nu = len(x) - 1
-    _check_regime(N, nu)
-    band = 0.0
-    for d in range(1, min(N, nu) + 1):
-        band += 2.0 * (N + 1 - d) * float(np.real(np.vdot(x[:-d], x[d:])))
-    f = 2.0 / (N + 2) + band / ((N + 1) * (N + 2))
-    return float(min(max(f, 0.0), 1.0))
+    return _fidelity(np.asarray(amplitudes).reshape(-1), N)
 
 
 def avg_entanglement_closed_pure(amplitudes: np.ndarray, N: int) -> float:
     """Average final entanglement of a pure resource from its amplitudes."""
-    x = np.asarray(amplitudes).reshape(-1)
-    nu = len(x) - 1
-    _check_regime(N, nu)
-    r = np.abs(x)
-    band = 0.0
-    for d in range(1, min(N, nu) + 1):
-        band += 2.0 * (N + 1 - d) * float(np.dot(r[:-d], r[d:]))
-    return float(min((np.pi / 8.0) * band / (N + 1), np.pi * N / 8.0))
+    return _avg_entanglement(np.asarray(amplitudes).reshape(-1), N)
 
 
 def separable_fidelity(N: int) -> float:
@@ -319,12 +317,12 @@ class PerformanceReport:
 
     def __post_init__(self):
         if self.triangle_slack < -PROBABILITY_SUM_TOL:
-            raise StateValidationError(
+            raise NumericalError(
                 f"triangle inequality violated: slack = {self.triangle_slack:g}"
             )
 
 
-def performance_report(rho: ResourceState, N: int) -> PerformanceReport:
+def performance_report(rho: ResourceState | np.ndarray, N: int) -> PerformanceReport:
     return PerformanceReport(
         N=N,
         fidelity=fidelity_closed(rho, N),
@@ -339,7 +337,10 @@ def success_probability_perfect(
 ) -> float:
     """Total probability of the perfectly-teleporting sectors 0 <= l <= nu-N.
 
-    For the uniform-superposition (maximally entangled) resource this equals
+    Outcome probabilities do not depend on the phase label, so each sector
+    contributes sum_k |c_k|^2 rho_{k+l,k+l}, and the total is
+    sum_k |c_k|^2 sum_{l=0}^{nu-N} rho_{k+l,k+l}: O(nu N).  For the
+    uniform-superposition (maximally entangled) resource this equals
     (nu - N + 1)/(nu + 1) independently of the input state; `psi` defaults to
     a Haar sample so the independence is exercised by varying the seed.
     """
@@ -349,11 +350,8 @@ def success_probability_perfect(
         from .fock import sample_haar
 
         psi = sample_haar(N, rng_seed)
-    total = 0.0
-    for l in range(0, nu - N + 1):
-        for lam in range(multiplicity(N, nu, l)):
-            total += teleport_outcome(psi, rho, l, lam).probability
-    return total
+    windows = sliding_window_view(np.diagonal(rho.matrix).real, nu - N + 1)
+    return float(np.abs(psi.amplitudes) ** 2 @ windows.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -482,3 +482,74 @@ def test_selftest_detects_corrupted_fidelity_kernel(monkeypatch):
     from telefock.selftest import run_selftest
 
     assert run_selftest(verbose=False) == 1
+
+
+@pytest.mark.parametrize("kind, overrides, key", [
+    ("sweep", {"nu_grid": [10 ** 30]}, "nu_grid"),
+    ("teleport", {"nu": 10 ** 24}, "'nu'"),
+    ("noise", {"nu": -(10 ** 20)}, "'nu'"),
+])
+def test_integer_beyond_int64_exits_2(tmp_path, capsys, kind, overrides, key):
+    base = {"sweep": sweep_config, "teleport": teleport_config, "noise": noise_config}[kind]
+    assert main([kind, "--config", write_config(tmp_path, base(**overrides))]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and key in err
+    assert "64-bit" in err and len(err.strip().splitlines()) == 1
+
+
+def test_integer_beyond_parser_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(sweep_config(nu_grid=[0])).replace("[0]", "[" + "9" * 5000 + "]"))
+    assert main(["sweep", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and "digits" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # what numpy raises for a grid point such as nu = 10**12
+    def exhausted(nu):
+        raise MemoryError(f"Unable to allocate {8 * (nu + 1)} bytes")
+
+    monkeypatch.setattr(resources, "max_entangled_amplitudes", exhausted)
+    assert main(["sweep", "--config", write_config(tmp_path, sweep_config())]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("environment error: out of memory")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("x, y", [(0.1, 0.3), (-0.1, 0.15)])  # x >= 0; no initial advantage
+def test_dephasing_scan_without_crossing_reports_null_threshold(tmp_path, capsys, x, y):
+    resource = {"name": "four_coherence", "a": 0.35, "b": 0.15, "c": 0.15, "d": 0.35,
+                "x": x, "y": y}
+    cfg = write_config(tmp_path, noise_config(N=4, nu=4, resource=resource,
+                                              times=[0.0, 0.1, 0.2]))
+    assert main(["noise", "--config", cfg, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["threshold"] is None and err == ""
+    assert [row["t"] for row in payload["rows"]] == [0.0, 0.1, 0.2]
+    csv_out = tmp_path / "scan.csv"
+    assert main(["noise", "--config", cfg, "--out", str(csv_out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(csv_out.read_text().strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("sweep", sweep_config(nu_grid=[10])),
+    ("teleport", teleport_config()),
+])
+def test_violated_triangle_bound_exits_3(tmp_path, capsys, monkeypatch, kind, cfg):
+    monkeypatch.setattr(protocol, "avg_entanglement_closed", lambda rho, N: 0.0)
+    assert main([kind, "--config", write_config(tmp_path, cfg), "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical error: triangle inequality violated")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_mixing_scan_writes_gnuplot_script(tmp_path):
+    cfg = write_config(tmp_path, noise_config(noise=MIXING, weights=[0.0, 0.5, 1.0]))
+    out, script = tmp_path / "mix.csv", tmp_path / "mix.gp"
+    assert main(["noise", "--config", cfg, "--out", str(out), "--gnuplot", str(script)]) == 0
+    text = script.read_text()
+    assert f"'{out}' using 1:3" in text and "title 'fidelity'" in text

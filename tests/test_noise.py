@@ -413,3 +413,53 @@ def test_noisy_convergence_flags_non_gaussian_family():
         prof, dep, lambda nu: 0.0, 1, [10, 20, 40, 80]
     )
     assert "not-factorized-gaussian" in report.hypothesis_flags
+
+
+# ---------------------------------------------------------------------------
+# Vectorized rates and the single channel path
+# ---------------------------------------------------------------------------
+
+def _eta_rates_by_perm(spec, nu):
+    eta = np.zeros(nu + 1)
+    for ch in spec.channels:
+        for k in range(nu + 1):
+            eta[k] += 0.5 * ch.rate * math.perm(k, ch.m) * math.perm(nu - k, ch.n)
+    return eta
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 3, 5, 17, 64])
+def test_eta_rates_bitwise_equal_to_perm_loop(nu):
+    rng = np.random.default_rng(nu)
+    channels = tuple(
+        noise.LossChannel(float(rng.uniform(0.01, 2.0)), m, n)
+        for m in range(4) for n in range(4) if m + n >= 1
+    )
+    for k in range(len(channels)):
+        spec = noise.LossSpec(channels[k:] + channels[:k], t=1.0)
+        assert np.array_equal(noise.eta_rates(spec, nu), _eta_rates_by_perm(spec, nu))
+
+
+def test_apply_equals_each_channel_bitwise():
+    rng = np.random.default_rng(91)
+    rho, sigma = random_resource(7, rng), random_resource(7, rng)
+    mixing = noise.MixingSpec(sigma, 0.7)
+    block, weight = noise.apply(rho, mixing)
+    assert np.array_equal(block.matrix, noise.mix(rho, mixing).matrix) and weight == 1.0
+    dephasing = noise.DephasingSpec(0.3, 0.2, t=0.9)
+    block, weight = noise.apply(rho, dephasing)
+    assert np.array_equal(block.matrix, noise.dephase(rho, dephasing).matrix) and weight == 1.0
+    loss = noise.two_particle_loss_spec(0.3, 0.7, 0.25, 0.45, 0.15, t=0.4)
+    block, weight = noise.apply(rho, loss)
+    res = noise.particle_loss_analytic(rho, loss)
+    assert np.array_equal(block, res.surviving_block) and weight == res.survival_weight
+    with pytest.raises(StateValidationError):
+        noise.apply(rho, "dephasing")
+
+
+def test_loss_floor_matches_bounds_report():
+    rng = np.random.default_rng(92)
+    rho = random_resource(6, rng)
+    spec = noise.two_particle_loss_spec(0.3, 0.7, 0.25, 0.45, 0.15, t=0.8)
+    report = noise.loss_fidelity_bounds(rho, spec, 2, n_times=7)
+    floor = noise.loss_floor(fidelity_closed(rho, 2), report.max_eta, report.times)
+    assert floor.tolist() == report.lower_bound

@@ -343,3 +343,34 @@ def test_success_probability_independent_of_input():
     ]
     assert np.max(values) - np.min(values) < 1e-12
     assert values[0] == pytest.approx((nu - N + 1) / (nu + 1), abs=1e-12)
+
+
+def test_functionals_accept_amplitude_vectors():
+    rng = np.random.default_rng(35)
+    for nu in (4, 9, 40):
+        x = np.exp(1j * rng.uniform(0, 2 * np.pi, nu + 1)) * rng.random(nu + 1)
+        x /= np.linalg.norm(x)
+        state = resources.ResourceState.from_amplitudes(x)
+        for amps in (x, np.abs(x)):
+            for N in (1, 2, 3):
+                assert fidelity_closed(amps, N) == fidelity_closed_pure(amps, N)
+                assert avg_entanglement_closed(amps, N) == avg_entanglement_closed_pure(amps, N)
+        for N in (1, 2, 3):
+            assert fidelity_closed(x, N) == pytest.approx(fidelity_closed(state, N), abs=1e-12)
+            assert avg_entanglement_closed(x, N) == pytest.approx(
+                avg_entanglement_closed(state, N), abs=1e-12)
+        report = performance_report(x, 2)
+        assert report.fidelity == fidelity_closed_pure(x, 2)
+        assert report.avg_entanglement == avg_entanglement_closed_pure(x, 2)
+
+
+def test_success_probability_matches_outcome_sum():
+    rng = np.random.default_rng(36)
+    for nu, N in [(1, 1), (3, 1), (5, 2), (8, 3), (12, 12), (30, 4)]:
+        rho, psi = random_resource(nu, rng), random_input(N, rng)
+        by_outcome = sum(
+            teleport_outcome(psi, rho, l, lam).probability
+            for l in range(0, nu - N + 1) for lam in range(multiplicity(N, nu, l))
+        )
+        assert success_probability_perfect(rho, N, psi=psi) == pytest.approx(
+            by_outcome, abs=1e-12)
