@@ -169,52 +169,51 @@ def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.ResourceState:
     if not isinstance(spec, dict):
         raise ConfigError("resource spec must be an object")
     name = _get(spec, "name", str)
-    try:
-        if name == "max_entangled":
-            amps = resources.max_entangled_amplitudes(nu)
-        elif name == "noon":
-            amps = resources.noon_amplitudes(nu)
-        elif name == "fock_separable":
-            k = _get(spec, "k", int, required=False, default=nu)
-            return resources.fock_separable(nu, k)
-        elif name == "gaussian":
-            beta = _get(spec, "beta", float, required=False)
-            if beta is not None:
-                gspec = resources.GaussianSpec.from_beta(
-                    nu, beta, _get(spec, "center", float, required=False)
-                )
-            else:
-                gspec = resources.GaussianSpec(
-                    nu=nu,
-                    center=_get(spec, "center", float, required=False, default=nu / 2.0),
-                    sigma=_get(spec, "sigma", float),
-                )
-            amps = resources.gaussian_amplitudes(gspec)
-        elif name == "su2_coherent":
-            amps = resources.su2_coherent_amplitudes(
-                nu, _get(spec, "theta", float), _get(spec, "phi", float, required=False, default=0.0)
-            )
-        elif name == "double_well":
-            gamma = _get(spec, "gamma", float, required=False)
-            if gamma is not None:
-                params = resources.BoseHubbardParams.from_gamma(
-                    nu, gamma, _get(spec, "tau", float, required=False, default=1.0)
-                )
-            else:
-                params = resources.BoseHubbardParams(
-                    nu=nu, tau=_get(spec, "tau", float), U=_get(spec, "U", float)
-                )
-            amps = resources.double_well_ground_amplitudes(params)
-        elif name == "four_coherence":
-            return noise.four_coherence_state(
-                _get(spec, "a", float), _get(spec, "b", float),
-                _get(spec, "c", float), _get(spec, "d", float),
-                _get(spec, "x", float), _get(spec, "y", float), nu,
+    if spec.get("phases") is not None and name in ("fock_separable", "four_coherence"):
+        raise ConfigError(f"config key 'phases' does not apply to the {name!r} state")
+    if name == "max_entangled":
+        amps = resources.max_entangled_amplitudes(nu)
+    elif name == "noon":
+        amps = resources.noon_amplitudes(nu)
+    elif name == "fock_separable":
+        k = _get(spec, "k", int, required=False, default=nu)
+        return resources.fock_separable(nu, k)
+    elif name == "gaussian":
+        beta = _get(spec, "beta", float, required=False)
+        if beta is not None:
+            gspec = resources.GaussianSpec.from_beta(
+                nu, beta, _get(spec, "center", float, required=False)
             )
         else:
-            raise ConfigError(f"unknown resource name {name!r}")
-    except TelefockError:
-        raise
+            gspec = resources.GaussianSpec(
+                nu=nu,
+                center=_get(spec, "center", float, required=False, default=nu / 2.0),
+                sigma=_get(spec, "sigma", float),
+            )
+        amps = resources.gaussian_amplitudes(gspec)
+    elif name == "su2_coherent":
+        amps = resources.su2_coherent_amplitudes(
+            nu, _get(spec, "theta", float), _get(spec, "phi", float, required=False, default=0.0)
+        )
+    elif name == "double_well":
+        gamma = _get(spec, "gamma", float, required=False)
+        if gamma is not None:
+            params = resources.BoseHubbardParams.from_gamma(
+                nu, gamma, _get(spec, "tau", float, required=False, default=1.0)
+            )
+        else:
+            params = resources.BoseHubbardParams(
+                nu=nu, tau=_get(spec, "tau", float), U=_get(spec, "U", float)
+            )
+        amps = resources.double_well_ground_amplitudes(params)
+    elif name == "four_coherence":
+        return noise.four_coherence_state(
+            _get(spec, "a", float), _get(spec, "b", float),
+            _get(spec, "c", float), _get(spec, "d", float),
+            _get(spec, "x", float), _get(spec, "y", float), nu,
+        )
+    else:
+        raise ConfigError(f"unknown resource name {name!r}")
     phase = spec.get("phases")
     if phase is not None:
         kind = _get(phase, "kind", str)
@@ -275,10 +274,7 @@ def resolve_family(spec: dict) -> continuum.ContinuumProfile:
             lambda nu: np.eye(nu + 1, dtype=complex)[nu]
         )
     if name == "double_well":
-        gamma = _get(spec, "gamma", float)
-        if gamma < -1.0:
-            return continuum.double_well_bimodal_profile(gamma)
-        return continuum.double_well_profile(lambda nu: gamma)
+        return continuum.double_well_family(_get(spec, "gamma", float))
     raise ConfigError(f"unknown family name {name!r}")
 
 
@@ -404,7 +400,7 @@ def cmd_noise(cfg: dict, args) -> int:
             )
         except StateValidationError:
             pass  # no crossing: x >= 0, y <= 0, no initial advantage or no dephasing
-    extra = json.loads(report.to_json()) if report is not None else None
+    extra = dataclasses.asdict(report) if report is not None else None
     if args.format == "json":
         _write_json(args.out, {"rows": rows, "threshold": extra})
     else:
@@ -440,7 +436,7 @@ def cmd_converge(cfg: dict, args) -> int:
     else:
         profile = resolve_family(_get(cfg, "family", dict))
         report = continuum.check_proposition2(profile, N, grid)
-    _write_json(args.out, json.loads(report.to_json()))
+    _write_json(args.out, dataclasses.asdict(report))
     return 0
 
 
@@ -461,14 +457,11 @@ def cmd_ground_state(cfg: dict, args) -> int:
     }
     if gamma > -1.0:
         payload["predicted_variance"] = 1.0 / (nu * np.sqrt(gamma + 1.0))
-        profile = continuum.double_well_profile(lambda _nu: gamma)
-        payload["fidelity_continuum"] = continuum.fidelity_continuum(profile, N, nu)
     else:
-        payload["predicted_peaks"] = [
-            -float(np.sqrt(1.0 - 1.0 / gamma ** 2)), float(np.sqrt(1.0 - 1.0 / gamma ** 2))
-        ]
-        profile = continuum.double_well_bimodal_profile(gamma)
-        payload["fidelity_continuum"] = continuum.fidelity_continuum(profile, N, nu)
+        z0 = float(np.sqrt(1.0 - 1.0 / gamma ** 2))
+        payload["predicted_peaks"] = [-z0, z0]
+    profile = continuum.double_well_family(gamma)
+    payload["fidelity_continuum"] = continuum.fidelity_continuum(profile, N, nu)
     _write_json(args.out, payload)
     return 0
 
@@ -539,6 +532,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError as exc:
         print(f"environment error: out of memory: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # rc 1 is reserved for verification failure
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

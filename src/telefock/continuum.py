@@ -7,15 +7,15 @@ rho_{k,j} ~ omega(z, y) * 2/nu.  The performance functionals become narrow
 band integrals around the diagonal z = y, evaluated here in rotated
 coordinates so the band is resolved at any nu.
 
-A `ContinuumProfile` is a nu-indexed *family*: a fixed shape function plus
-width/center scalings alpha(nu), delta(nu), so that one object supports both
-fixed-nu quadrature and convergence sweeps.
+A `ContinuumProfile` is a nu-indexed *family*: a per-nu amplitude chi or
+density omega plus the width scaling alpha(nu) the convergence fits read, so
+that one object supports both fixed-nu quadrature and convergence sweeps.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -39,13 +39,12 @@ SMOOTHNESS_CLASSES = ("twice", "once", "continuous", "none")
 class ContinuumProfile:
     """A family of two-mode profiles over the imbalance square [-1, 1]^2.
 
-    kind "pure":        omega(z, y) = conj(chi(z)) chi(y), with either
-                        chi(z) = sqrt(alpha(nu)) zeta((z + delta(nu)) alpha(nu))
-                        for a nu-independent `zeta`, or an explicit per-nu
-                        amplitude via `chi_of_nu`.
-    kind "density":     omega given per-nu via `omega_of_nu`.
-    kind "factorized":  omega(z, y) = omega_plus(z + y) omega_minus((z - y) alpha(nu)).
+    kind "pure":     omega(z, y) = conj(chi(z)) chi(y), with the amplitude
+                     chi given per-nu by `chi_of_nu` (see `scaled_chi`);
+                     `chi_of_nu` is None for families with no continuum shape.
+    kind "density":  omega given per-nu by `omega_of_nu`.
 
+    `alpha(nu)` is the width scaling the convergence fits read.
     `smoothness` declares the regularity class of the shape function
     ("twice", "once", "continuous", or "none"); it is asserted by the
     convergence checks, never inferred.  `amplitudes_of_nu` optionally
@@ -54,56 +53,40 @@ class ContinuumProfile:
     `features_of_nu` lists interior z-points (bump centers) handed to the
     quadrature as breakpoints.
 
-    The `zeta`, `chi` and `omega` callables must accept numpy arrays and
-    broadcast over them (every stock profile does; a constant is fine): the
-    strip integral across the diagonal evaluates QUADPACK's first GK21 step
-    at all 42 nodes in one call, and falls back to adaptive `quad` only
-    when that step fails its error test.
+    The `chi` and `omega` callables must accept numpy arrays and broadcast
+    over them (every stock profile does; a constant is fine): the strip
+    integral across the diagonal evaluates QUADPACK's first GK21 step at all
+    42 nodes in one call, and falls back to adaptive `quad` only when that
+    step fails its error test.
     """
 
     kind: str
     smoothness: str
     alpha: Callable[[float], float] = lambda nu: 1.0
-    delta: Callable[[float], float] = lambda nu: 0.0
-    zeta: Callable[[np.ndarray], np.ndarray] | None = None
     chi_of_nu: Callable[[float], Callable] | None = None
     omega_of_nu: Callable[[float], Callable] | None = None
-    omega_plus: Callable[[np.ndarray], np.ndarray] | None = None
-    omega_minus: Callable[[np.ndarray], np.ndarray] | None = None
     amplitudes_of_nu: Callable[[int], np.ndarray] | None = None
     features_of_nu: Callable[[float], tuple] = lambda nu: ()
 
     def __post_init__(self):
-        if self.kind not in ("pure", "density", "factorized"):
+        if self.kind not in ("pure", "density"):
             raise StateValidationError(f"unknown profile kind {self.kind!r}")
         if self.smoothness not in SMOOTHNESS_CLASSES:
             raise StateValidationError(f"unknown smoothness class {self.smoothness!r}")
 
     def chi(self, nu: float) -> Callable:
-        if self.kind != "pure":
-            raise StateValidationError("chi only defined for pure profiles")
-        if self.chi_of_nu is not None:
-            return self.chi_of_nu(nu)
-        if self.zeta is None:
-            raise StateValidationError("pure profile lacks both zeta and chi_of_nu")
-        a, d = self.alpha(nu), self.delta(nu)
-        zeta = self.zeta
-        return lambda z: np.sqrt(a) * zeta((np.asarray(z) + d) * a)
+        if self.kind != "pure" or self.chi_of_nu is None:
+            raise StateValidationError("profile has no continuum amplitude chi")
+        return self.chi_of_nu(nu)
 
     def omega(self, nu: float) -> Callable:
         """Two-point density at the given particle number."""
         if self.kind == "pure":
             chi = self.chi(nu)
             return lambda z, y: np.conj(chi(z)) * chi(y)
-        if self.kind == "density":
-            if self.omega_of_nu is None:
-                raise StateValidationError("density profile lacks omega_of_nu")
-            return self.omega_of_nu(nu)
-        a = self.alpha(nu)
-        plus, minus = self.omega_plus, self.omega_minus
-        if plus is None or minus is None:
-            raise StateValidationError("factorized profile lacks omega_plus/omega_minus")
-        return lambda z, y: plus(z + y) * minus((z - y) * a)
+        if self.omega_of_nu is None:
+            raise StateValidationError("density profile lacks omega_of_nu")
+        return self.omega_of_nu(nu)
 
     def diagonal_norm(self, nu: float) -> float:
         """Integral of omega(z, z) over [-1, 1]; must be 1 for a valid profile."""
@@ -120,8 +103,6 @@ class ContinuumProfile:
         """Discretized normalized amplitude vector x_k = chi(z_k) sqrt(2/nu)."""
         if self.amplitudes_of_nu is not None:
             return normalized_amplitudes(self.amplitudes_of_nu(nu))
-        if self.kind != "pure" or (self.zeta is None and self.chi_of_nu is None):
-            raise StateValidationError("no discrete amplitude form for this profile")
         z = 1.0 - 2.0 * np.arange(nu + 1) / nu
         x = np.asarray(self.chi(nu)(z), dtype=complex) * np.sqrt(2.0 / nu)
         return normalized_amplitudes(x)
@@ -312,17 +293,7 @@ class ConvergenceReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(
-            {
-                "nu_grid": self.nu_grid,
-                "one_minus_f": self.one_minus_f,
-                "fitted_exponent": self.fitted_exponent,
-                "converges": self.converges,
-                "hypothesis_flags": self.hypothesis_flags,
-                "diagnostics": self.diagnostics,
-            },
-            indent=indent,
-        )
+        return json.dumps(asdict(self), indent=indent)
 
 
 def _validate_grid(nu_grid) -> list[int]:
@@ -353,6 +324,34 @@ def _convergence_flags(one_minus_f: np.ndarray) -> bool:
     return decreasing and bool(shrinks)
 
 
+def convergence_report(
+    grid: list[int], one_minus_f: np.ndarray, xs: np.ndarray, flags: list[str],
+    diagnostics: dict, converges: bool | None = None,
+) -> ConvergenceReport:
+    """The report of one convergence study of 1 - f against the scale xs.
+
+    The verdict defaults to `_convergence_flags` (a strictly decreasing tail
+    that at least halves); a failed verdict appends "no-convergence" to
+    `flags`.  The tail exponent is fitted only when every 1 - f and every x
+    is positive and the x values are not all equal.
+    """
+    if converges is None:
+        converges = _convergence_flags(one_minus_f)
+    if not converges:
+        flags.append("no-convergence")
+    fitted = None
+    if np.all(one_minus_f > 0.0) and np.all(xs > 0.0) and len(set(xs)) > 1:
+        fitted = _fit_tail_exponent(xs, one_minus_f)
+    return ConvergenceReport(
+        nu_grid=grid,
+        one_minus_f=one_minus_f.tolist(),
+        fitted_exponent=fitted,
+        converges=bool(converges),
+        hypothesis_flags=flags,
+        diagnostics=diagnostics,
+    )
+
+
 def check_proposition2(
     profile: ContinuumProfile, N: int, nu_grid
 ) -> ConvergenceReport:
@@ -366,36 +365,20 @@ def check_proposition2(
     """
     grid = _validate_grid(nu_grid)
     one_minus_f = np.array([profile.one_minus_fidelity(nu, N) for nu in grid])
-    flags: list[str] = []
-    if profile.smoothness == "none":
-        flags.append("profile-not-continuous")
-    converges = _convergence_flags(one_minus_f)
-    if not converges:
-        flags.append("no-convergence")
-
     xs = np.array([profile.alpha(nu) * N / nu for nu in grid], dtype=float)
-    fitted = None
-    if np.all(one_minus_f > 0.0) and np.all(xs > 0.0) and len(set(xs)) > 1:
-        fitted = _fit_tail_exponent(xs, one_minus_f)
-
     diagnostics: dict = {"alpha_N_over_nu": xs.tolist()}
+    envelope_ok = True
     if profile.smoothness == "twice":
         ratios = one_minus_f / xs
         half = len(ratios) // 2
         tail = ratios[half - 1 :]
         envelope_ok = bool(np.all(tail[1:] <= 1.2 * tail[:-1]))
         diagnostics["envelope_ratios"] = ratios.tolist()
-        if not envelope_ok:
-            flags.append("envelope-exceeded")
-
-    return ConvergenceReport(
-        nu_grid=grid,
-        one_minus_f=one_minus_f.tolist(),
-        fitted_exponent=fitted,
-        converges=converges,
-        hypothesis_flags=flags,
-        diagnostics=diagnostics,
-    )
+    flags = ["profile-not-continuous"] if profile.smoothness == "none" else []
+    report = convergence_report(grid, one_minus_f, xs, flags, diagnostics)
+    if not envelope_ok:
+        report.hypothesis_flags.append("envelope-exceeded")
+    return report
 
 
 def check_proposition3(
@@ -427,44 +410,48 @@ def check_proposition3(
         x = normalized_amplitudes(c1 * xa.real + c2 * xb.real)
         one_minus_f.append(1.0 - fidelity_closed_pure(x, N))
         overlaps.append(float(np.dot(xa.real, xb.real)))
-    one_minus_f = np.array(one_minus_f)
 
     flags: list[str] = []
     if abs(overlaps[-1]) > 0.05 or abs(overlaps[-1]) > abs(overlaps[0]) + 1e-12:
         flags.append("components-not-asymptotically-orthogonal")
-    converges = _convergence_flags(one_minus_f)
-    if not converges:
-        flags.append("no-convergence")
-
     xs = np.array(
         [max(profile_a.alpha(nu), profile_b.alpha(nu)) * N / nu for nu in grid]
     )
-    fitted = None
-    if np.all(one_minus_f > 0.0) and len(set(xs)) > 1:
-        fitted = _fit_tail_exponent(xs, one_minus_f)
-
-    return ConvergenceReport(
-        nu_grid=grid,
-        one_minus_f=one_minus_f.tolist(),
-        fitted_exponent=fitted,
-        converges=converges,
-        hypothesis_flags=flags,
-        diagnostics={"overlaps": overlaps},
-    )
+    return convergence_report(grid, np.array(one_minus_f), xs, flags,
+                              {"overlaps": overlaps})
 
 
 # ---------------------------------------------------------------------------
 # Stock profile families
 # ---------------------------------------------------------------------------
 
+def scaled_chi(
+    zeta: Callable[[np.ndarray], np.ndarray],
+    alpha: Callable[[float], float],
+    delta: Callable[[float], float] = lambda nu: 0.0,
+) -> Callable[[float], Callable]:
+    """The `chi_of_nu` of a nu-independent shape zeta, rescaled per nu:
+
+    chi(z) = sqrt(alpha(nu)) zeta((z + delta(nu)) alpha(nu)),
+
+    so alpha sets the width and delta the center.
+    """
+    def chi_of_nu(nu: float) -> Callable:
+        a, d = alpha(nu), delta(nu)
+        return lambda z: np.sqrt(a) * zeta((np.asarray(z) + d) * a)
+
+    return chi_of_nu
+
+
 def flat_family() -> ContinuumProfile:
     """Uniform amplitude chi = 1/sqrt(2); the maximally entangled family."""
     return ContinuumProfile(
         kind="pure",
         smoothness="twice",
-        alpha=lambda nu: 1.0,
-        delta=lambda nu: 0.0,
-        zeta=lambda u: np.full_like(np.asarray(u, dtype=float), 1.0 / np.sqrt(2.0)),
+        chi_of_nu=scaled_chi(
+            lambda u: np.full_like(np.asarray(u, dtype=float), 1.0 / np.sqrt(2.0)),
+            lambda nu: 1.0,
+        ),
         amplitudes_of_nu=resources.max_entangled_amplitudes,
     )
 
@@ -482,12 +469,12 @@ def gaussian_beta_family(beta: float) -> ContinuumProfile:
     In imbalance coordinates the amplitude width is 2 nu^(beta-1), i.e. the
     family rescales with alpha(nu) = nu^(1-beta).
     """
+    alpha = lambda nu: float(nu) ** (1.0 - beta)
     return ContinuumProfile(
         kind="pure",
         smoothness="twice",
-        alpha=lambda nu: float(nu) ** (1.0 - beta),
-        delta=lambda nu: 0.0,
-        zeta=_gaussian_zeta(2.0),
+        alpha=alpha,
+        chi_of_nu=scaled_chi(_gaussian_zeta(2.0), alpha),
         amplitudes_of_nu=lambda nu: resources.gaussian_amplitudes(
             resources.GaussianSpec.from_beta(nu, beta)
         ),
@@ -499,12 +486,12 @@ def gaussian_bump_family(
     amplitudes_of_nu: Callable[[int], np.ndarray] | None = None,
 ) -> ContinuumProfile:
     """Single Gaussian bump at imbalance `center` with width sigma_of_nu(nu)."""
+    alpha = lambda nu: 1.0 / sigma_of_nu(nu)
     return ContinuumProfile(
         kind="pure",
         smoothness="twice",
-        alpha=lambda nu: 1.0 / sigma_of_nu(nu),
-        delta=lambda nu: -center,
-        zeta=_gaussian_zeta(1.0),
+        alpha=alpha,
+        chi_of_nu=scaled_chi(_gaussian_zeta(1.0), alpha, lambda nu: -center),
         amplitudes_of_nu=amplitudes_of_nu,
         features_of_nu=lambda nu: (center,),
     )
@@ -566,29 +553,40 @@ def double_well_bimodal_profile(gamma: float) -> ContinuumProfile:
         kind="pure",
         smoothness="twice",
         alpha=lambda nu: 1.0 / sigma(nu),
-        delta=lambda nu: 0.0,
         chi_of_nu=chi_of_nu,
         amplitudes_of_nu=amps,
         features_of_nu=lambda nu: (-z0, z0),
     )
 
 
+def double_well_family(gamma: float) -> ContinuumProfile:
+    """Continuum shape of the double-well ground state at a fixed gamma.
+
+    One Gaussian bump (`double_well_profile`) for gamma > -1, two
+    (`double_well_bimodal_profile`) for gamma < -1.  At gamma = -1 neither
+    shape applies, and the single bump raises when evaluated.
+    """
+    if gamma < -1.0:
+        return double_well_bimodal_profile(gamma)
+    return double_well_profile(lambda nu: gamma)
+
+
 def factorized_gaussian_profile(sigma_z: float) -> ContinuumProfile:
-    """Gaussian density in factorized form omega_plus(z+y) omega_minus((z-y) a).
+    """Gaussian density omega(z, y) = plus(z + y) minus((z - y) a).
 
     Identical to the pure Gaussian bump of width sigma_z, written as a
-    product over the sum and difference coordinates; exercises the
-    factorized evaluation path.
+    product over the sum and difference coordinates; exercises the density
+    evaluation path.
     """
     a = 1.0 / (np.sqrt(8.0) * sigma_z)
     norm = (2.0 * np.pi * sigma_z ** 2) ** -0.5
+    plus = lambda s: norm * np.exp(-np.asarray(s, dtype=float) ** 2 / (8.0 * sigma_z ** 2))
+    minus = lambda v: np.exp(-np.asarray(v, dtype=float) ** 2)
     return ContinuumProfile(
-        kind="factorized",
+        kind="density",
         smoothness="twice",
         alpha=lambda nu: a,
-        omega_plus=lambda s: norm * np.exp(-np.asarray(s, dtype=float) ** 2
-                                           / (8.0 * sigma_z ** 2)),
-        omega_minus=lambda v: np.exp(-np.asarray(v, dtype=float) ** 2),
+        omega_of_nu=lambda nu: lambda z, y: plus(z + y) * minus((z - y) * a),
     )
 
 
@@ -599,10 +597,6 @@ def discrete_only_family(
     return ContinuumProfile(
         kind="pure",
         smoothness="none",
-        alpha=lambda nu: 1.0,
-        delta=lambda nu: 0.0,
-        zeta=None,
-        chi_of_nu=None,
         amplitudes_of_nu=amplitudes_of_nu,
     )
 
@@ -612,7 +606,6 @@ def spike_profile(width: float, center: float = 0.0) -> ContinuumProfile:
     return ContinuumProfile(
         kind="pure",
         smoothness="none",
-        zeta=None,
         chi_of_nu=lambda nu: _shifted_gaussian(center, width),
         # bracket the spike so the adaptive grid cannot step over it
         features_of_nu=lambda nu: (center - 5 * width, center, center + 5 * width),

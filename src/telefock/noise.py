@@ -10,9 +10,8 @@ supplies the lower blocks the closed form does not reach.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -119,23 +118,10 @@ class ThresholdReport:
     f_sep: float
     t_star: float
     t_star_bisect: float
+    verified: bool = field(init=False)
 
-    @property
-    def verified(self) -> bool:
-        return abs(self.t_star - self.t_star_bisect) <= 1e-6
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(
-            {
-                "N": self.N,
-                "rate_sum": self.rate_sum,
-                "f_sep": self.f_sep,
-                "t_star": self.t_star,
-                "t_star_bisect": self.t_star_bisect,
-                "verified": self.verified,
-            },
-            indent=indent,
-        )
+    def __post_init__(self):
+        self.verified = abs(self.t_star - self.t_star_bisect) <= 1e-6
 
 
 def dephasing_threshold_demo(
@@ -247,7 +233,9 @@ def eta_rates(spec: LossSpec, nu: int) -> np.ndarray:
 def _falling(x: np.ndarray, m: int) -> np.ndarray:
     """x!/(x-m)! elementwise, zero where x < m."""
     out = np.ones(x.shape)
-    for i in range(m):
+    # once i exceeds max(x) every entry is already zero: stop there, so a
+    # huge m costs no more than max(x) + 1 products
+    for i in range(min(m, int(x.max(initial=0)) + 1)):
         out *= np.maximum(x - i, 0)
     return out
 
@@ -409,25 +397,11 @@ class BoundsReport:
     f_sep: float
     max_eta: float
     t_critical: float
+    bound_satisfied: bool = field(init=False)
 
-    @property
-    def bound_satisfied(self) -> bool:
-        return all(f >= b - 1e-12 for f, b in zip(self.fidelity, self.lower_bound))
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(
-            {
-                "N": self.N,
-                "times": self.times,
-                "fidelity": self.fidelity,
-                "lower_bound": self.lower_bound,
-                "f_sep": self.f_sep,
-                "max_eta": self.max_eta,
-                "t_critical": self.t_critical,
-                "bound_satisfied": self.bound_satisfied,
-            },
-            indent=indent,
-        )
+    def __post_init__(self):
+        self.bound_satisfied = all(
+            f >= b - 1e-12 for f, b in zip(self.fidelity, self.lower_bound))
 
 
 def loss_floor(f0: float, max_eta: float, times) -> np.ndarray:
@@ -513,11 +487,19 @@ def noisy_convergence(
     + t (l33 + l44 - l34) nu^2 / 16 (loss).  Asymptotically perfect
     teleportation survives iff the added term vanishes against the clean
     one, which the sweep checks empirically under the supplied t(nu).
+    Its verdict also requires 1 - f < 0.5 at the last grid point.
     """
-    from .continuum import ContinuumProfile, ConvergenceReport, _validate_grid
+    from .continuum import (
+        ContinuumProfile, _convergence_flags, _validate_grid, convergence_report,
+    )
 
     if not isinstance(profile, ContinuumProfile):
         raise StateValidationError("expected a ContinuumProfile family")
+    if not isinstance(noise, (DephasingSpec, LossSpec)):
+        raise UnsupportedRegimeError(
+            f"noisy convergence needs a dephasing or loss channel, "
+            f"got {type(noise).__name__}"
+        )
     grid = _validate_grid(nu_grid)
     flags: list[str] = []
 
@@ -532,21 +514,8 @@ def noisy_convergence(
         one_minus_f.append(1.0 - fidelity_closed(block, N))
         survival.append(weight)
     one_minus_f = np.array(one_minus_f)
-
-    from .continuum import _convergence_flags, _fit_tail_exponent
-
-    converges = _convergence_flags(one_minus_f) and one_minus_f[-1] < 0.5
-    if not converges:
-        flags.append("no-convergence")
     xs = np.array([profile.alpha(nu) * N / nu for nu in grid])
-    fitted = None
-    if np.all(one_minus_f > 0) and len(set(xs)) > 1:
-        fitted = _fit_tail_exponent(xs, one_minus_f)
-    return ConvergenceReport(
-        nu_grid=grid,
-        one_minus_f=one_minus_f.tolist(),
-        fitted_exponent=fitted,
-        converges=bool(converges),
-        hypothesis_flags=flags,
-        diagnostics={"survival_weight": survival},
+    return convergence_report(
+        grid, one_minus_f, xs, flags, {"survival_weight": survival},
+        converges=_convergence_flags(one_minus_f) and one_minus_f[-1] < 0.5,
     )

@@ -59,16 +59,11 @@ def noon(nu: int) -> ResourceState:
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Discrete Gaussian amplitude profile exp(-(k-center)^2 / (4 sigma^2)).
-
-    `beta` records the width exponent when sigma is parameterized as nu^beta;
-    it is metadata only.
-    """
+    """Discrete Gaussian amplitude profile exp(-(k-center)^2 / (4 sigma^2))."""
 
     nu: int
     center: float
     sigma: float
-    beta: float | None = None
 
     def __post_init__(self):
         if self.sigma <= 0.0:
@@ -77,7 +72,7 @@ class GaussianSpec:
     @classmethod
     def from_beta(cls, nu: int, beta: float, center: float | None = None) -> "GaussianSpec":
         return cls(nu=nu, center=nu / 2.0 if center is None else center,
-                   sigma=float(nu) ** beta, beta=beta)
+                   sigma=float(nu) ** beta)
 
 
 def gaussian_amplitudes(spec: GaussianSpec) -> np.ndarray:
@@ -141,6 +136,8 @@ class BoseHubbardParams:
 
     @classmethod
     def from_gamma(cls, nu: int, gamma: float, tau: float = 1.0) -> "BoseHubbardParams":
+        if nu < 1:
+            raise StateValidationError("need at least one particle")
         return cls(nu=nu, tau=tau, U=gamma * tau / nu)
 
 

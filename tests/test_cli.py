@@ -553,3 +553,57 @@ def test_mixing_scan_writes_gnuplot_script(tmp_path):
     assert main(["noise", "--config", cfg, "--out", str(out), "--gnuplot", str(script)]) == 0
     text = script.read_text()
     assert f"'{out}' using 1:3" in text and "title 'fidelity'" in text
+
+
+def test_loss_channel_with_huge_m_exits_0_quickly(tmp_path, capsys):
+    channel = {"rate": 0.5, "m": 2 ** 62, "n": 0}
+    cfg = write_config(tmp_path, noise_config(
+        noise={"kind": "loss", "channels": [channel]}, times=[0.0, 0.5]))
+    start = time.perf_counter()
+    assert main(["noise", "--config", cfg, "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    # no mode holds 2**62 particles, so every rate is zero and nothing decays
+    assert rows[1]["fidelity"] == rows[0]["fidelity"]
+    assert rows[1]["lower_bound"] == rows[0]["fidelity"]
+
+
+def test_ground_state_with_zero_particles_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"schema_version": 1, "kind": "ground-state",
+                                  "N": 2, "nu": 0, "gamma": 1.0})
+    assert main(["ground-state", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and "particle" in err
+
+
+CONVERGE_OVERFLOW = {
+    "schema_version": 1, "kind": "converge", "N": 2, "nu_grid": [40, 80, 160, 320],
+    "family": {"name": "gaussian", "beta": 0.75},
+    "noise": {"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5},
+    "time_rule": {"exponent": 1e308, "scale": 1e308},
+}
+
+
+@pytest.mark.parametrize("kind, cfg, exc", [
+    ("sweep", sweep_config(nu_grid=[2 ** 62]), "ValueError"),
+    ("teleport", teleport_config(nu=2 ** 62), "ValueError"),
+    ("converge", CONVERGE_OVERFLOW, "OverflowError"),
+])
+def test_unexpected_exception_exits_3(tmp_path, capsys, kind, cfg, exc):
+    assert main([kind, "--config", write_config(tmp_path, cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"numerical error: {exc}:")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("resource", [
+    {"name": "fock_separable", "k": 2},
+    {"name": "four_coherence", "a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25,
+     "x": -0.2, "y": 0.24},
+])
+def test_phases_on_a_state_resource_exits_2(tmp_path, capsys, resource):
+    resource = {**resource, "phases": {"kind": "alternating"}}
+    cfg = write_config(tmp_path, noise_config(N=3, resource=resource))
+    assert main(["noise", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and "'phases'" in err

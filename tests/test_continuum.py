@@ -365,3 +365,31 @@ def test_non_finite_diagonal_norm_rejected(monkeypatch):
                         lambda self, nu: float("nan"))
     with pytest.raises(StateValidationError, match="nan"):
         continuum.fidelity_continuum(continuum.flat_family(), 1, 100)
+
+
+def test_double_well_family_chooses_the_shape():
+    assert continuum.double_well_family(10.0).features_of_nu(100) == (0.0,)
+    z0 = np.sqrt(1.0 - 1.0 / 4.0)
+    assert continuum.double_well_family(-2.0).features_of_nu(100) == (-z0, z0)
+    with pytest.raises(HypothesisViolationError, match="gamma > -1"):
+        continuum.fidelity_continuum(continuum.double_well_family(-1.0), 1, 100)
+
+
+def test_factorized_gaussian_is_a_density():
+    prof = continuum.factorized_gaussian_profile(0.05)
+    assert prof.kind == "density"
+    with pytest.raises(StateValidationError):
+        prof.chi(100)
+
+
+def test_convergence_report_verdict_flags_and_fit():
+    grid = [10, 20, 40, 80]
+    falling = np.array([0.4, 0.2, 0.1, 0.05])
+    report = continuum.convergence_report(grid, falling, 1.0 / np.array(grid), ["a"], {})
+    assert report.converges and report.hypothesis_flags == ["a"]
+    assert report.fitted_exponent == pytest.approx(1.0, abs=1e-12)
+    # a stricter verdict is passed in; a nonpositive scale leaves no fit
+    report = continuum.convergence_report(grid, falling, np.zeros(4), ["a"], {},
+                                          converges=False)
+    assert not report.converges and report.hypothesis_flags == ["a", "no-convergence"]
+    assert report.fitted_exponent is None

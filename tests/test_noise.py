@@ -463,3 +463,10 @@ def test_loss_floor_matches_bounds_report():
     report = noise.loss_fidelity_bounds(rho, spec, 2, n_times=7)
     floor = noise.loss_floor(fidelity_closed(rho, 2), report.max_eta, report.times)
     assert floor.tolist() == report.lower_bound
+
+
+def test_noisy_convergence_rejects_mixing_channel():
+    prof = continuum.gaussian_beta_family(0.75)
+    mixing = noise.MixingSpec(resources.fock_separable(8, 4), 0.5)
+    with pytest.raises(UnsupportedRegimeError, match="MixingSpec"):
+        noise.noisy_convergence(prof, mixing, lambda nu: 0.0, 2, [8, 16, 32, 64])
