@@ -157,15 +157,8 @@ def _nu_grid(cfg: dict) -> list[int]:
     return grid
 
 
-def _dense(resource) -> fock.ResourceState:
-    """The state of a resolved resource (pure families resolve to amplitudes)."""
-    if isinstance(resource, np.ndarray):
-        return fock.ResourceState.from_amplitudes(resource)
-    return resource
-
-
-def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.ResourceState:
-    """The amplitude vector of a pure family, or the state of a mixed one."""
+def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
+    """The amplitude vector of a pure family, or the diagonals of a mixed one."""
     if not isinstance(spec, dict):
         raise ConfigError("resource spec must be an object")
     name = _get(spec, "name", str)
@@ -177,7 +170,7 @@ def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.ResourceState:
         amps = resources.noon_amplitudes(nu)
     elif name == "fock_separable":
         k = _get(spec, "k", int, required=False, default=nu)
-        return resources.fock_separable(nu, k)
+        return resources.fock_separable_diagonals(nu, k)
     elif name == "gaussian":
         beta = _get(spec, "beta", float, required=False)
         if beta is not None:
@@ -207,7 +200,7 @@ def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.ResourceState:
             )
         amps = resources.double_well_ground_amplitudes(params)
     elif name == "four_coherence":
-        return noise.four_coherence_state(
+        return noise.four_coherence_diagonals(
             _get(spec, "a", float), _get(spec, "b", float),
             _get(spec, "c", float), _get(spec, "d", float),
             _get(spec, "x", float), _get(spec, "y", float), nu,
@@ -243,7 +236,7 @@ def resolve_noise(spec: dict, nu: int | None = None):
     if kind == "mixing":
         if nu is None:
             raise ConfigError("mixing channel needs a fixed nu")
-        undesired = _dense(resolve_resource(_get(spec, "undesired", dict), nu))
+        undesired = resolve_resource(_get(spec, "undesired", dict), nu)
         return noise.MixingSpec(undesired, _get(spec, "s", float, required=False, default=0.0))
     raise ConfigError(f"unknown noise kind {kind!r}")
 
@@ -270,9 +263,7 @@ def resolve_family(spec: dict) -> continuum.ContinuumProfile:
     if name == "noon":
         return continuum.discrete_only_family(resources.noon_amplitudes)
     if name == "fock":
-        return continuum.discrete_only_family(
-            lambda nu: np.eye(nu + 1, dtype=complex)[nu]
-        )
+        return continuum.discrete_only_family(lambda nu: np.arange(nu + 1) == nu)
     if name == "double_well":
         return continuum.double_well_family(_get(spec, "gamma", float))
     raise ConfigError(f"unknown family name {name!r}")
@@ -298,7 +289,7 @@ def cmd_teleport(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     nu = _get(cfg, "nu", int)
     resource_spec = _get(cfg, "resource", dict)
-    rho = _dense(resolve_resource(resource_spec, nu))
+    rho = fock.dense_state(resolve_resource(resource_spec, nu))
     psi_cfg = cfg.get("psi")
     if psi_cfg is not None:
         psi = fock.PureTwoModeState(N, _psi_amplitudes(psi_cfg, N))
@@ -368,25 +359,28 @@ def cmd_noise(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     nu = _get(cfg, "nu", int)
     resource_spec = _get(cfg, "resource", dict)
-    rho = _dense(resolve_resource(resource_spec, nu))
+    resource = resolve_resource(resource_spec, nu)
     noise_spec = resolve_noise(_get(cfg, "noise", dict), nu)
 
     # a mixing scan runs over the weight s, written to the `t` column
     mixing = isinstance(noise_spec, noise.MixingSpec)
     scan = _nonnegative_list(_get(cfg, "weights", list), "weights") if mixing else _time_grid(cfg)
+    loss = isinstance(noise_spec, noise.LossSpec)
+    # a loss scan also takes f(0) for its floor f(0) exp(-2 t max eta) from the
+    # same band call as its rows, so a t = 0 row and f(0) agree bitwise
+    noisy = noise.band_scan(resource, noise_spec, N, [0.0, *scan] if loss else scan)
     floor = np.zeros(len(scan))
-    if isinstance(noise_spec, noise.LossSpec):
+    if loss:
+        (band0, _), *noisy = noisy
         max_eta = float(np.max(noise.eta_rates(noise_spec, nu)))
-        floor = noise.loss_floor(protocol.fidelity_closed(rho, N), max_eta, scan)
+        floor = noise.loss_floor(protocol.fidelity_closed(band0, N), max_eta, scan)
     f_sep = protocol.separable_fidelity(N)
     rows = []
-    for x, lower in zip(scan, floor):
-        block, weight = noise.apply(
-            rho, dataclasses.replace(noise_spec, **{"s" if mixing else "t": float(x)}))
+    for x, lower, (band, weight) in zip(scan, floor, noisy):
         rows.append({
             "t": float(x), "N": N,
-            "fidelity": protocol.fidelity_closed(block, N),
-            "avg_entanglement": protocol.avg_entanglement_closed(block, N),
+            "fidelity": protocol.fidelity_closed(band, N),
+            "avg_entanglement": protocol.avg_entanglement_closed(band, N),
             "f_sep": f_sep, "lower_bound": float(lower), "survival_weight": weight,
         })
 

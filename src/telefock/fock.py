@@ -63,11 +63,22 @@ class TwoModeDensityMatrix:
     Positive semidefiniteness is certified by one Cholesky factorization of
     m - PSD_EIG_FLOOR * 1 (see `_psd_certified`); only when that fails is
     the spectrum computed, to decide against the floor and name the minimum
-    eigenvalue.  Three constructors whose output is PSD by construction
-    (amplitude outer products in `ResourceState.from_amplitudes`,
-    `resources.fock_separable`, `resources.apply_phases`) pass
-    validate_spectrum=False to keep large-nu sweeps O(nu N); every other
-    state, noise-channel outputs included, is certified.
+    eigenvalue.  Constructors whose output is PSD by construction (amplitude
+    outer products in `ResourceState.from_amplitudes`,
+    `resources.apply_phases`, and `Diagonals.state` of a diagonal matrix
+    whose entries clear the floor, such as `resources.fock_separable`) pass
+    validate_spectrum=False; every other dense state, the outputs of the
+    dense noise channels (`noise.mix`, `noise.dephase`) included, is
+    certified.
+
+    Dense states are built only where a computation needs every entry:
+    `teleport` outcome tables, `ground-state`, and the oracles (four-mode
+    contraction, Monte Carlo, Lindblad integration, the dense channels).
+    Sweeps read amplitude vectors and noise scans read `Diagonals` or
+    amplitudes, O(M N) in memory.  Their channels keep a positive resource
+    positive (dephasing is a Schur product with a positive-definite
+    Gaussian kernel, loss a congruence E rho E, mixing convex), so no
+    certificate is lost by skipping the dense state.
     """
 
     total_particles: int
@@ -83,7 +94,12 @@ class TwoModeDensityMatrix:
             raise StateValidationError(f"expected shape {(dim, dim)}, got {m.shape}")
         if not np.isfinite(m).all():
             raise StateValidationError("matrix has non-finite entries")
-        herm = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
+        herm = 0.0
+        if dim:
+            # max |m^+ - m| with one dim x dim temporary, overwritten in place
+            diff = np.conjugate(m.T, order="C")
+            diff -= m
+            herm = float(np.max(np.abs(diff, out=diff).real))
         if herm > NORM_TOL:
             raise StateValidationError(f"matrix not Hermitian: max |m - m^+| = {herm:g}")
         tr = complex(np.trace(m))
@@ -135,6 +151,59 @@ class ResourceState(TwoModeDensityMatrix):
         """
         x = normalized_amplitudes(np.asarray(x, dtype=complex))
         return cls(len(x) - 1, np.outer(x, x.conj()), validate_spectrum=False)
+
+
+@dataclass(frozen=True)
+class Diagonals:
+    """A Hermitian coefficient matrix of M particles by its upper diagonals.
+
+    upper[d][k] = rho_{k,k+d} for k = 0..M-d and d = 0..D; rho_{k+d,k} is
+    the conjugate and every diagonal beyond D is zero.  The band readers
+    (`protocol.band`) and the band noise path (`noise.band_scan`) take this
+    form in O(M D) memory.  It certifies nothing: the constructors that
+    make one from parameters (`noise.four_coherence_diagonals`,
+    `resources.fock_separable_diagonals`) check those instead.
+    """
+
+    n_particles: int
+    upper: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        nu = self.n_particles
+        upper = tuple(np.asarray(u) for u in self.upper)
+        if nu < 0 or not 1 <= len(upper) <= nu + 1:
+            raise StateValidationError(f"need 1..{nu + 1} diagonals for {nu} particles")
+        for d, u in enumerate(upper):
+            if u.shape != (nu + 1 - d,):
+                raise StateValidationError(
+                    f"diagonal {d} needs {nu + 1 - d} entries, got {u.shape}")
+            if not np.isfinite(u).all():
+                raise StateValidationError(f"diagonal {d} has non-finite entries")
+        object.__setattr__(self, "upper", upper)
+
+    def state(self) -> ResourceState:
+        """The dense state, certified like any other.
+
+        A diagonal matrix's eigenvalues are its entries, so one diagonal
+        at or above PSD_EIG_FLOOR needs no factorization.
+        """
+        nu = self.n_particles
+        k = np.arange(nu + 1)
+        m = np.zeros((nu + 1, nu + 1), dtype=complex)
+        for d, u in enumerate(self.upper):
+            m[k[d:], k[: nu + 1 - d]] = np.conj(u)
+            m[k[: nu + 1 - d], k[d:]] = u
+        diagonal = len(self.upper) == 1 and bool(np.all(self.upper[0].real >= PSD_EIG_FLOOR))
+        return ResourceState(nu, m, validate_spectrum=not diagonal)
+
+
+def dense_state(resource) -> ResourceState:
+    """The dense state of a normalized amplitude vector, `Diagonals` or a state."""
+    if isinstance(resource, Diagonals):
+        return resource.state()
+    if isinstance(resource, TwoModeDensityMatrix):
+        return resource
+    return ResourceState.from_amplitudes(resource)
 
 
 def normalized_amplitudes(x) -> np.ndarray:

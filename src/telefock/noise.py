@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,8 +24,8 @@ from .errors import (
     StateValidationError,
     UnsupportedRegimeError,
 )
-from .fock import ResourceState
-from .protocol import fidelity_closed, separable_fidelity
+from .fock import Diagonals, ResourceState, dense_state, normalized_amplitudes
+from .protocol import Band, band, band_of_diagonals, fidelity_closed, separable_fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +34,12 @@ from .protocol import fidelity_closed, separable_fidelity
 
 @dataclass(frozen=True)
 class MixingSpec:
-    """Mix with `undesired` at weight s: rho -> (rho + s sigma) / (1 + s)."""
+    """Mix with `undesired` at weight s: rho -> (rho + s sigma) / (1 + s).
 
-    undesired: ResourceState
+    `undesired` is a state, `Diagonals` or a normalized amplitude vector.
+    """
+
+    undesired: ResourceState | Diagonals | np.ndarray
     s: float
 
     def __post_init__(self):
@@ -44,9 +48,10 @@ class MixingSpec:
 
 
 def mix(rho: ResourceState, spec: MixingSpec) -> ResourceState:
-    if spec.undesired.n_particles != rho.n_particles:
+    sigma = dense_state(spec.undesired)
+    if sigma.n_particles != rho.n_particles:
         raise StateValidationError("mixing requires matching particle numbers")
-    m = (rho.matrix + spec.s * spec.undesired.matrix) / (1.0 + spec.s)
+    m = (rho.matrix + spec.s * sigma.matrix) / (1.0 + spec.s)
     return ResourceState(rho.n_particles, m)
 
 
@@ -87,14 +92,15 @@ def dephase(rho: ResourceState, spec: DephasingSpec) -> ResourceState:
     return ResourceState(nu, rho.matrix * kernel)
 
 
-def four_coherence_state(
+def four_coherence_diagonals(
     a: float, b: float, c: float, d: float, x: float, y: float, nu: int
-) -> ResourceState:
+) -> Diagonals:
     """Four-level state with one nearest- and one third-neighbor coherence.
 
     Populations (a, b, c, d) on |k, nu-k>, k = 0..3, coherence x between
     k = 1, 2 and y between k = 0, 3; all other entries zero.  Positivity
-    demands x^2 <= b c and y^2 <= a d.
+    demands x^2 <= b c and y^2 <= a d.  The diagonals are complex like the
+    dense state's, so the trace sums in the same order.
     """
     if nu < 3:
         raise StateValidationError("need nu >= 3 to host the four-level block")
@@ -102,11 +108,18 @@ def four_coherence_state(
         raise StateValidationError("populations must be nonnegative and sum to 1")
     if x * x > b * c + 1e-12 or y * y > a * d + 1e-12:
         raise StateValidationError("coherences violate positivity: need x^2<=bc, y^2<=ad")
-    m = np.zeros((nu + 1, nu + 1), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = a, b, c, d
-    m[1, 2] = m[2, 1] = x
-    m[0, 3] = m[3, 0] = y
-    return ResourceState(nu, m)
+    upper = [np.zeros(nu + 1 - j, dtype=complex) for j in range(4)]
+    upper[0][:4] = a, b, c, d
+    upper[1][1] = x
+    upper[3][0] = y
+    return Diagonals(nu, tuple(upper))
+
+
+def four_coherence_state(
+    a: float, b: float, c: float, d: float, x: float, y: float, nu: int
+) -> ResourceState:
+    """The dense state of `four_coherence_diagonals`."""
+    return four_coherence_diagonals(a, b, c, d, x, y, nu).state()
 
 
 @dataclass
@@ -133,7 +146,8 @@ def dephasing_threshold_demo(
     The state beats the separable baseline iff y > -x exp(4 t (l3+l4)) N/(N-2),
     so the fidelity crosses f_sep at
     t* = ln(y (N-2) / (-x N)) / (4 (l3 + l4)), computed here in log space and
-    confirmed by bisection on the evolved closed-form fidelity.  Requires
+    confirmed by bisection on the closed-form fidelity of the dephased band
+    (`band_scan`, 2N numbers per step, no dense state).  Requires
     N > 2 (below that the y-coherence sits outside the fidelity band), x < 0
     and y > 0 as in the crossing scenario.
     """
@@ -146,7 +160,7 @@ def dephasing_threshold_demo(
         raise StateValidationError("need a positive total dephasing rate")
     if nu is None:
         nu = max(3, N)
-    rho0 = four_coherence_state(a, b, c, d, x, y, nu)
+    diagonals = four_coherence_diagonals(a, b, c, d, x, y, nu)
     f_sep = separable_fidelity(N)
     log_ratio = math.log(y * (N - 2)) - math.log(-x * N)
     if log_ratio <= 0.0:
@@ -154,9 +168,10 @@ def dephasing_threshold_demo(
             "initial state does not outperform the separable baseline"
         )
     t_star = log_ratio / (4.0 * rate_sum)
+    band0, dephasing = band(diagonals, N), DephasingSpec(lambda3, lambda4, 0.0)
 
     def gap(t: float) -> float:
-        evolved = dephase(rho0, DephasingSpec(lambda3, lambda4, t))
+        [(evolved, _)] = band_scan(band0, dephasing, N, [t])
         return fidelity_closed(evolved, N) - f_sep
 
     hi = 4.0 * t_star + 1.0
@@ -374,7 +389,8 @@ def apply(
     Mixing and dephasing keep every particle: the block is the output
     state and the weight 1.  Loss gives the unnormalized surviving
     nu-particle block of `particle_loss_analytic` and its trace.  The band
-    functionals read either form.
+    functionals read either form.  This dense path is the oracle of
+    `band_scan`.
     """
     if isinstance(spec, MixingSpec):
         return mix(rho, spec), 1.0
@@ -384,6 +400,105 @@ def apply(
         res = particle_loss_analytic(rho, spec)
         return res.surviving_block, res.survival_weight
     raise StateValidationError(f"unknown noise channel {type(spec).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# The band path: channels without a dense state
+# ---------------------------------------------------------------------------
+
+def band_scan(
+    resource, spec: MixingSpec | DephasingSpec | LossSpec, N: int, values
+) -> list[tuple[Band, float]]:
+    """(band, survival_weight) of `apply`'s block at each time t in `values`
+    (each weight s for mixing): the `Band` of width N the functionals read.
+
+    `resource` is a normalized amplitude vector, `Diagonals`, a state, or,
+    for dephasing, a `Band`.  Time and memory are O(nu N) at most, with no
+    dense state:
+    - dephasing scales diagonal d by w_d = exp(-t L d^2 / 2) > 0, so it
+      scales both band sums of d by w_d;
+    - loss scales the diagonals d <= N, rho_{k,k+d} -> e_k rho_{k,k+d} e_{k+d}
+      with e = exp(-t eta), as `particle_loss_analytic` does the matrix;
+    - mixing combines the diagonals d <= N of both states.
+    What does not depend on t (or s) is done once per scan: the band that
+    dephasing rescales, the loss rates eta, the diagonals of amplitudes.
+    Each channel keeps a positive resource positive (a Schur product with a
+    positive-definite Gaussian kernel, a congruence E rho E, a convex
+    combination), so no result needs a certificate.
+    """
+    point = _band_channel(resource, spec, N)
+    key = "s" if isinstance(spec, MixingSpec) else "t"
+    # each value passes through the spec, which rejects a negative time or weight
+    return [point(getattr(replace(spec, **{key: float(v)}), key)) for v in values]
+
+
+def _band_channel(resource, spec, N: int):
+    """The map from t (or s) to (band, survival_weight) of `band_scan`."""
+    if isinstance(spec, DephasingSpec):
+        clean = band(resource, N)
+        d2 = np.arange(len(clean.sums) + 1) ** 2
+
+        def dephased(t: float):
+            w = np.exp(-0.5 * t * spec.rate_sum * d2)[1:]  # as `dephase`'s kernel
+            return replace(clean, sums=clean.sums * w, moduli=clean.moduli * w), 1.0
+
+        return dephased
+    if isinstance(spec, MixingSpec):
+        nu, rho = _upper_diagonals(resource, N)
+        sigma_nu, sigma = _upper_diagonals(spec.undesired, N)
+        if sigma_nu != nu:
+            raise StateValidationError("mixing requires matching particle numbers")
+
+        def mixed(s: float):
+            pairs = zip_longest(rho(), sigma(), fillvalue=0.0)
+            return band_of_diagonals(nu, ((r + s * q) / (1.0 + s) for r, q in pairs), N), 1.0
+
+        return mixed
+    if isinstance(spec, LossSpec):
+        nu, rho = _upper_diagonals(resource, N)
+        eta = eta_rates(spec, nu)
+
+        def damped(e: np.ndarray):
+            for d, u in enumerate(rho()):
+                v = e[: nu + 1 - d] * u
+                v *= e[d:]
+                yield v
+
+        def lossy(t: float):
+            out = band_of_diagonals(nu, damped(np.exp(-t * eta)), N)
+            return out, out.weight
+
+        return lossy
+    raise StateValidationError(f"unknown noise channel {type(spec).__name__}")
+
+
+def _upper_diagonals(resource, N: int):
+    """(nu, diagonals): diagonals() yields the upper diagonals d = 0, 1, ...
+    of the resource one at a time, up to d = min(N, nu) for amplitudes or a
+    state, and all of a `Diagonals`.
+
+    Amplitudes give the entries of `ResourceState.from_amplitudes`, bit for
+    bit: cast to complex, renormalized, x_k conj(x_{k+d}).  Only the vector
+    is held, so a scan over amplitudes stays at O(nu) memory.
+    """
+    if isinstance(resource, Diagonals):
+        return resource.n_particles, lambda: iter(resource.upper)
+    if isinstance(resource, Band):
+        raise UnsupportedRegimeError("loss and mixing need the resource's entries, not its band")
+    m = np.asarray(getattr(resource, "matrix", resource))
+    nu = m.shape[0] - 1
+    width = min(N, nu)
+    if m.ndim == 2:
+        return nu, lambda: (np.diagonal(m, d) for d in range(width + 1))
+    x = normalized_amplitudes(m.astype(complex))
+
+    def products():
+        for d in range(width + 1):
+            u = x[d:].conj()
+            u *= x[: nu + 1 - d]
+            yield u
+
+    return nu, products
 
 
 @dataclass
@@ -447,29 +562,21 @@ def loss_fidelity_bounds(
 # Noisy convergence sweeps
 # ---------------------------------------------------------------------------
 
-def _is_factorized_gaussian(matrix: np.ndarray) -> bool:
-    """True iff the entries have the form omega_plus(k+j) exp(-c (k-j)^2).
+def _is_factorized_gaussian(x: np.ndarray) -> bool:
+    """True iff the amplitudes are real, positive and exp(c + a (k - nu/2)^2).
 
-    Gaussian families are strictly positive everywhere, so sparse support
-    already disqualifies; on full support, the log entries must be fit
-    exactly by const + a (k+j-nu)^2 + b (k-j)^2.
+    Then x_k x_j = exp(2c + a ((k+j-nu)^2 + (k-j)^2) / 2): the entries have
+    the form omega_plus(k+j) exp(-b (k-j)^2) that `noisy_convergence`
+    predicts for.  Fits log x_k by least squares, O(nu).
     """
-    nu = matrix.shape[0] - 1
-    k = np.arange(nu + 1)
-    kk, jj = np.meshgrid(k, k, indexing="ij")
-    vals = matrix.real
-    if np.min(vals) <= 0.0:
+    x = np.asarray(x)
+    if np.any(np.imag(x) != 0.0) or np.min(np.real(x)) <= 0.0:
         return False
-    mask = vals > np.max(vals) * 1e-120
-    if np.count_nonzero(mask) < 0.7 * mask.size:
-        return False
-    logs = np.log(vals[mask])
-    s2 = ((kk + jj - nu)[mask]) ** 2
-    q2 = ((kk - jj)[mask]) ** 2
-    design = np.stack([np.ones_like(logs), s2, q2], axis=1)
+    logs = np.log(np.real(x))
+    k = np.arange(x.size)
+    design = np.stack([np.ones_like(logs), (k - 0.5 * (x.size - 1)) ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    resid = logs - design @ coef
-    return float(np.max(np.abs(resid))) < 1e-6
+    return float(np.max(np.abs(logs - design @ coef))) < 1e-6
 
 
 def noisy_convergence(
@@ -487,7 +594,10 @@ def noisy_convergence(
     + t (l33 + l44 - l34) nu^2 / 16 (loss).  Asymptotically perfect
     teleportation survives iff the added term vanishes against the clean
     one, which the sweep checks empirically under the supplied t(nu).
-    Its verdict also requires 1 - f < 0.5 at the last grid point.
+    Its verdict also requires 1 - f < 0.5 at the last grid point.  A family
+    whose amplitudes at the first grid point fail `_is_factorized_gaussian`
+    is flagged "not-factorized-gaussian".  Each point applies the channel
+    to the family's amplitudes on the band path (`band_scan`), O(nu N).
     """
     from .continuum import (
         ContinuumProfile, _convergence_flags, _validate_grid, convergence_report,
@@ -501,17 +611,16 @@ def noisy_convergence(
             f"got {type(noise).__name__}"
         )
     grid = _validate_grid(nu_grid)
-    flags: list[str] = []
-
-    probe = profile.to_resource(grid[0])
-    if not _is_factorized_gaussian(probe.matrix):
-        flags.append("not-factorized-gaussian")
+    x = profile.amplitudes(grid[0])
+    flags = [] if _is_factorized_gaussian(x) else ["not-factorized-gaussian"]
 
     one_minus_f = []
     survival = []
-    for nu in grid:
-        block, weight = apply(profile.to_resource(nu), replace(noise, t=float(t_of_nu(nu))))
-        one_minus_f.append(1.0 - fidelity_closed(block, N))
+    for i, nu in enumerate(grid):
+        if i:
+            x = profile.amplitudes(nu)
+        [(noisy, weight)] = band_scan(x, noise, N, [t_of_nu(nu)])
+        one_minus_f.append(1.0 - fidelity_closed(noisy, N))
         survival.append(weight)
     one_minus_f = np.array(one_minus_f)
     xs = np.array([profile.alpha(nu) * N / nu for nu in grid])

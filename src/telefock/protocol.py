@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError, StateValidationError, UnsupportedRegimeError
 from .fock import (
+    Diagonals,
     PureTwoModeState,
     ResourceState,
     TwoModeDensityMatrix,
@@ -203,67 +204,136 @@ def average_teleported(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _band(rho, N: int, moduli: bool) -> tuple[float, float]:
-    """(weight, band): the trace and sum_{0 < |k-j| <= N} (N+1-|k-j|) rho_{k,j}
-    (of |rho_{k,j}| with `moduli`) of a state, a raw coefficient matrix, or a
-    normalized amplitude vector x (rho_{k,j} = x_k conj(x_j), weight 1).
+@dataclass(frozen=True)
+class Band:
+    """What the functionals read of a resource's band 0 < |k-j| <= N.
 
-    Vectors take N shifted dot products, O(nu N) time and O(nu) memory;
-    real amplitudes take real dot products.
+    `weight` is the trace; for d = 1..min(N, nu), sums[d-1] is
+    sum_k (rho_{k,k+d} + rho_{k+d,k}) and moduli[d-1] the same sum over
+    |rho_{k,j}|.  A channel that scales diagonal d by a positive factor
+    scales both entries the same way, so the band noise path
+    (`noise.band_scan`) can act on these 2N numbers.
     """
-    matrix = np.asarray(getattr(rho, "matrix", rho))
-    nu = matrix.shape[0] - 1
+
+    n_particles: int
+    weight: float
+    sums: np.ndarray
+    moduli: np.ndarray
+
+
+def band(rho, N: int) -> Band:
+    """The `Band` (width N) of any form `_diagonal_sums` reads."""
+    nu, weight, sums = _diagonal_sums(rho, N, moduli=False)
+    _, _, moduli = _diagonal_sums(rho, N, moduli=True)
+    return Band(nu, weight, np.array(sums), np.array(moduli))
+
+
+def band_of_diagonals(nu: int, upper, N: int) -> Band:
+    """The `Band` (width N) of the Hermitian matrix whose upper diagonals
+    d = 0, 1, ... are the arrays `upper` yields; the rest are zero.
+
+    Reads them in one pass and stops after d = min(N, nu), so a caller can
+    make them one at a time.  The lower diagonal is the conjugate: each
+    pair sums to twice the real part.
+    """
     _check_regime(N, nu)
-    if matrix.ndim == 1:
-        x = np.abs(matrix) if moduli else matrix
-        band = 0.0
-        for d in range(1, min(N, nu) + 1):
-            band += 2.0 * (N + 1 - d) * float(np.vdot(x[:-d], x[d:]).real)
-        return 1.0, band
-    total = 0.0 + 0.0j
-    for d in range(1, min(N, nu) + 1):
-        upper = np.diagonal(matrix, offset=d)
-        lower = np.diagonal(matrix, offset=-d)
+    width = min(N, nu)
+    weight, sums, moduli = 0.0, np.zeros(width), np.zeros(width)
+    for d, u in enumerate(upper):
+        if d == 0:
+            weight = float(np.sum(u).real)
+        else:
+            sums[d - 1] = 2.0 * float(np.sum(u).real)
+            moduli[d - 1] = 2.0 * float(np.sum(np.abs(u)))
+        if d == width:
+            break
+    return Band(nu, weight, sums, moduli)
+
+
+def _diagonal_sums(rho, N: int, moduli: bool) -> tuple[int, float, list]:
+    """(nu, weight, sums): the trace and, for d = 1..min(N, nu),
+    sums[d-1] = sum_k (rho_{k,k+d} + rho_{k+d,k}) (of |rho_{k,j}| with
+    `moduli`).
+
+    Reads a state, a raw coefficient matrix, a normalized amplitude vector x
+    (rho_{k,j} = x_k conj(x_j), weight 1), `Diagonals` or a `Band`.  Vectors
+    take N shifted dot products, O(nu N) time and O(nu) memory; real
+    amplitudes take real dot products.  Matrices keep each diagonal pair's
+    complex sum, so `_band` can check the imaginary residue.
+    """
+    if isinstance(rho, Diagonals):
+        rho = band_of_diagonals(rho.n_particles, rho.upper, N)
+    if isinstance(rho, Band):
+        nu = rho.n_particles
+    else:
+        rho = np.asarray(getattr(rho, "matrix", rho))
+        nu = rho.shape[0] - 1
+    _check_regime(N, nu)
+    width = min(N, nu)
+    if isinstance(rho, Band):
+        sums = rho.moduli if moduli else rho.sums
+        if len(sums) < width:
+            raise StateValidationError(f"band holds {len(sums)} diagonals, N={N} reads {width}")
+        return nu, rho.weight, list(sums[:width])
+    if rho.ndim == 1:
+        x = np.abs(rho) if moduli else rho
+        return nu, 1.0, [2.0 * float(np.vdot(x[:-d], x[d:]).real) for d in range(1, width + 1)]
+    sums = []
+    for d in range(1, width + 1):
+        upper = np.diagonal(rho, offset=d)
+        lower = np.diagonal(rho, offset=-d)
         if moduli:
             upper, lower = np.abs(upper), np.abs(lower)
-        total += (N + 1 - d) * (np.sum(upper) + np.sum(lower))
-    if abs(total.imag) > IMAG_RESIDUE_TOL:
-        raise StateValidationError(f"band sum has imaginary residue {total.imag:g}")
-    return float(np.trace(matrix).real), total.real
+        sums.append(np.sum(upper) + np.sum(lower))
+    return nu, float(np.trace(rho).real), sums
+
+
+def _band(rho, N: int, moduli: bool) -> tuple[float, float]:
+    """(weight, band): the trace and sum_{0 < |k-j| <= N} (N+1-|k-j|) rho_{k,j}
+    (of |rho_{k,j}| with `moduli`) of any form `_diagonal_sums` reads."""
+    _, weight, sums = _diagonal_sums(rho, N, moduli)
+    total = 0.0
+    for d, s in enumerate(sums, 1):
+        total += (N + 1 - d) * s
+    if isinstance(total, complex):  # the sums of a raw matrix
+        if abs(total.imag) > IMAG_RESIDUE_TOL:
+            raise StateValidationError(f"band sum has imaginary residue {total.imag:g}")
+        total = total.real
+    return weight, float(total)
 
 
 def _fidelity(rho, N: int) -> float:
-    weight, band = _band(rho, N, moduli=False)
-    f = 2.0 * weight / (N + 2) + band / ((N + 1) * (N + 2))
+    weight, total = _band(rho, N, moduli=False)
+    f = 2.0 * weight / (N + 2) + total / ((N + 1) * (N + 2))
     if not -1e-10 <= f <= weight + 1e-10:
         raise StateValidationError(f"fidelity {f!r} outside [0, {weight}]")
     return float(min(max(f, 0.0), weight))
 
 
 def _avg_entanglement(rho, N: int) -> float:
-    _, band = _band(rho, N, moduli=True)
-    e = (np.pi / 8.0) * band / (N + 1)
+    _, total = _band(rho, N, moduli=True)
+    e = (np.pi / 8.0) * total / (N + 1)
     upper = np.pi * N / 8.0
     if not -1e-10 <= e <= upper + 1e-8:
         raise StateValidationError(f"entanglement {e!r} outside [0, {upper}]")
     return float(min(max(e, 0.0), upper))
 
 
-def fidelity_closed(rho: ResourceState | np.ndarray, N: int) -> float:
+def fidelity_closed(rho: ResourceState | np.ndarray | Diagonals | Band, N: int) -> float:
     """Haar-averaged teleportation fidelity of the resource state.
 
     f = 2/(N+2) + sum_{k != j} max(0, N+1-|k-j|) rho_{k,j} / ((N+1)(N+2)),
     evaluated over the |k-j| <= N band only, so the cost is O(nu N).
-    Accepts a raw (possibly subnormalized) coefficient matrix, in which case
-    the constant term is weighted by its trace, or an amplitude vector,
-    which goes to `fidelity_closed_pure`.
+    Accepts a raw (possibly subnormalized) coefficient matrix, `Diagonals`
+    or a `Band`, in which case the constant term is weighted by the trace,
+    or an amplitude vector, which goes to `fidelity_closed_pure`.
     """
     if np.ndim(rho) == 1:
         return fidelity_closed_pure(rho, N)
     return _fidelity(rho, N)
 
 
-def avg_entanglement_closed(rho: ResourceState | np.ndarray, N: int) -> float:
+def avg_entanglement_closed(rho: ResourceState | np.ndarray | Diagonals | Band, N: int) -> float:
     """Haar- and outcome-averaged negativity of the teleported state.
 
     E = (pi/8) sum_{k != j} max(0, N+1-|k-j|) |rho_{k,j}| / (N+1),

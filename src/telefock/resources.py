@@ -21,7 +21,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .errors import NumericalError, StateValidationError
-from .fock import ResourceState, normalized_amplitudes
+from .fock import Diagonals, ResourceState, normalized_amplitudes
 
 
 def max_entangled_amplitudes(nu: int) -> np.ndarray:
@@ -37,11 +37,16 @@ def max_entangled(nu: int) -> ResourceState:
 
 def fock_separable(nu: int, k: int) -> ResourceState:
     """Product Fock state |k> (x) |nu-k>; the separable baseline."""
+    return fock_separable_diagonals(nu, k).state()
+
+
+def fock_separable_diagonals(nu: int, k: int) -> Diagonals:
+    """`fock_separable` as its one diagonal, the form the band noise path reads."""
     if not 0 <= k <= nu:
         raise StateValidationError(f"occupation k={k} outside [0, {nu}]")
-    m = np.zeros((nu + 1, nu + 1), dtype=complex)
-    m[k, k] = 1.0
-    return ResourceState(nu, m, validate_spectrum=False)
+    populations = np.zeros(nu + 1)
+    populations[k] = 1.0
+    return Diagonals(nu, (populations,))
 
 
 def noon_amplitudes(nu: int) -> np.ndarray:

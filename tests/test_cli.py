@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telefock import cli, protocol, resources
+from telefock import cli, fock, noise, protocol, resources
 from telefock.cli import main
 
 
@@ -607,3 +607,88 @@ def test_phases_on_a_state_resource_exits_2(tmp_path, capsys, resource):
     assert main(["noise", "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:") and "'phases'" in err
+
+
+# runs one CLI command and reports its own exit code, wall time and peak RSS
+MEASURED_RUN = """
+import json, resource, sys, time
+from telefock.cli import main
+start = time.perf_counter()
+rc = main(sys.argv[1:])
+wall = time.perf_counter() - start
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"rc": rc, "wall_s": wall, "rss_mb": rss_mb}), file=sys.stderr)
+"""
+MILLION = 10 ** 6
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("noise", {"schema_version": 1, "kind": "noise", "N": 4, "nu": MILLION,
+               "resource": {"name": "gaussian", "beta": 0.75},
+               "noise": {"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5},
+               "times": [0.0, 1e-12, 1e-11, 1e-10, 1e-9]}),
+    ("converge", {"schema_version": 1, "kind": "converge", "N": 2,
+                  "nu_grid": [1000, 10000, 100000, MILLION],
+                  "family": {"name": "gaussian", "beta": 0.75},
+                  "noise": {"kind": "loss", "channels": [{"rate": 0.1, "m": 1, "n": 0},
+                                                         {"rate": 0.15, "m": 2, "n": 0}]},
+                  "time_rule": {"exponent": -2.5}}),
+], ids=["noise-dephasing", "converge-loss"])
+def test_noise_at_a_million_particles_in_bounded_memory(tmp_path, kind, cfg):
+    out = tmp_path / "out.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", MEASURED_RUN, kind, "--config", write_config(tmp_path, cfg),
+         "--out", str(out), "--format", "json"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    stats = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert proc.returncode == 0 and stats["rc"] == 0
+    assert stats["rss_mb"] < 200.0, stats
+    payload = json.loads(out.read_text())
+    if kind == "noise":
+        fids = [row["fidelity"] for row in payload["rows"]]
+        assert all(a > b for a, b in zip(fids, fids[1:])) and fids[-1] > 1.0 / 3.0
+    else:
+        assert payload["nu_grid"][-1] == MILLION and payload["converges"]
+        assert payload["hypothesis_flags"] == []
+
+
+@pytest.mark.parametrize("resource", [
+    {"name": "max_entangled"},
+    {"name": "four_coherence", "a": 0.35, "b": 0.15, "c": 0.15, "d": 0.35, "x": -0.1, "y": 0.3},
+])
+def test_noise_scan_beyond_memory_exits_3(tmp_path, capsys, monkeypatch, resource):
+    # numpy refuses a 2**62-entry diagonal before allocating anything
+    cfg = write_config(tmp_path, noise_config(nu=2 ** 62, resource=resource))
+    assert main(["noise", "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical error: ValueError:")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def exhausted(spec, nu):
+        raise MemoryError(f"Unable to allocate {8 * (nu + 1)} bytes")
+
+    monkeypatch.setattr(noise, "eta_rates", exhausted)
+    loss = {"kind": "loss", "channels": [{"rate": 0.5, "m": 1, "n": 0}]}
+    cfg = write_config(tmp_path, noise_config(resource=resource, noise=loss), "loss.json")
+    assert main(["noise", "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("environment error: out of memory")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_teleport_on_fock_separable_runs_no_factorization(tmp_path, monkeypatch):
+    # a diagonal resource is PSD iff its populations are: no Cholesky needed
+    # for it (the 2 x 2 teleported states are still certified)
+    certified = fock._psd_certified
+
+    def refuse(m):
+        assert m.shape[0] < 41, "factorized a diagonal resource"
+        return certified(m)
+
+    monkeypatch.setattr(fock, "_psd_certified", refuse)
+    out = tmp_path / "report.json"
+    cfg = teleport_config(nu=40, resource={"name": "fock_separable", "k": 17})
+    assert main(["teleport", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out), "--format", "json"]) == 0
+    assert json.loads(out.read_text())["fidelity"] == pytest.approx(2.0 / 3.0, abs=1e-12)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from telefock import noise
+from telefock import fock, noise
 from telefock.errors import StateValidationError
 from telefock.fock import (
     PSD_EIG_FLOOR,
+    Diagonals,
     PureTwoModeState,
     ResourceState,
     TwoModeDensityMatrix,
@@ -241,3 +242,38 @@ def test_normalized_amplitudes_rejects_zero_or_non_finite_norm(bad):
     with pytest.raises(StateValidationError, match="norm"):
         normalized_amplitudes(np.array(bad))
 
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9, 130])
+def test_hermiticity_defect_is_reported_as_max_abs_difference(dim):
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    m = m / np.trace(m)
+    TwoModeDensityMatrix(dim - 1, m)  # exactly Hermitian
+    m[dim // 2, dim - 1] += 3e-12j
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    with pytest.raises(StateValidationError, match=f"max \\|m - m\\^\\+\\| = {defect:g}$"):
+        TwoModeDensityMatrix(dim - 1, m)
+
+
+def test_diagonal_state_needs_no_factorization(monkeypatch):
+    def refuse(m):
+        raise AssertionError("factorized a diagonal state")
+
+    monkeypatch.setattr(fock, "_psd_certified", refuse)
+    populations = np.array([0.5, 0.0, 0.25, 0.25])
+    assert np.array_equal(Diagonals(3, (populations,)).state().matrix, np.diag(populations))
+    with pytest.raises(AssertionError, match="factorized"):
+        Diagonals(3, (np.array([0.5, -0.1, 0.35, 0.25]),)).state()
+
+
+def test_diagonals_rebuild_the_dense_state():
+    rho = random_resource(6, np.random.default_rng(5))
+    upper = tuple(np.diagonal(rho.matrix, d) for d in range(7))
+    hermitian = np.triu(rho.matrix) + np.triu(rho.matrix, 1).conj().T
+    assert np.array_equal(Diagonals(6, upper).state().matrix, hermitian)
+    with pytest.raises(StateValidationError, match="diagonal 1 needs 6 entries"):
+        Diagonals(6, (np.ones(7) / 7, np.zeros(7)))
+    with pytest.raises(StateValidationError, match="non-finite"):
+        Diagonals(2, (np.array([1.0, np.nan, 0.0]),))

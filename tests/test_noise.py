@@ -1,11 +1,14 @@
 """Mixing, dephasing, particle loss, and the robustness analyses."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from telefock import continuum, noise, resources
+from telefock import continuum, noise, protocol, resources
 from telefock.errors import StateValidationError, UnsupportedRegimeError
 from telefock.fock import ResourceState, negativity
 from telefock.protocol import (
@@ -470,3 +473,177 @@ def test_noisy_convergence_rejects_mixing_channel():
     mixing = noise.MixingSpec(resources.fock_separable(8, 4), 0.5)
     with pytest.raises(UnsupportedRegimeError, match="MixingSpec"):
         noise.noisy_convergence(prof, mixing, lambda nu: 0.0, 2, [8, 16, 32, 64])
+
+
+# ---------------------------------------------------------------------------
+# The band path against the dense oracle
+# ---------------------------------------------------------------------------
+
+def _band_and_dense(kind, nu, rng):
+    """(band-path form, certified dense state) of one random resource."""
+    if kind in ("real_pure", "complex_pure"):
+        x = rng.standard_normal(nu + 1)
+        if kind == "complex_pure":
+            x = x + 1j * rng.standard_normal(nu + 1)
+        x = x / np.linalg.norm(x)
+        return x, ResourceState.from_amplitudes(x)
+    if kind == "four_coherence":
+        a, b, c, d = rng.dirichlet(np.ones(4))
+        x = float(rng.uniform(-1.0, 1.0)) * math.sqrt(b * c)
+        y = float(rng.uniform(-1.0, 1.0)) * math.sqrt(a * d)
+        return (noise.four_coherence_diagonals(a, b, c, d, x, y, nu),
+                noise.four_coherence_state(a, b, c, d, x, y, nu))
+    if kind == "fock_separable":
+        k = int(rng.integers(0, nu + 1))
+        return resources.fock_separable_diagonals(nu, k), resources.fock_separable(nu, k)
+    state = random_resource(nu, rng)
+    return state, state
+
+
+def _assert_close(got, want, what):
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), f"{what}: {got!r} != {want!r}"
+
+
+RESOURCE_KINDS = ("real_pure", "complex_pure", "four_coherence", "fock_separable", "dense")
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    kind=st.sampled_from(RESOURCE_KINDS),
+    channel=st.sampled_from(("dephasing", "loss", "mixing")),
+    undesired=st.sampled_from(RESOURCE_KINDS),
+    N=st.integers(1, 4),
+    extra=st.integers(0, 36),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_path_matches_dense_apply(kind, channel, undesired, N, extra, seed):
+    rng = np.random.default_rng(seed)
+    nu = max(N, 3) + extra
+    resource, rho = _band_and_dense(kind, nu, rng)
+    values = sorted(rng.uniform(0.0, 2.0, 2).tolist())
+    if channel == "dephasing":
+        spec = band_spec = noise.DephasingSpec(*rng.uniform(0.0, 1.0, 2), t=0.0)
+    elif channel == "loss":
+        # rates scaled so that every eta_k stays O(1): the weight stays far from underflow
+        channels = tuple(noise.LossChannel(float(rng.uniform(0.0, 0.2)) / nu ** (m + n), m, n)
+                         for m in range(3) for n in range(3) if m + n >= 1)
+        spec = band_spec = noise.LossSpec(channels, t=0.0)
+    else:
+        sigma_band, sigma = _band_and_dense(undesired, nu, rng)
+        spec, band_spec = noise.MixingSpec(sigma, 0.0), noise.MixingSpec(sigma_band, 0.0)
+    key = "s" if channel == "mixing" else "t"
+    scan = noise.band_scan(resource, band_spec, N, values)
+    for v, (band, weight) in zip(values, scan):
+        block, want_weight = noise.apply(rho, replace(spec, **{key: v}))
+        if channel == "loss":  # certify the surviving block like every dense state
+            ResourceState(nu, block / want_weight)
+        want_f, want_e = fidelity_closed(block, N), avg_entanglement_closed(block, N)
+        label = f"{kind} {channel} {undesired} N={N} nu={nu} {key}={v!r}"
+        _assert_close(fidelity_closed(band, N), want_f, label + " fidelity")
+        _assert_close(avg_entanglement_closed(band, N), want_e, label + " entanglement")
+        _assert_close(weight, want_weight, label + " weight")
+        # a one-point scan gives the same point
+        [(alone, _)] = noise.band_scan(resource, band_spec, N, [v])
+        assert fidelity_closed(alone, N) == fidelity_closed(band, N)
+
+
+def test_band_scan_rejects_band_sums_for_loss_and_negative_times():
+    band = protocol.band(resources.max_entangled_amplitudes(6), 2)
+    with pytest.raises(UnsupportedRegimeError):
+        noise.band_scan(band, noise.LossSpec((noise.LossChannel(0.3, 1, 0),), t=0.0), 2, [0.5])
+    with pytest.raises(StateValidationError, match="nonnegative"):
+        noise.band_scan(band, noise.DephasingSpec(0.5, 0.5, 0.0), 2, [0.1, -0.1])
+
+
+def test_threshold_bisection_matches_dense_dephasing_bitwise():
+    # the band path keeps the dense summation order, so brentq sees the same gap
+    args = dict(THRESHOLD_ARGS)
+    N, l3, l4 = args.pop("N"), args.pop("lambda3"), args.pop("lambda4")
+    for nu in (4, 9, 64):
+        rho = noise.four_coherence_state(*args.values(), nu)
+        band0 = protocol.band(noise.four_coherence_diagonals(*args.values(), nu), N)
+        times = (0.0, 0.01, 0.1, 0.7)
+        scan = noise.band_scan(band0, noise.DephasingSpec(l3, l4, 0.0), N, times)
+        for t, (band, _) in zip(times, scan):
+            dense = noise.dephase(rho, noise.DephasingSpec(l3, l4, t))
+            assert fidelity_closed(band, N) == fidelity_closed(dense, N)
+
+
+def _probe_matrix(matrix: np.ndarray) -> bool:
+    """Oracle of `noise._is_factorized_gaussian`, on the dense state by least
+    squares: True iff the entries are exp(const + a (k+j-nu)^2 + b (k-j)^2) on at
+    least 70% of the matrix, counting entries above 1e-120 of the largest."""
+    nu = matrix.shape[0] - 1
+    k = np.arange(nu + 1)
+    kk, jj = np.meshgrid(k, k, indexing="ij")
+    vals = matrix.real
+    if np.min(vals) <= 0.0:
+        return False
+    mask = vals > np.max(vals) * 1e-120
+    if np.count_nonzero(mask) < 0.7 * mask.size:
+        return False
+    logs = np.log(vals[mask])
+    s2 = ((kk + jj - nu)[mask]) ** 2
+    q2 = ((kk - jj)[mask]) ** 2
+    design = np.stack([np.ones_like(logs), s2, q2], axis=1)
+    coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
+    resid = logs - design @ coef
+    return float(np.max(np.abs(resid))) < 1e-6
+
+
+STOCK_FAMILIES = {
+    "flat": continuum.flat_family(),
+    "gaussian beta=0.5": continuum.gaussian_beta_family(0.5),
+    "gaussian beta=0.75": continuum.gaussian_beta_family(0.75),
+    "gaussian beta=1": continuum.gaussian_beta_family(1.0),
+    "centered bump": continuum.gaussian_bump_family(0.0, lambda nu: nu ** -0.25),
+    "off-center bump": continuum.gaussian_bump_family(0.3, lambda nu: 0.3),
+    "double well gamma=1": continuum.double_well_family(1.0),
+    "double well gamma=0": continuum.double_well_family(0.0),
+    "double well gamma=-3": continuum.double_well_family(-3.0),
+    "noon": continuum.discrete_only_family(resources.noon_amplitudes),
+    "fock": continuum.discrete_only_family(lambda nu: np.arange(nu + 1) == nu),
+    "spike": continuum.spike_profile(0.01),
+}
+
+
+@pytest.mark.parametrize("nu", [8, 64, 512])
+@pytest.mark.parametrize("name", list(STOCK_FAMILIES))
+def test_factorized_gaussian_fit_matches_matrix_probe(name, nu):
+    profile = STOCK_FAMILIES[name]
+    want = _probe_matrix(profile.to_resource(nu).matrix)
+    assert noise._is_factorized_gaussian(profile.amplitudes(nu)) == want
+
+
+def test_factorized_gaussian_fit_needs_no_declaration():
+    # a Gaussian family built by hand; a sign flip, a phase and a ripple as controls
+    gaussian = lambda nu: np.exp(-0.01 * (np.arange(nu + 1) - nu / 2) ** 2)
+    custom = continuum.discrete_only_family(gaussian)
+    report = noise.noisy_convergence(custom, noise.DephasingSpec(0.5, 0.5, 0.0),
+                                     lambda nu: 0.0, 2, [16, 32, 48, 64])
+    assert "not-factorized-gaussian" not in report.hypothesis_flags
+    k, x = np.arange(65), gaussian(64)
+    assert noise._is_factorized_gaussian(x)
+    assert not noise._is_factorized_gaussian(np.where(k == 3, -x, x))
+    assert not noise._is_factorized_gaussian(x * np.exp(0.1j * k))
+    assert not noise._is_factorized_gaussian(x * (1.0 + 1e-3 * np.cos(k)))
+
+
+def test_dense_channels_take_every_resolved_mixing_spec():
+    # `resolve_noise` hands the undesired resource over as diagonals or amplitudes
+    from telefock.cli import resolve_noise
+
+    rho = resources.max_entangled(6)
+    four = dict(a=0.35, b=0.15, c=0.15, d=0.35, x=-0.1, y=0.3)
+    for undesired, sigma in (
+        ({"name": "fock_separable", "k": 2}, resources.fock_separable(6, 2)),
+        ({"name": "noon"}, resources.noon(6)),
+        ({"name": "four_coherence", **four}, noise.four_coherence_state(*four.values(), 6)),
+    ):
+        spec = resolve_noise({"kind": "mixing", "undesired": undesired, "s": 0.5}, 6)
+        block, weight = noise.apply(rho, spec)
+        assert weight == 1.0
+        assert np.allclose(block.matrix, (rho.matrix + 0.5 * sigma.matrix) / 1.5,
+                           rtol=0.0, atol=1e-15)
+    with pytest.raises(StateValidationError, match="matching particle numbers"):
+        noise.apply(resources.max_entangled(5), spec)
