@@ -521,7 +521,7 @@ def main(argv=None) -> int:
             return 3
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ImportError) as exc:  # ImportError: scipy missing at first use
         print(f"environment error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

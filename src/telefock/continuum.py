@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import HypothesisViolationError, QuadratureError, StateValidationError
 from .fock import ResourceState, normalized_amplitudes
@@ -121,7 +120,9 @@ def _quad(func, lo, hi, points=None) -> tuple[float, float]:
     Roundoff-limited warnings with a tiny reported error estimate are
     accepted; anything with a substantial residual error raises.
     """
-    out = integrate.quad(
+    import scipy.integrate
+
+    out = scipy.integrate.quad(
         func, lo, hi,
         epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
         limit=400, points=points if points else None,
@@ -308,9 +309,12 @@ def _validate_grid(nu_grid) -> list[int]:
 def _fit_tail_exponent(xs: np.ndarray, ys: np.ndarray) -> float:
     """Least-squares slope of log ys against log xs over the last half of the grid.
 
-    The first half is discarded as pre-asymptotic transient.
+    The first half is discarded as pre-asymptotic transient.  A tail of
+    equal ys has slope exactly 0, not the round-off a fit would return.
     """
     half = len(xs) // 2
+    if np.all(ys[half:] == ys[half]):
+        return 0.0
     lx, ly = np.log(xs[half:]), np.log(ys[half:])
     slope, _ = np.polyfit(lx, ly, 1)
     return float(slope)

@@ -16,8 +16,6 @@ from itertools import zip_longest
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     NumericalError,
@@ -26,6 +24,18 @@ from .errors import (
 )
 from .fock import Diagonals, ResourceState, dense_state, normalized_amplitudes
 from .protocol import Band, band, band_of_diagonals, fidelity_closed, separable_fidelity
+
+
+def __getattr__(name: str):
+    """Load scipy's `solve_ivp` at first use and keep it as the module
+    attribute `solve_ivp`, which `particle_loss_lindblad` calls; rebinding
+    that attribute rebinds the integrator (PEP 562)."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        globals()[name] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +183,8 @@ def dephasing_threshold_demo(
     def gap(t: float) -> float:
         [(evolved, _)] = band_scan(band0, dephasing, N, [t])
         return fidelity_closed(evolved, N) - f_sep
+
+    from scipy.optimize import brentq
 
     hi = 4.0 * t_star + 1.0
     t_bisect = float(brentq(gap, 0.0, hi, xtol=1e-13, rtol=1e-14))
@@ -366,6 +378,7 @@ def particle_loss_lindblad(
         blocks = unpack(y0)
     else:
         kwargs = {"max_step": dt} if dt is not None else {}
+        solve_ivp = globals().get("solve_ivp") or __getattr__("solve_ivp")
         sol = solve_ivp(
             rhs, (0.0, t), y0, method="RK45", rtol=1e-10, atol=1e-12, **kwargs
         )

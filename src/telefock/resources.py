@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .errors import NumericalError, StateValidationError
 from .fock import Diagonals, ResourceState, normalized_amplitudes
@@ -103,6 +101,8 @@ def su2_coherent_amplitudes(nu: int, theta: float, phi: float) -> np.ndarray:
         raise StateValidationError("theta must lie in [0, pi]")
     if not 0.0 <= phi < 2.0 * np.pi:
         raise StateValidationError("phi must lie in [0, 2 pi)")
+    from scipy.special import gammaln
+
     k = np.arange(nu + 1, dtype=float)
     log_binom = gammaln(nu + 1) - gammaln(k + 1) - gammaln(nu - k + 1)
     s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
@@ -160,6 +160,8 @@ def double_well_ground_amplitudes(params: BoseHubbardParams) -> np.ndarray:
     k = np.arange(nu + 1, dtype=float)
     diag = params.U * (k * (k - 1.0) + (nu - k) * (nu - k - 1.0))
     hop = -params.tau * np.sqrt((k[:-1] + 1.0) * (nu - k[:-1]))
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         _, vec = eigh_tridiagonal(diag, hop, select="i", select_range=(0, 0))
     except Exception as exc:  # pragma: no cover - backend failure path

@@ -414,6 +414,26 @@ def test_converge_with_noise(tmp_path):
     assert payload["converges"]
 
 
+def test_converge_constant_deficit_fits_exponent_zero(tmp_path):
+    # dephasing for a time ~1/nu leaves N00N's 1 - f at exactly 2/3 on every
+    # point; its tail exponent is 0, not a least-squares slope of round-off
+    cfg = write_config(tmp_path, {
+        "schema_version": 1,
+        "kind": "converge",
+        "N": 4,
+        "nu_grid": [40, 80, 160, 320],
+        "family": {"name": "noon"},
+        "noise": {"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5, "t": 0.1},
+        "time_rule": {"exponent": -1.0},
+    })
+    out = tmp_path / "noon.json"
+    assert main(["converge", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    payload = json.loads(out.read_text())
+    assert len(set(payload["one_minus_f"])) == 1
+    assert payload["fitted_exponent"] == 0.0
+    assert not payload["converges"]
+
+
 def test_sweep_gnuplot_companion(tmp_path):
     cfg = write_config(tmp_path, sweep_config())
     out = tmp_path / "rows.csv"

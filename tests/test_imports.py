@@ -1,11 +1,21 @@
-"""Every module-level import in the package is used (a stdlib-only lint)."""
+"""Import layout of the package: every module-level import is used, scipy
+is imported only inside the functions that call it, and the scipy entry
+points an outside tracer rebinds (`noise.solve_ivp`, `scipy.integrate.quad`)
+are looked up at call time.  The lints are stdlib-only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "telefock"
+from telefock import continuum, fock, noise
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "telefock"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +49,132 @@ def test_no_unused_module_level_imports(path):
 def test_checker_catches_an_unused_import():
     source = "import json\nimport math\nfrom os import path as p, sep\n__all__ = ['sep']\nmath.pi\n"
     assert unused_imports(source) == ["json (line 1)", "p (line 3)"]
+
+
+def module_level_scipy_imports(source: str) -> list[str]:
+    """Imports of scipy that run when the module is imported, i.e. outside
+    any function body."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name == "scipy" or name.startswith("scipy.")]
+        pending += ast.iter_child_nodes(node)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_imports(path):
+    assert module_level_scipy_imports(path.read_text()) == []
+
+
+def test_scipy_checker_catches_module_level_imports():
+    source = (
+        "import scipy.linalg\n"
+        "try:\n    from scipy import integrate\nexcept ImportError:\n    pass\n"
+        "class C:\n    from scipy.special import gammaln\n"
+        "def f():\n    from scipy.optimize import brentq\n"
+        "import scipyx\n"
+    )
+    assert module_level_scipy_imports(source) == [
+        "scipy (line 3)", "scipy.linalg (line 1)", "scipy.special (line 7)"]
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_and_a_pure_sweep_load_no_scipy():
+    code = (
+        "import contextlib, io, sys\n"
+        "import telefock, telefock.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = telefock.cli.main(['sweep', '--config', 'configs/sweep_maxent.json'])\n"
+        "assert rc == 0, rc\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'sweep'\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_noise_solve_ivp_resolves_before_other_scipy_use():
+    code = (
+        "import sys\n"
+        "from telefock import noise\n"
+        "assert 'scipy' not in sys.modules\n"
+        "import scipy.integrate\n"
+        "assert noise.solve_ivp is scipy.integrate.solve_ivp\n"
+        "assert vars(noise)['solve_ivp'] is scipy.integrate.solve_ivp\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(AttributeError, match="no_such_name"):
+        noise.no_such_name
+
+
+def counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_rebound_solve_ivp_is_what_the_integrator_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(noise, "solve_ivp", counting(noise.solve_ivp, calls))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    rho = fock.ResourceState.from_amplitudes(x / np.linalg.norm(x))
+    spec = noise.LossSpec((noise.LossChannel(0.5, 1, 0),), t=0.2)
+    noise.particle_loss_lindblad(rho, spec, 0.2)
+    assert calls == [1]
+
+
+def test_rebound_quad_is_what_the_continuum_calls(monkeypatch):
+    import scipy.integrate
+
+    calls = []
+    monkeypatch.setattr(scipy.integrate, "quad", counting(scipy.integrate.quad, calls))
+    continuum.fidelity_continuum(continuum.flat_family(), 2, 100)
+    assert calls
+
+
+# A finder that refuses every scipy module, as on an install without scipy.
+WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from telefock.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_commands_without_scipy_run_or_exit_3_cleanly():
+    sweep = run_python(WITHOUT_SCIPY, "sweep", "--config", "configs/sweep_maxent.json")
+    assert sweep.returncode == 0, sweep.stderr
+    assert sweep.stderr == ""
+    teleport = run_python(WITHOUT_SCIPY, "teleport", "--config", "configs/teleport_maxent.json")
+    assert teleport.returncode == 3
+    assert teleport.stdout == ""
+    assert teleport.stderr.startswith("environment error: No module named 'scipy")
+    assert "Traceback" not in teleport.stderr
+    assert len(teleport.stderr.strip().splitlines()) == 1
