@@ -514,8 +514,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if getattr(args, "config", None) else None
+        if cfg is not None and cfg.get("kind", args.command) != args.command:
+            raise ConfigError(f"config kind {cfg['kind']!r} does not match "
+                              f"the subcommand {args.command!r}")
         return args.handler(cfg, args)
-    except (ConfigError, TelefockError) as exc:
+    except TelefockError as exc:
         if isinstance(exc, (NumericalError, QuadratureError)):
             print(f"numerical error: {exc}", file=sys.stderr)
             return 3

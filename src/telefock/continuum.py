@@ -293,8 +293,8 @@ class ConvergenceReport:
     hypothesis_flags: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)
 
 
 def _validate_grid(nu_grid) -> list[int]:

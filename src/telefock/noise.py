@@ -15,8 +15,10 @@ from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from .continuum import (
+    ContinuumProfile, ConvergenceReport, _convergence_flags, _validate_grid, convergence_report,
+)
 from .errors import (
     NumericalError,
     StateValidationError,
@@ -93,13 +95,9 @@ def dephase(rho: ResourceState, spec: DephasingSpec) -> ResourceState:
     damping kernel is a Gaussian positive-definite function, so positivity
     is preserved as well.
     """
-    nu = rho.n_particles
-    d = np.arange(nu + 1)
-    w = np.exp(-0.5 * spec.t * spec.rate_sum * d ** 2)
-    # Toeplitz view kernel[k, j] = w[|k - j|]: row r of the reversed windows
-    # over (w_nu .. w_1, w_0 .. w_nu) starts at w_r
-    kernel = sliding_window_view(np.concatenate((w[:0:-1], w)), nu + 1)[::-1]
-    return ResourceState(nu, rho.matrix * kernel)
+    k = np.arange(rho.n_particles + 1)
+    kernel = np.exp(-0.5 * spec.t * spec.rate_sum * (k[:, None] - k[None, :]) ** 2)
+    return ResourceState(rho.n_particles, rho.matrix * kernel)
 
 
 def four_coherence_diagonals(
@@ -321,21 +319,16 @@ def particle_loss_analytic(
     return LossResult(nu, surviving, weight, lower)
 
 
-def particle_loss_lindblad(
-    rho: ResourceState, spec: LossSpec, t: float, dt: float | None = None
-) -> LossResult:
+def particle_loss_lindblad(rho: ResourceState, spec: LossSpec, t: float) -> LossResult:
     """Direct integration of the loss master equation.
 
     The generator preserves the direct sum over particle numbers: the
     anticommutator acts within each block, the jump term feeds block b from
     block b + m + n.  Adaptive embedded Runge-Kutta, no trace renormalization
-    (trace drift is a diagnostic, not something to hide).  `dt` caps the step
-    size when given.
+    (trace drift is a diagnostic, not something to hide).
     """
     if t < 0.0:
         raise StateValidationError("time must be nonnegative")
-    if dt is not None and dt <= 0.0:
-        raise StateValidationError("dt must be positive")
     nu = rho.n_particles
     dims = [b + 1 for b in range(nu + 1)]
     offsets = np.concatenate(([0], np.cumsum([d * d for d in dims])))
@@ -348,8 +341,6 @@ def particle_loss_lindblad(
         drop = ch.m + ch.n
         for src in range(drop, nu + 1):
             k = np.arange(ch.m, src - ch.n + 1)
-            if k.size == 0:
-                continue
             amp = np.sqrt(_falling(k, ch.m) * _falling(src - k, ch.n))
             jumps.append((ch.rate, src, src - drop, int(k[0]), amp))
 
@@ -377,11 +368,8 @@ def particle_loss_lindblad(
     if t == 0.0:
         blocks = unpack(y0)
     else:
-        kwargs = {"max_step": dt} if dt is not None else {}
         solve_ivp = globals().get("solve_ivp") or __getattr__("solve_ivp")
-        sol = solve_ivp(
-            rhs, (0.0, t), y0, method="RK45", rtol=1e-10, atol=1e-12, **kwargs
-        )
+        sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=1e-10, atol=1e-12)
         if not sol.success:
             raise NumericalError(f"loss integrator failed: {sol.message}")
         blocks = unpack(sol.y[:, -1].copy())
@@ -439,50 +427,34 @@ def band_scan(
     positive-definite Gaussian kernel, a congruence E rho E, a convex
     combination), so no result needs a certificate.
     """
-    point = _band_channel(resource, spec, N)
+    if not isinstance(spec, (DephasingSpec, MixingSpec, LossSpec)):
+        raise StateValidationError(f"unknown noise channel {type(spec).__name__}")
     key = "s" if isinstance(spec, MixingSpec) else "t"
     # each value passes through the spec, which rejects a negative time or weight
-    return [point(getattr(replace(spec, **{key: float(v)}), key)) for v in values]
-
-
-def _band_channel(resource, spec, N: int):
-    """The map from t (or s) to (band, survival_weight) of `band_scan`."""
+    points = (getattr(replace(spec, **{key: float(v)}), key) for v in values)
+    out = []
     if isinstance(spec, DephasingSpec):
         clean = band(resource, N)
         d2 = np.arange(len(clean.sums) + 1) ** 2
-
-        def dephased(t: float):
+        for t in points:
             w = np.exp(-0.5 * t * spec.rate_sum * d2)[1:]  # as `dephase`'s kernel
-            return replace(clean, sums=clean.sums * w, moduli=clean.moduli * w), 1.0
-
-        return dephased
+            out.append((replace(clean, sums=clean.sums * w, moduli=clean.moduli * w), 1.0))
+        return out
+    nu, rho = _upper_diagonals(resource, N)
     if isinstance(spec, MixingSpec):
-        nu, rho = _upper_diagonals(resource, N)
         sigma_nu, sigma = _upper_diagonals(spec.undesired, N)
         if sigma_nu != nu:
             raise StateValidationError("mixing requires matching particle numbers")
-
-        def mixed(s: float):
+        for s in points:
             pairs = zip_longest(rho(), sigma(), fillvalue=0.0)
-            return band_of_diagonals(nu, ((r + s * q) / (1.0 + s) for r, q in pairs), N), 1.0
-
-        return mixed
-    if isinstance(spec, LossSpec):
-        nu, rho = _upper_diagonals(resource, N)
-        eta = eta_rates(spec, nu)
-
-        def damped(e: np.ndarray):
-            for d, u in enumerate(rho()):
-                v = e[: nu + 1 - d] * u
-                v *= e[d:]
-                yield v
-
-        def lossy(t: float):
-            out = band_of_diagonals(nu, damped(np.exp(-t * eta)), N)
-            return out, out.weight
-
-        return lossy
-    raise StateValidationError(f"unknown noise channel {type(spec).__name__}")
+            out.append((band_of_diagonals(nu, ((r + s * q) / (1.0 + s) for r, q in pairs), N), 1.0))
+        return out
+    eta = eta_rates(spec, nu)
+    for t in points:
+        e = np.exp(-t * eta)
+        lossy = band_of_diagonals(nu, (e[: nu + 1 - d] * u * e[d:] for d, u in enumerate(rho())), N)
+        out.append((lossy, lossy.weight))
+    return out
 
 
 def _upper_diagonals(resource, N: int):
@@ -544,14 +516,15 @@ def loss_fidelity_bounds(
 
     Lower particle-number blocks never contribute to the fidelity (a state
     with the wrong particle number has zero overlap with the input), so f(t)
-    is the band functional of the unnormalized surviving block.  The critical
+    is the band functional of the unnormalized surviving block, read from
+    `band_scan` in O(nu N) per time with no dense block.  The critical
     time 2 t max eta = ln(f(0) (N+2)/2) bounds the window in which the
     evolved state still beats the separable baseline.
     """
     max_eta = float(np.max(eta_rates(spec, rho.n_particles)))
     f0 = fidelity_closed(rho, N)
     times = np.linspace(0.0, spec.t, n_times)
-    fid = [fidelity_closed(apply(rho, replace(spec, t=float(t)))[0], N) for t in times]
+    fid = [fidelity_closed(lossy, N) for lossy, _ in band_scan(rho, spec, N, times)]
     bound = loss_floor(f0, max_eta, times).tolist()
     ratio = f0 * (N + 2) / 2.0
     if max_eta == 0.0:
@@ -598,7 +571,7 @@ def noisy_convergence(
     t_of_nu,
     N: int,
     nu_grid,
-) -> "ConvergenceReport":
+) -> ConvergenceReport:
     """Convergence of the fidelity for a noisy Gaussian resource family.
 
     The entrywise damping of dephasing (or of the two-particle loss set,
@@ -612,10 +585,6 @@ def noisy_convergence(
     is flagged "not-factorized-gaussian".  Each point applies the channel
     to the family's amplitudes on the band path (`band_scan`), O(nu N).
     """
-    from .continuum import (
-        ContinuumProfile, _convergence_flags, _validate_grid, convergence_report,
-    )
-
     if not isinstance(profile, ContinuumProfile):
         raise StateValidationError("expected a ContinuumProfile family")
     if not isinstance(noise, (DephasingSpec, LossSpec)):

@@ -216,16 +216,16 @@ def imbalance_moments(rho: ResourceState) -> tuple[float, float]:
     return mean, var
 
 
-def occupation_peaks(rho: ResourceState, threshold_frac: float = 0.2) -> list[float]:
+def occupation_peaks(rho: ResourceState) -> list[float]:
     """Imbalance locations of strict local maxima of the occupation density.
 
-    Only peaks above `threshold_frac` of the global maximum are reported,
+    Only peaks of at least a fifth of the global maximum are reported,
     ordered by increasing z.
     """
     nu = rho.n_particles
     w = np.diagonal(rho.matrix).real
     z = 1.0 - 2.0 * np.arange(nu + 1) / nu
-    floor = threshold_frac * np.max(w)
+    floor = 0.2 * np.max(w)
     peaks = []
     for i in range(nu + 1):
         left = w[i - 1] if i > 0 else -np.inf

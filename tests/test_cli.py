@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telefock import cli, fock, noise, protocol, resources
+from telefock import cli, continuum, fock, noise, protocol, resources
 from telefock.cli import main
 
 
@@ -712,3 +712,90 @@ def test_teleport_on_fock_separable_runs_no_factorization(tmp_path, monkeypatch)
     assert main(["teleport", "--config", write_config(tmp_path, cfg),
                  "--out", str(out), "--format", "json"]) == 0
     assert json.loads(out.read_text())["fidelity"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_config_kind_must_match_the_subcommand(capsys):
+    teleport = next(p for p in SAMPLE_CONFIGS if p.stem == "teleport_maxent")
+    assert main(["sweep", "--config", str(teleport)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error:") and "'teleport'" in err and "'sweep'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_config_without_kind_is_accepted(tmp_path, capsys):
+    cfg = sweep_config(nu_grid=[10])
+    del cfg["kind"]
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 1
+
+
+def _sweep_fidelities(tmp_path, capsys, resource, grid):
+    cfg = write_config(tmp_path, sweep_config(N=2, nu_grid=grid, resource=resource))
+    assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+    return [(row["fidelity"], row["avg_entanglement"])
+            for row in json.loads(capsys.readouterr().out)]
+
+
+def _library_fidelities(amplitudes_of_nu, grid):
+    reports = [protocol.performance_report(amplitudes_of_nu(nu), 2) for nu in grid]
+    return [(r.fidelity, r.avg_entanglement) for r in reports]
+
+
+@pytest.mark.parametrize("resource, amplitudes_of_nu", [
+    ({"name": "gaussian", "center": 12.5, "sigma": 3.0},
+     lambda nu: resources.gaussian_amplitudes(
+         resources.GaussianSpec(nu=nu, center=12.5, sigma=3.0))),
+    ({"name": "gaussian", "sigma": 3.0},
+     lambda nu: resources.gaussian_amplitudes(
+         resources.GaussianSpec(nu=nu, center=nu / 2.0, sigma=3.0))),
+    ({"name": "su2_coherent", "theta": 1.1, "phi": 0.4},
+     lambda nu: resources.su2_coherent_amplitudes(nu, 1.1, 0.4)),
+    ({"name": "su2_coherent", "theta": 1.1},
+     lambda nu: resources.su2_coherent_amplitudes(nu, 1.1, 0.0)),
+    ({"name": "double_well", "gamma": 3.0, "tau": 0.5},
+     lambda nu: resources.double_well_ground_amplitudes(
+         resources.BoseHubbardParams.from_gamma(nu, 3.0, 0.5))),
+    ({"name": "double_well", "tau": 0.5, "U": 0.02},
+     lambda nu: resources.double_well_ground_amplitudes(
+         resources.BoseHubbardParams(nu=nu, tau=0.5, U=0.02))),
+], ids=["gaussian_center_sigma", "gaussian_sigma", "su2_theta_phi", "su2_theta",
+        "double_well_gamma_tau", "double_well_tau_U"])
+def test_sweep_resource_keys_match_the_library(tmp_path, capsys, resource, amplitudes_of_nu):
+    grid = [20, 40, 80]
+    assert (_sweep_fidelities(tmp_path, capsys, resource, grid)
+            == _library_fidelities(amplitudes_of_nu, grid))
+
+
+@pytest.mark.parametrize("family, profile_of", [
+    ({"name": "fock"},
+     lambda: continuum.discrete_only_family(lambda nu: np.arange(nu + 1) == nu)),
+    ({"name": "double_well", "gamma": 3.0}, lambda: continuum.double_well_family(3.0)),
+], ids=["fock", "double_well"])
+def test_converge_families_match_the_library(tmp_path, family, profile_of):
+    grid = [20, 40, 80, 160]
+    cfg = write_config(tmp_path, {"schema_version": 1, "kind": "converge", "N": 2,
+                                  "nu_grid": grid, "family": family})
+    out = tmp_path / "converge.json"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    expected = continuum.check_proposition2(profile_of(), 2, grid)
+    assert payload["one_minus_f"] == list(expected.one_minus_f)
+    assert payload["converges"] == expected.converges
+    if family["name"] == "fock":
+        # a Fock state teleports no better than the separable baseline 2/(N+2)
+        assert payload["one_minus_f"] == pytest.approx([0.5] * len(grid), abs=1e-12)
+        assert not payload["converges"]
+
+
+def test_teleport_text_output_with_out_writes_the_json_report(tmp_path, capsys):
+    cfg = write_config(tmp_path, teleport_config())
+    assert main(["teleport", "--config", cfg, "--format", "json"]) == 0
+    as_json = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(["teleport", "--config", cfg, "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("resource=max_entangled  N=1  nu=3\n")
+    assert "fidelity          = 0.916666666667" in text
+    assert len(text.splitlines()) == 2 + len(json.loads(as_json)["outcomes"]) + 4
+    assert out.read_text() == as_json

@@ -647,3 +647,30 @@ def test_dense_channels_take_every_resolved_mixing_spec():
                            rtol=0.0, atol=1e-15)
     with pytest.raises(StateValidationError, match="matching particle numbers"):
         noise.apply(resources.max_entangled(5), spec)
+
+
+def test_loss_bounds_read_the_band_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("loss_fidelity_bounds built the dense loss block")
+
+    monkeypatch.setattr(noise, "particle_loss_analytic", refuse)
+    monkeypatch.setattr(noise, "apply", refuse)
+    spec = noise.LossSpec((noise.LossChannel(0.5, 1, 1),), t=0.4)
+    report = noise.loss_fidelity_bounds(resources.max_entangled(1000), spec, 2)
+    assert len(report.fidelity) == 20 and report.bound_satisfied
+
+
+@pytest.mark.parametrize("nu", [6, 12])
+@pytest.mark.parametrize("channels", [
+    (noise.LossChannel(0.7, 1, 0),),
+    (noise.LossChannel(0.5, 1, 1),),
+    noise.two_particle_loss_spec(0.2, 0.3, 0.15, 0.1, 0.05, t=1.0).channels,
+], ids=["one_particle", "pair", "two_particle_set"])
+def test_loss_bounds_fidelity_matches_the_dense_block(nu, channels):
+    rng = np.random.default_rng(300 + nu)
+    N = 2
+    rho = random_resource(nu, rng)
+    spec = noise.LossSpec(channels, t=0.8)
+    report = noise.loss_fidelity_bounds(rho, spec, N)
+    dense = [fidelity_closed(noise.apply(rho, replace(spec, t=t))[0], N) for t in report.times]
+    assert report.fidelity == pytest.approx(dense, rel=1e-14, abs=0.0)
