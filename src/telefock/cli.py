@@ -236,8 +236,10 @@ def resolve_noise(spec: dict, nu: int | None = None):
     if kind == "mixing":
         if nu is None:
             raise ConfigError("mixing channel needs a fixed nu")
+        if "s" in spec:
+            raise ConfigError("mixing noise takes no 's' key: the scan runs over 'weights'")
         undesired = resolve_resource(_get(spec, "undesired", dict), nu)
-        return noise.MixingSpec(undesired, _get(spec, "s", float, required=False, default=0.0))
+        return noise.MixingSpec(undesired, 0.0)
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 

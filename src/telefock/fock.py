@@ -261,13 +261,33 @@ def sample_haar(N: int, rng_seed: int) -> PureTwoModeState:
     return PureTwoModeState(N, c)
 
 
-def haar_amplitude_batch(N: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """`size` Haar-uniform amplitude vectors, one per row."""
+def _haar_normals(N: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Real and imaginary parts of `size` rows of N+1 standard complex
+    Gaussians, as a (2, size, N+1) array: one draw, the same stream as the
+    real parts drawn first and the imaginary parts second."""
     if N < 0:
         raise StateValidationError("particle number must be nonnegative")
-    a = rng.standard_normal((size, N + 1)) + 1j * rng.standard_normal((size, N + 1))
+    return rng.standard_normal((2, size, N + 1))
+
+
+def haar_amplitude_batch(N: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """`size` Haar-uniform amplitude vectors, one per row."""
+    z = _haar_normals(N, size, rng)
+    a = z[0] + 1j * z[1]
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     return a
+
+
+def haar_weight_batch(N: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """The populations |c_k|^2 of `haar_amplitude_batch(N, size, rng)`, each
+    row summing to one, computed in real arithmetic from the same draws."""
+    z = _haar_normals(N, size, rng)
+    z *= z  # in place: no array beyond the draws themselves
+    w = z[0]
+    w += z[1]
+    # a matrix-vector product sums a few columns per row ~10x faster than axis=1
+    w /= (w @ np.ones(N + 1))[:, None]
+    return w
 
 
 def is_product_pure(state: PureTwoModeState) -> bool:

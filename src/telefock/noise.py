@@ -319,66 +319,80 @@ def particle_loss_analytic(
     return LossResult(nu, surviving, weight, lower)
 
 
+def _block_offsets(nu: int) -> np.ndarray:
+    """Start of each b-particle block, b = 0..nu, in the stacked row-major
+    vector of the loss evolution, and its total size sum_b (b+1)^2 last."""
+    return np.concatenate(([0], np.cumsum(np.arange(1, nu + 2) ** 2)))
+
+
+def _loss_generator(spec: LossSpec, nu: int):
+    """The loss master equation on the blocks b = 0..nu, stacked as in
+    `_block_offsets`, as one complex sparse matrix.
+
+    The anticommutator damps entry (k, j) of block b at eta_k + eta_j; the
+    jump term of a channel a_3^m a_4^n feeds entry (k - m, j - m) of block
+    b - m - n from entry (k, j) of block b with rate * A_k A_j, where
+    A_k = sqrt(k!/(k-m)! (b-k)!/(b-k-n)!).
+    """
+    from scipy.sparse import csr_matrix
+
+    offsets = _block_offsets(nu)
+    rows, cols, vals = [], [], []
+    for b in range(nu + 1):
+        eta = eta_rates(spec, b)
+        diagonal = offsets[b] + np.arange((b + 1) ** 2)
+        rows.append(diagonal)
+        cols.append(diagonal)
+        vals.append(-(eta[:, None] + eta[None, :]).ravel())
+    for ch in spec.channels:
+        drop = ch.m + ch.n
+        for src in range(drop, nu + 1):
+            dst = src - drop
+            k = np.arange(ch.m, src - ch.n + 1)
+            amp = np.sqrt(_falling(k, ch.m) * _falling(src - k, ch.n))
+            i = np.arange(k.size)
+            rows.append((offsets[dst] + i[:, None] * (dst + 1) + i[None, :]).ravel())
+            cols.append((offsets[src] + k[:, None] * (src + 1) + k[None, :]).ravel())
+            vals.append((ch.rate * np.outer(amp, amp)).ravel())
+    size = int(offsets[-1])
+    entries = (np.concatenate(vals).astype(complex), (np.concatenate(rows), np.concatenate(cols)))
+    return csr_matrix(entries, shape=(size, size))
+
+
 def particle_loss_lindblad(rho: ResourceState, spec: LossSpec, t: float) -> LossResult:
     """Direct integration of the loss master equation.
 
     The generator preserves the direct sum over particle numbers: the
     anticommutator acts within each block, the jump term feeds block b from
-    block b + m + n.  Adaptive embedded Runge-Kutta, no trace renormalization
+    block b + m + n.  It is constant in time, so it is assembled once as a
+    sparse matrix (`_loss_generator`) and each right-hand side is one
+    mat-vec.  Adaptive embedded Runge-Kutta, no trace renormalization
     (trace drift is a diagnostic, not something to hide).
     """
     if t < 0.0:
         raise StateValidationError("time must be nonnegative")
     nu = rho.n_particles
-    dims = [b + 1 for b in range(nu + 1)]
-    offsets = np.concatenate(([0], np.cumsum([d * d for d in dims])))
-    size = int(offsets[-1])
-
-    # per-block diagonal rates and per-(channel, source-block) jump amplitudes
-    block_eta = [eta_rates(spec, b) for b in range(nu + 1)]
-    jumps = []
-    for ch in spec.channels:
-        drop = ch.m + ch.n
-        for src in range(drop, nu + 1):
-            k = np.arange(ch.m, src - ch.n + 1)
-            amp = np.sqrt(_falling(k, ch.m) * _falling(src - k, ch.n))
-            jumps.append((ch.rate, src, src - drop, int(k[0]), amp))
-
-    def unpack(yflat: np.ndarray) -> list[np.ndarray]:
-        yc = yflat.view(complex)
-        return [
-            yc[offsets[b] : offsets[b + 1]].reshape(dims[b], dims[b])
-            for b in range(nu + 1)
-        ]
-
-    def rhs(_t: float, yflat: np.ndarray) -> np.ndarray:
-        blocks = unpack(yflat)
-        out = [np.zeros_like(blk) for blk in blocks]
-        for b in range(nu + 1):
-            eta = block_eta[b]
-            out[b] -= (eta[:, None] + eta[None, :]) * blocks[b]
-        for rate, src, dst, k0, amp in jumps:
-            sub = blocks[src][k0 : k0 + amp.size, k0 : k0 + amp.size]
-            out[dst][: amp.size, : amp.size] += rate * np.outer(amp, amp) * sub
-        return np.concatenate([o.reshape(-1) for o in out]).view(float)
-
-    y0c = np.zeros(size, dtype=complex)
-    y0c[offsets[nu] : offsets[nu + 1]] = rho.matrix.reshape(-1)
-    y0 = y0c.view(float)
-    if t == 0.0:
-        blocks = unpack(y0)
-    else:
+    offsets = _block_offsets(nu)
+    y = np.zeros(int(offsets[-1]), dtype=complex)
+    y[offsets[nu] :] = rho.matrix.reshape(-1)
+    if t > 0.0:
         solve_ivp = globals().get("solve_ivp") or __getattr__("solve_ivp")
-        sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=1e-10, atol=1e-12)
+        generator = _loss_generator(spec, nu)
+
+        def rhs(_t: float, yflat: np.ndarray) -> np.ndarray:
+            return (generator @ yflat.view(complex)).view(float)
+
+        sol = solve_ivp(rhs, (0.0, t), y.view(float), method="RK45", rtol=1e-10, atol=1e-12)
         if not sol.success:
             raise NumericalError(f"loss integrator failed: {sol.message}")
-        blocks = unpack(sol.y[:, -1].copy())
+        y = sol.y[:, -1].copy().view(complex)
+    blocks = [y[offsets[b] : offsets[b + 1]].reshape(b + 1, b + 1) for b in range(nu + 1)]
     surviving = blocks[nu]
     return LossResult(
         n_particles=nu,
         surviving_block=surviving,
         survival_weight=float(np.trace(surviving).real),
-        lower_blocks=[blocks[b] for b in range(nu)],
+        lower_blocks=blocks[:nu],
     )
 
 

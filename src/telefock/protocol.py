@@ -25,7 +25,7 @@ from .fock import (
     PureTwoModeState,
     ResourceState,
     TwoModeDensityMatrix,
-    haar_amplitude_batch,
+    haar_weight_batch,
 )
 
 PATH_AGREEMENT_TOL = 1e-12
@@ -504,23 +504,35 @@ def _sector_blocks(rho: ResourceState, N: int):
         yield l, k_lo, k_hi, block
 
 
+def _sector_kernel(rho: ResourceState, N: int, moduli: bool) -> np.ndarray:
+    """Sum of the sector blocks of rho, each placed at its input components:
+    the real parts, or the moduli off the diagonal.  The per-input outcome
+    sum over sectors is then one quadratic form in this kernel."""
+    kernel = np.zeros((N + 1, N + 1))
+    for _l, k_lo, k_hi, block in _sector_blocks(rho, N):
+        kernel[k_lo : k_hi + 1, k_lo : k_hi + 1] += np.abs(block) if moduli else block.real
+    if moduli:
+        np.fill_diagonal(kernel, 0.0)
+    return kernel
+
+
+def _estimate(values: np.ndarray) -> tuple[float, float]:
+    return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(values.size))
+
+
 def fidelity_monte_carlo(
     rho: ResourceState, N: int, samples: int = 100_000, rng_seed: int = 0
 ) -> tuple[float, float]:
     """(mean, standard error) of the per-input teleportation overlap.
 
-    Averages <psi| T[|psi><psi|] |psi> over Haar samples, accumulating the
-    outcome sum sector by sector; independent of the closed-form band sum.
+    Averages <psi| T[|psi><psi|] |psi> over Haar samples: a quadratic form in
+    the populations |c_k|^2 with the kernel summed over sector blocks;
+    independent of the closed-form band sum.
     """
     _check_regime(N, rho.n_particles)
-    rng = np.random.default_rng(rng_seed)
-    amps = haar_amplitude_batch(N, samples, rng)
-    probs = np.abs(amps) ** 2
-    overlap = np.zeros(samples)
-    for _l, k_lo, k_hi, block in _sector_blocks(rho, N):
-        sub = probs[:, k_lo : k_hi + 1]
-        overlap += np.einsum("sk,kj,sj->s", sub, block.real, sub)
-    return float(np.mean(overlap)), float(np.std(overlap, ddof=1) / np.sqrt(samples))
+    w = haar_weight_batch(N, samples, np.random.default_rng(rng_seed))
+    kernel = _sector_kernel(rho, N, moduli=False)
+    return _estimate(np.einsum("sk,sk->s", w @ kernel, w))
 
 
 def entanglement_monte_carlo(
@@ -528,16 +540,10 @@ def entanglement_monte_carlo(
 ) -> tuple[float, float]:
     """(mean, standard error) of the outcome-averaged conditional negativity."""
     _check_regime(N, rho.n_particles)
-    rng = np.random.default_rng(rng_seed)
-    amps = haar_amplitude_batch(N, samples, rng)
-    moduli = np.abs(amps)
-    total = np.zeros(samples)
-    for _l, k_lo, k_hi, block in _sector_blocks(rho, N):
-        absb = np.abs(block).copy()
-        np.fill_diagonal(absb, 0.0)
-        sub = moduli[:, k_lo : k_hi + 1]
-        total += 0.5 * np.einsum("sk,kj,sj->s", sub, absb, sub)
-    return float(np.mean(total)), float(np.std(total, ddof=1) / np.sqrt(samples))
+    r = haar_weight_batch(N, samples, np.random.default_rng(rng_seed))
+    np.sqrt(r, out=r)  # the moduli |c_k|
+    kernel = _sector_kernel(rho, N, moduli=True)
+    return _estimate(0.5 * np.einsum("sk,sk->s", r @ kernel, r))
 
 
 def pure_negativity_monte_carlo(
@@ -547,8 +553,6 @@ def pure_negativity_monte_carlo(
 
     The Haar integral of the pure-state negativity equals pi N / 8.
     """
-    rng = np.random.default_rng(rng_seed)
-    amps = haar_amplitude_batch(N, samples, rng)
-    r = np.abs(amps)
-    neg = (np.sum(r, axis=1) ** 2 - 1.0) / 2.0
-    return float(np.mean(neg)), float(np.std(neg, ddof=1) / np.sqrt(samples))
+    r = haar_weight_batch(N, samples, np.random.default_rng(rng_seed))
+    np.sqrt(r, out=r)
+    return _estimate(((r @ np.ones(N + 1)) ** 2 - 1.0) / 2.0)

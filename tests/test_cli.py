@@ -362,6 +362,29 @@ def test_noise_mixing_weight_scan(tmp_path):
         assert row["fidelity"] > f_sep
 
 
+def test_mixing_section_with_s_exits_2(tmp_path, capsys):
+    # the scan runs over `weights`: an `s` in the section would be ignored
+    cfg = write_config(tmp_path, noise_config(nu=8, resource={"name": "max_entangled"},
+                                              noise={**MIXING, "s": 5.0}, weights=[0.0]))
+    assert main(["noise", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "weights" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_mixing_section_without_s_scans_weights(tmp_path):
+    cfg = write_config(tmp_path, noise_config(nu=8, noise=MIXING, weights=[0.0, 5.0]))
+    out = tmp_path / "mix.json"
+    assert main(["noise", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    f_rho = protocol.fidelity_closed(resources.max_entangled(8), 2)
+    f_sep = protocol.separable_fidelity(2)
+    assert [row["t"] for row in rows] == [0.0, 5.0]
+    assert rows[0]["fidelity"] == pytest.approx(f_rho, abs=1e-15)
+    assert rows[1]["fidelity"] == pytest.approx((f_rho + 5.0 * f_sep) / 6.0, abs=1e-12)
+
+
 def test_converge_command(tmp_path):
     cfg = write_config(tmp_path, {
         "schema_version": 1,

@@ -14,6 +14,7 @@ from telefock.fock import (
     ResourceState,
     TwoModeDensityMatrix,
     haar_amplitude_batch,
+    haar_weight_batch,
     is_product_pure,
     negativity,
     negativity_partial_transpose,
@@ -185,6 +186,22 @@ def test_sample_haar_outputs_valid_states():
     amps = haar_amplitude_batch(4, 200, rng)
     for row in amps:
         PureTwoModeState(4, row)  # must not raise
+
+
+def test_haar_amplitude_batch_draws_real_then_imaginary_parts():
+    rng = np.random.default_rng(39)
+    a = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    assert np.array_equal(haar_amplitude_batch(3, 300, np.random.default_rng(39)), a)
+
+
+@pytest.mark.parametrize("N, size", [(0, 5), (1, 1000), (3, 1000), (8, 200)])
+def test_haar_weights_are_the_amplitude_populations(N, size):
+    # same seed, same stream: the weights are |c_k|^2 of the amplitude batch
+    w = haar_weight_batch(N, size, np.random.default_rng(N + 40))
+    amps = haar_amplitude_batch(N, size, np.random.default_rng(N + 40))
+    assert w.shape == (size, N + 1)
+    assert np.max(np.abs(w - np.abs(amps) ** 2)) <= 1e-15
 
 
 def test_haar_mean_population_is_uniform():

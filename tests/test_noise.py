@@ -18,7 +18,7 @@ from telefock.protocol import (
     separable_fidelity,
 )
 
-from helpers import random_input, random_resource
+from helpers import random_input, random_resource, reference_loss_rhs
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +288,32 @@ def test_lindblad_block_bookkeeping():
     assert abs(res.total_trace() - 1.0) < 1e-8
     eligible = res.entanglement_eligible_lower_weights(N=2)
     assert set(eligible) == {4}  # nu - b < N means b > nu - N = 3
+
+
+LOSS_CHANNEL_SETS = [((1, 0),), ((0, 1),), ((1, 1),), ((2, 0),), ((0, 2),),
+                     ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))]
+
+
+@pytest.mark.parametrize("pairs", LOSS_CHANNEL_SETS)
+@pytest.mark.parametrize("nu", range(9))
+def test_loss_generator_matches_the_blockwise_rhs(nu, pairs):
+    rng = np.random.default_rng(nu * 10 + len(pairs))
+    channels = tuple(noise.LossChannel(float(rng.uniform(0.1, 1.0)), m, n) for m, n in pairs)
+    spec = noise.LossSpec(channels, t=0.0)
+    blocks = [rng.standard_normal((b + 1, b + 1)) + 1j * rng.standard_normal((b + 1, b + 1))
+              for b in range(nu + 1)]
+    got = noise._loss_generator(spec, nu) @ np.concatenate([blk.ravel() for blk in blocks])
+    want = np.concatenate([blk.ravel() for blk in reference_loss_rhs(spec, nu, blocks)])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_lindblad_at_time_zero_returns_the_input_block():
+    rng = np.random.default_rng(75)
+    rho = random_resource(5, rng)
+    res = noise.particle_loss_lindblad(rho, noise.two_particle_loss_spec(1, 1, 1, 1, 1, t=0.0), 0.0)
+    assert np.array_equal(res.surviving_block, rho.matrix)
+    assert all(not np.any(block) for block in res.lower_blocks)
+    assert res.survival_weight == float(np.trace(rho.matrix).real)
 
 
 def test_analytic_with_lower_blocks():
@@ -640,7 +666,8 @@ def test_dense_channels_take_every_resolved_mixing_spec():
         ({"name": "noon"}, resources.noon(6)),
         ({"name": "four_coherence", **four}, noise.four_coherence_state(*four.values(), 6)),
     ):
-        spec = resolve_noise({"kind": "mixing", "undesired": undesired, "s": 0.5}, 6)
+        # the section names no weight (a scan sets each); set s as `band_scan` does
+        spec = replace(resolve_noise({"kind": "mixing", "undesired": undesired}, 6), s=0.5)
         block, weight = noise.apply(rho, spec)
         assert weight == 1.0
         assert np.allclose(block.matrix, (rho.matrix + 0.5 * sigma.matrix) / 1.5,

@@ -20,6 +20,7 @@ from telefock.protocol import (
     iter_outcomes,
     multiplicity,
     performance_report,
+    pure_negativity_monte_carlo,
     sector_component_range,
     success_probability_perfect,
     teleport_outcome,
@@ -27,7 +28,7 @@ from telefock.protocol import (
     two_mode_sector,
 )
 
-from helpers import random_input, random_resource
+from helpers import random_input, random_resource, reference_monte_carlo
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +298,26 @@ def test_entanglement_monte_carlo_matches_closed_form():
     N = 2
     mean, se = entanglement_monte_carlo(rho, N, samples=20_000, rng_seed=6)
     assert abs(mean - avg_entanglement_closed(rho, N)) < 3.0 * se
+
+
+@pytest.mark.parametrize("N, nu", [(N, nu) for N in (1, 2, 3) for nu in range(N, 7)])
+def test_monte_carlo_estimators_match_the_per_sector_reference(N, nu):
+    # one summed kernel over real weights == one contraction per sector over
+    # complex amplitudes, on the same Haar draws
+    rho = random_resource(nu, np.random.default_rng(100 * N + nu))
+    for kind, estimator in (("fidelity", fidelity_monte_carlo),
+                            ("entanglement", entanglement_monte_carlo)):
+        seed = 7 * nu + N
+        got = estimator(rho, N, samples=20_000, rng_seed=seed)
+        want = reference_monte_carlo(kind, rho, N, 20_000, seed)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_pure_negativity_monte_carlo_matches_the_reference(N):
+    got = pure_negativity_monte_carlo(N, samples=20_000, rng_seed=N)
+    assert got == pytest.approx(reference_monte_carlo("negativity", None, N, 20_000, N),
+                                rel=0.0, abs=1e-13)
 
 
 def test_triangle_bound_on_random_suite():
