@@ -162,15 +162,13 @@ def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
     if not isinstance(spec, dict):
         raise ConfigError("resource spec must be an object")
     name = _get(spec, "name", str)
-    if spec.get("phases") is not None and name in ("fock_separable", "four_coherence"):
-        raise ConfigError(f"config key 'phases' does not apply to the {name!r} state")
     if name == "max_entangled":
-        amps = resources.max_entangled_amplitudes(nu)
+        resource = resources.max_entangled_amplitudes(nu)
     elif name == "noon":
-        amps = resources.noon_amplitudes(nu)
+        resource = resources.noon_amplitudes(nu)
     elif name == "fock_separable":
         k = _get(spec, "k", int, required=False, default=nu)
-        return resources.fock_separable_diagonals(nu, k)
+        resource = resources.fock_separable_diagonals(nu, k)
     elif name == "gaussian":
         beta = _get(spec, "beta", float, required=False)
         if beta is not None:
@@ -183,9 +181,9 @@ def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
                 center=_get(spec, "center", float, required=False, default=nu / 2.0),
                 sigma=_get(spec, "sigma", float),
             )
-        amps = resources.gaussian_amplitudes(gspec)
+        resource = resources.gaussian_amplitudes(gspec)
     elif name == "su2_coherent":
-        amps = resources.su2_coherent_amplitudes(
+        resource = resources.su2_coherent_amplitudes(
             nu, _get(spec, "theta", float), _get(spec, "phi", float, required=False, default=0.0)
         )
     elif name == "double_well":
@@ -198,9 +196,9 @@ def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
             params = resources.BoseHubbardParams(
                 nu=nu, tau=_get(spec, "tau", float), U=_get(spec, "U", float)
             )
-        amps = resources.double_well_ground_amplitudes(params)
+        resource = resources.double_well_ground_amplitudes(params)
     elif name == "four_coherence":
-        return noise.four_coherence_diagonals(
+        resource = noise.four_coherence_diagonals(
             _get(spec, "a", float), _get(spec, "b", float),
             _get(spec, "c", float), _get(spec, "d", float),
             _get(spec, "x", float), _get(spec, "y", float), nu,
@@ -209,14 +207,16 @@ def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
         raise ConfigError(f"unknown resource name {name!r}")
     phase = spec.get("phases")
     if phase is not None:
+        if isinstance(resource, fock.Diagonals):
+            raise ConfigError(f"config key 'phases' does not apply to the {name!r} state")
         kind = _get(phase, "kind", str)
         if kind == "alternating":
-            amps = amps * (1.0 - 2.0 * (np.arange(nu + 1) % 2))
+            resource = resource * (1.0 - 2.0 * (np.arange(nu + 1) % 2))
         elif kind == "linear":
-            amps = amps * resources.linear_phase(_get(phase, "coefficient", float), nu + 1)
+            resource = resource * resources.linear_phase(_get(phase, "coefficient", float), nu + 1)
         else:
             raise ConfigError(f"unknown phase kind {kind!r}")
-    return amps
+    return resource
 
 
 def resolve_noise(spec: dict, nu: int | None = None):
@@ -291,7 +291,7 @@ def cmd_teleport(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     nu = _get(cfg, "nu", int)
     resource_spec = _get(cfg, "resource", dict)
-    rho = fock.dense_state(resolve_resource(resource_spec, nu))
+    rho = resolve_resource(resource_spec, nu)
     psi_cfg = cfg.get("psi")
     if psi_cfg is not None:
         psi = fock.PureTwoModeState(N, _psi_amplitudes(psi_cfg, N))
@@ -441,15 +441,15 @@ def cmd_ground_state(cfg: dict, args) -> int:
     nu = _get(cfg, "nu", int)
     gamma = _get(cfg, "gamma", float)
     params = resources.BoseHubbardParams.from_gamma(nu, gamma)
-    rho = resources.double_well_ground(params)
-    mean, var = resources.imbalance_moments(rho)
+    x = resources.double_well_ground_amplitudes(params)
+    mean, var = resources.imbalance_moments(x)
     payload = {
         "nu": nu, "gamma": gamma, "N": N,
         "imbalance_mean": mean,
         "imbalance_variance": var,
-        "fidelity": protocol.fidelity_closed(rho, N),
-        "avg_entanglement": protocol.avg_entanglement_closed(rho, N),
-        "peaks": resources.occupation_peaks(rho),
+        "fidelity": protocol.fidelity_closed(x, N),
+        "avg_entanglement": protocol.avg_entanglement_closed(x, N),
+        "peaks": resources.occupation_peaks(x),
     }
     if gamma > -1.0:
         payload["predicted_variance"] = 1.0 / (nu * np.sqrt(gamma + 1.0))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StateValidationError
+from .errors import StateValidationError, UnsupportedRegimeError
 
 # Construction tolerances (norm, trace, hermiticity) and the eigenvalue
 # floor admitted for positive semidefiniteness.  The looser spectral floor
@@ -71,14 +71,12 @@ class TwoModeDensityMatrix:
     dense noise channels (`noise.mix`, `noise.dephase`) included, is
     certified.
 
-    Dense states are built only where a computation needs every entry:
-    `teleport` outcome tables, `ground-state`, and the oracles (four-mode
-    contraction, Monte Carlo, Lindblad integration, the dense channels).
-    Sweeps read amplitude vectors and noise scans read `Diagonals` or
-    amplitudes, O(M N) in memory.  Their channels keep a positive resource
-    positive (dephasing is a Schur product with a positive-definite
-    Gaussian kernel, loss a congruence E rho E, mixing convex), so no
-    certificate is lost by skipping the dense state.
+    Dense resources are built only by the oracles (four-mode contraction,
+    Monte Carlo, Lindblad integration, the dense channels).  The commands
+    read amplitudes or `Diagonals` in O(M N) memory; `teleport` certifies
+    each sector's conditional state.  The noise channels keep a positive
+    resource positive (a Schur product with a positive-definite Gaussian
+    kernel, a congruence E rho E, a convex mix), so no certificate is lost.
     """
 
     total_particles: int
@@ -181,6 +179,16 @@ class Diagonals:
                 raise StateValidationError(f"diagonal {d} has non-finite entries")
         object.__setattr__(self, "upper", upper)
 
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The block rho[lo:hi+1, lo:hi+1], from its first hi - lo + 1 diagonals."""
+        n = hi - lo + 1
+        i = np.arange(n)
+        m = np.zeros((n, n), dtype=complex)
+        for d, u in enumerate(self.upper[:n]):
+            m[i[d:], i[: n - d]] = np.conj(u[lo : lo + n - d])
+            m[i[: n - d], i[d:]] = u[lo : lo + n - d]
+        return m
+
     def state(self) -> ResourceState:
         """The dense state, certified like any other.
 
@@ -188,13 +196,8 @@ class Diagonals:
         at or above PSD_EIG_FLOOR needs no factorization.
         """
         nu = self.n_particles
-        k = np.arange(nu + 1)
-        m = np.zeros((nu + 1, nu + 1), dtype=complex)
-        for d, u in enumerate(self.upper):
-            m[k[d:], k[: nu + 1 - d]] = np.conj(u)
-            m[k[: nu + 1 - d], k[d:]] = u
         diagonal = len(self.upper) == 1 and bool(np.all(self.upper[0].real >= PSD_EIG_FLOOR))
-        return ResourceState(nu, m, validate_spectrum=not diagonal)
+        return ResourceState(nu, self.block(0, nu), validate_spectrum=not diagonal)
 
 
 def dense_state(resource) -> ResourceState:
@@ -218,6 +221,38 @@ def normalized_amplitudes(x) -> np.ndarray:
     if not 0.0 < nrm < np.inf:
         raise StateValidationError(f"amplitude vector norm must be finite and nonzero, got {nrm!r}")
     return x / nrm
+
+
+def _entries(resource) -> np.ndarray:
+    """A state's (or raw) matrix, or amplitudes as `ResourceState.from_amplitudes` takes them."""
+    m = np.asarray(getattr(resource, "matrix", resource))
+    if m.ndim not in (1, 2):
+        raise UnsupportedRegimeError(f"a {type(resource).__name__} holds no entries")
+    return m if m.ndim == 2 else normalized_amplitudes(m.astype(complex))
+
+
+def _upper_diagonals(resource, N: int):
+    """(nu, diagonals): diagonals() yields the upper diagonals d = 0, 1, ...
+    one at a time: up to d = min(N, nu) of amplitudes or a state, all of `Diagonals`."""
+    if isinstance(resource, Diagonals):
+        return resource.n_particles, lambda: iter(resource.upper)
+    m = _entries(resource)
+    nu = m.shape[0] - 1
+    if m.ndim == 2:
+        return nu, lambda: (np.diagonal(m, d) for d in range(min(N, nu) + 1))
+    return nu, lambda: (m[d:].conj() * m[: nu + 1 - d] for d in range(min(N, nu) + 1))
+
+
+def _sector_reader(resource):
+    """(nu, block): block(lo, hi) is rho[lo:hi+1, lo:hi+1] of a state, amplitudes
+    or `Diagonals`, bit for bit as in the dense state, which is not built.  A
+    state gives its own slice: one Hermitian only to NORM_TOL keeps its entries."""
+    if isinstance(resource, Diagonals):
+        return resource.n_particles, resource.block
+    m = _entries(resource)
+    if m.ndim == 2:
+        return m.shape[0] - 1, lambda lo, hi: m[lo : hi + 1, lo : hi + 1]
+    return m.shape[0] - 1, lambda lo, hi: np.outer(m[lo : hi + 1], m[lo : hi + 1].conj())
 
 
 def negativity(state: TwoModeDensityMatrix) -> float:

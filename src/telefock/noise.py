@@ -24,7 +24,7 @@ from .errors import (
     StateValidationError,
     UnsupportedRegimeError,
 )
-from .fock import Diagonals, ResourceState, dense_state, normalized_amplitudes
+from .fock import Diagonals, ResourceState, _upper_diagonals, dense_state
 from .protocol import Band, band, band_of_diagonals, fidelity_closed, separable_fidelity
 
 
@@ -469,35 +469,6 @@ def band_scan(
         lossy = band_of_diagonals(nu, (e[: nu + 1 - d] * u * e[d:] for d, u in enumerate(rho())), N)
         out.append((lossy, lossy.weight))
     return out
-
-
-def _upper_diagonals(resource, N: int):
-    """(nu, diagonals): diagonals() yields the upper diagonals d = 0, 1, ...
-    of the resource one at a time, up to d = min(N, nu) for amplitudes or a
-    state, and all of a `Diagonals`.
-
-    Amplitudes give the entries of `ResourceState.from_amplitudes`, bit for
-    bit: cast to complex, renormalized, x_k conj(x_{k+d}).  Only the vector
-    is held, so a scan over amplitudes stays at O(nu) memory.
-    """
-    if isinstance(resource, Diagonals):
-        return resource.n_particles, lambda: iter(resource.upper)
-    if isinstance(resource, Band):
-        raise UnsupportedRegimeError("loss and mixing need the resource's entries, not its band")
-    m = np.asarray(getattr(resource, "matrix", resource))
-    nu = m.shape[0] - 1
-    width = min(N, nu)
-    if m.ndim == 2:
-        return nu, lambda: (np.diagonal(m, d) for d in range(width + 1))
-    x = normalized_amplitudes(m.astype(complex))
-
-    def products():
-        for d in range(width + 1):
-            u = x[d:].conj()
-            u *= x[: nu + 1 - d]
-            yield u
-
-    return nu, products
 
 
 @dataclass

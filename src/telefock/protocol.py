@@ -25,6 +25,7 @@ from .fock import (
     PureTwoModeState,
     ResourceState,
     TwoModeDensityMatrix,
+    _sector_reader,
     haar_weight_batch,
 )
 
@@ -141,36 +142,47 @@ class TeleportOutcome:
 
 
 def teleport_outcome(
-    psi: PureTwoModeState, rho: ResourceState, l: int, lam: int
+    psi: PureTwoModeState, rho: ResourceState | Diagonals | np.ndarray, l: int, lam: int
 ) -> TeleportOutcome:
     """Conditional teleported state on modes 1,4 for outcome (l, lam).
 
     Closed form: the unnormalized state is
     sum_{k,j} rho[k+l, j+l] c_k conj(c_j) / C_l |k><j| (x) |N-k><N-j|
     over the sector's component range, and the probability is its trace.
+    Neither depends on lam.  `rho` is a state, `Diagonals` or a normalized
+    amplitude vector; only the sector's block is read.
     """
-    N, nu = psi.n_particles, rho.n_particles
-    _check_regime(N, nu)
-    c_l = multiplicity(N, nu, l)
+    nu, block = _sector_reader(rho)
+    c_l = multiplicity(psi.n_particles, nu, l)
     if not 0 <= lam < c_l:
         raise StateValidationError(f"phase label lam={lam} outside [0, {c_l - 1}]")
+    return TeleportOutcome(l, lam, *_sector_outcome(psi, block, nu, l))
+
+
+def _sector_outcome(psi: PureTwoModeState, block, nu: int, l: int):
+    """(probability, certified state or None) of every outcome of sector l."""
+    N = psi.n_particles
+    c_l = multiplicity(N, nu, l)
     k_lo, k_hi = sector_component_range(N, nu, l)
     c = psi.amplitudes[k_lo : k_hi + 1]
-    block = rho.matrix[k_lo + l : k_hi + l + 1, k_lo + l : k_hi + l + 1]
-    unnorm = np.outer(c, c.conj()) * block / c_l
+    unnorm = np.outer(c, c.conj()) * block(k_lo + l, k_hi + l) / c_l
     p = max(float(np.trace(unnorm).real), 0.0)
     if p == 0.0:
-        return TeleportOutcome(l, lam, 0.0, None)
+        return 0.0, None
     full = np.zeros((N + 1, N + 1), dtype=complex)
     full[k_lo : k_hi + 1, k_lo : k_hi + 1] = unnorm / p
-    return TeleportOutcome(l, lam, p, TwoModeDensityMatrix(N, full))
+    return p, TwoModeDensityMatrix(N, full)
 
 
-def iter_outcomes(psi: PureTwoModeState, rho: ResourceState):
-    """All teleport outcomes, ordered by (l, lam)."""
-    basis = build_basis(psi.n_particles, rho.n_particles)
-    for l, lam in basis.outcomes:
-        yield teleport_outcome(psi, rho, l, lam)
+def iter_outcomes(psi: PureTwoModeState, rho: ResourceState | Diagonals | np.ndarray):
+    """All teleport outcomes, ordered by (l, lam), of any form `teleport_outcome`
+    reads.  The C_l outcomes of sector l share one state, certified once."""
+    N = psi.n_particles
+    nu, block = _sector_reader(rho)
+    for l in range(-N, nu + 1):
+        p, state = _sector_outcome(psi, block, nu, l)
+        for lam in range(multiplicity(N, nu, l)):
+            yield TeleportOutcome(l, lam, p, state)
 
 
 def average_teleported(
@@ -496,21 +508,17 @@ def two_mode_sector(joint: np.ndarray, N: int, nu: int) -> tuple[np.ndarray, flo
 # Monte-Carlo estimators over Haar-random inputs
 # ---------------------------------------------------------------------------
 
-def _sector_blocks(rho: ResourceState, N: int):
-    nu = rho.n_particles
-    for l in range(-N, nu + 1):
-        k_lo, k_hi = sector_component_range(N, nu, l)
-        block = rho.matrix[k_lo + l : k_hi + l + 1, k_lo + l : k_hi + l + 1]
-        yield l, k_lo, k_hi, block
-
-
 def _sector_kernel(rho: ResourceState, N: int, moduli: bool) -> np.ndarray:
     """Sum of the sector blocks of rho, each placed at its input components:
     the real parts, or the moduli off the diagonal.  The per-input outcome
     sum over sectors is then one quadratic form in this kernel."""
+    nu, block = _sector_reader(rho)
+    _check_regime(N, nu)
     kernel = np.zeros((N + 1, N + 1))
-    for _l, k_lo, k_hi, block in _sector_blocks(rho, N):
-        kernel[k_lo : k_hi + 1, k_lo : k_hi + 1] += np.abs(block) if moduli else block.real
+    for l in range(-N, nu + 1):
+        k_lo, k_hi = sector_component_range(N, nu, l)
+        b = block(k_lo + l, k_hi + l)
+        kernel[k_lo : k_hi + 1, k_lo : k_hi + 1] += np.abs(b) if moduli else b.real
     if moduli:
         np.fill_diagonal(kernel, 0.0)
     return kernel
@@ -529,9 +537,8 @@ def fidelity_monte_carlo(
     the populations |c_k|^2 with the kernel summed over sector blocks;
     independent of the closed-form band sum.
     """
-    _check_regime(N, rho.n_particles)
-    w = haar_weight_batch(N, samples, np.random.default_rng(rng_seed))
     kernel = _sector_kernel(rho, N, moduli=False)
+    w = haar_weight_batch(N, samples, np.random.default_rng(rng_seed))
     return _estimate(np.einsum("sk,sk->s", w @ kernel, w))
 
 
@@ -539,10 +546,9 @@ def entanglement_monte_carlo(
     rho: ResourceState, N: int, samples: int = 100_000, rng_seed: int = 0
 ) -> tuple[float, float]:
     """(mean, standard error) of the outcome-averaged conditional negativity."""
-    _check_regime(N, rho.n_particles)
+    kernel = _sector_kernel(rho, N, moduli=True)
     r = haar_weight_batch(N, samples, np.random.default_rng(rng_seed))
     np.sqrt(r, out=r)  # the moduli |c_k|
-    kernel = _sector_kernel(rho, N, moduli=True)
     return _estimate(0.5 * np.einsum("sk,sk->s", r @ kernel, r))
 
 

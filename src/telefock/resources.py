@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, StateValidationError
-from .fock import Diagonals, ResourceState, normalized_amplitudes
+from .fock import Diagonals, ResourceState, _upper_diagonals, normalized_amplitudes
 
 
 def max_entangled_amplitudes(nu: int) -> np.ndarray:
@@ -206,30 +206,27 @@ def apply_phases(rho: ResourceState, theta: Callable[[int], float]) -> ResourceS
     )
 
 
-def imbalance_moments(rho: ResourceState) -> tuple[float, float]:
+def _imbalance_populations(rho) -> tuple[np.ndarray, np.ndarray]:
+    """(z, w): the imbalance 1 - 2k/nu and the populations of any resource form."""
+    nu, diagonals = _upper_diagonals(rho, 0)
+    return 1.0 - 2.0 * np.arange(nu + 1) / nu, next(diagonals()).real
+
+
+def imbalance_moments(rho) -> tuple[float, float]:
     """(mean, variance) of the occupation imbalance z = 1 - 2k/nu."""
-    nu = rho.n_particles
-    z = 1.0 - 2.0 * np.arange(nu + 1) / nu
-    weights = np.diagonal(rho.matrix).real
+    z, weights = _imbalance_populations(rho)
     mean = float(np.dot(z, weights))
     var = float(np.dot(z ** 2, weights) - mean ** 2)
     return mean, var
 
 
-def occupation_peaks(rho: ResourceState) -> list[float]:
+def occupation_peaks(rho) -> list[float]:
     """Imbalance locations of strict local maxima of the occupation density.
 
     Only peaks of at least a fifth of the global maximum are reported,
     ordered by increasing z.
     """
-    nu = rho.n_particles
-    w = np.diagonal(rho.matrix).real
-    z = 1.0 - 2.0 * np.arange(nu + 1) / nu
-    floor = 0.2 * np.max(w)
-    peaks = []
-    for i in range(nu + 1):
-        left = w[i - 1] if i > 0 else -np.inf
-        right = w[i + 1] if i < nu else -np.inf
-        if w[i] > left and w[i] > right and w[i] >= floor:
-            peaks.append(float(z[i]))
-    return sorted(peaks)
+    z, w = _imbalance_populations(rho)
+    padded = np.pad(w, 1, constant_values=-np.inf)
+    peak = (w > padded[:-2]) & (w > padded[2:]) & (w >= 0.2 * np.max(w))
+    return sorted(z[peak].tolist())

@@ -2,7 +2,28 @@
 
 import numpy as np
 
-from telefock.fock import PureTwoModeState, ResourceState, haar_amplitude_batch
+from telefock.fock import (
+    PureTwoModeState, ResourceState, TwoModeDensityMatrix, haar_amplitude_batch,
+)
+from telefock.protocol import TeleportOutcome, multiplicity, sector_component_range
+
+# one spec per resource name `cli.resolve_resource` knows, and both phase kinds
+CLI_RESOURCES = [
+    {"name": "max_entangled"},
+    {"name": "max_entangled", "phases": {"kind": "alternating"}},
+    {"name": "max_entangled", "phases": {"kind": "linear", "coefficient": 0.7}},
+    {"name": "noon"},
+    {"name": "fock_separable", "k": 2},
+    {"name": "gaussian", "beta": 0.5},
+    {"name": "su2_coherent", "theta": 1.1, "phi": 0.4},
+    {"name": "double_well", "gamma": 3.0},
+    {"name": "four_coherence", "a": 0.35, "b": 0.15, "c": 0.15, "d": 0.35, "x": -0.1, "y": 0.3},
+]
+
+
+def resource_id(spec: dict) -> str:
+    phases = spec.get("phases")
+    return spec["name"] + (f"-{phases['kind']}" if phases else "")
 
 
 def random_resource(nu: int, rng: np.random.Generator) -> ResourceState:
@@ -18,6 +39,37 @@ def random_pure_resource(nu: int, rng: np.random.Generator) -> ResourceState:
 
 def random_input(N: int, rng: np.random.Generator) -> PureTwoModeState:
     return PureTwoModeState(N, haar_amplitude_batch(N, 1, rng)[0])
+
+
+def reference_teleport_outcome(psi, rho: ResourceState, l: int, lam: int) -> TeleportOutcome:
+    """Outcome (l, lam) from a dense resource, one outcome at a time: the
+    conditional state sliced from rho.matrix and certified per outcome."""
+    N, nu = psi.n_particles, rho.n_particles
+    c_l = multiplicity(N, nu, l)
+    assert 0 <= lam < c_l
+    k_lo, k_hi = sector_component_range(N, nu, l)
+    c = psi.amplitudes[k_lo : k_hi + 1]
+    block = rho.matrix[k_lo + l : k_hi + l + 1, k_lo + l : k_hi + l + 1]
+    unnorm = np.outer(c, c.conj()) * block / c_l
+    p = max(float(np.trace(unnorm).real), 0.0)
+    if p == 0.0:
+        return TeleportOutcome(l, lam, 0.0, None)
+    full = np.zeros((N + 1, N + 1), dtype=complex)
+    full[k_lo : k_hi + 1, k_lo : k_hi + 1] = unnorm / p
+    return TeleportOutcome(l, lam, p, TwoModeDensityMatrix(N, full))
+
+
+def reference_occupation_peaks(w: np.ndarray, z: np.ndarray) -> list:
+    """Strict local maxima of the populations w at or above a fifth of
+    their maximum, level by level, as their imbalances z in increasing order."""
+    floor = 0.2 * np.max(w)
+    peaks = []
+    for i in range(w.size):
+        left = w[i - 1] if i > 0 else -np.inf
+        right = w[i + 1] if i < w.size - 1 else -np.inf
+        if w[i] > left and w[i] > right and w[i] >= floor:
+            peaks.append(float(z[i]))
+    return sorted(peaks)
 
 
 def reference_monte_carlo(kind: str, rho, N: int, samples: int, rng_seed: int):

@@ -14,6 +14,8 @@ import pytest
 from telefock import cli, continuum, fock, noise, protocol, resources
 from telefock.cli import main
 
+from helpers import CLI_RESOURCES, resource_id
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -822,3 +824,77 @@ def test_teleport_text_output_with_out_writes_the_json_report(tmp_path, capsys):
     assert "fidelity          = 0.916666666667" in text
     assert len(text.splitlines()) == 2 + len(json.loads(as_json)["outcomes"]) + 4
     assert out.read_text() == as_json
+
+
+@pytest.mark.parametrize("spec", CLI_RESOURCES, ids=resource_id)
+def test_teleport_and_sweep_report_the_same_functionals(tmp_path, capsys, spec):
+    # both read the resolved resource, so the numbers agree bit for bit
+    grid = [37, 100, 211]
+    for N in (1, 2, 3):
+        cfg = write_config(tmp_path, sweep_config(N=N, nu_grid=grid, resource=spec))
+        assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+        swept = json.loads(capsys.readouterr().out)
+        for nu, row in zip(grid, swept):
+            cfg = write_config(tmp_path, teleport_config(N=N, nu=nu, resource=spec))
+            assert main(["teleport", "--config", cfg, "--format", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            for key in ("fidelity", "avg_entanglement", "triangle_slack"):
+                assert report[key] == row[key], (N, nu, key)
+
+
+def test_commands_build_no_dense_resource(tmp_path, capsys, monkeypatch):
+    runs = [[json.loads(p.read_text())["kind"], "--config", str(p), "--format", "json"]
+            for p in SAMPLE_CONFIGS]
+    runs += [["teleport", "--format", "json", "--config", write_config(
+        tmp_path, teleport_config(N=2, nu=9, resource=spec), f"{resource_id(spec)}.json")]
+        for spec in CLI_RESOURCES]
+
+    def outputs():
+        got = []
+        for argv in runs:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+            got.append(capsys.readouterr().out)
+        return got
+
+    want = outputs()
+
+    def refuse(*args):
+        raise AssertionError("built a dense (nu+1)^2 resource")
+
+    monkeypatch.setattr(fock, "dense_state", refuse)
+    monkeypatch.setattr(fock.ResourceState, "from_amplitudes", classmethod(refuse))
+    monkeypatch.setattr(fock.Diagonals, "state", refuse)
+    assert outputs() == want
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("teleport", {"schema_version": 1, "kind": "teleport", "N": 1, "nu": 20000,
+                  "resource": {"name": "max_entangled"}}),
+    ("ground-state", {"schema_version": 1, "kind": "ground-state", "N": 2, "nu": MILLION,
+                      "gamma": 7.368062997280773}),
+    ("ground-state", {"schema_version": 1, "kind": "ground-state", "N": 2, "nu": MILLION,
+                      "gamma": -2.0}),
+], ids=["teleport", "ground-state-repulsive", "ground-state-attractive"])
+def test_teleport_and_ground_state_at_scale_in_bounded_memory(tmp_path, kind, cfg):
+    # a dense resource would take 6.4 GB (teleport) and 16 TB (ground-state)
+    out = tmp_path / "out.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", MEASURED_RUN, kind, "--config", write_config(tmp_path, cfg),
+         "--out", str(out), "--format", "json"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    stats = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert proc.returncode == 0 and stats["rc"] == 0
+    assert stats["rss_mb"] < 200.0, stats
+    payload = json.loads(out.read_text())
+    nu = cfg["nu"]
+    if kind == "teleport":
+        assert len(payload["outcomes"]) == 2 * (nu + 1)
+        assert sum(row["probability"] for row in payload["outcomes"]) == pytest.approx(1.0)
+        assert payload["fidelity"] == pytest.approx(1.0 - 1.0 / (3.0 * (nu + 1)), abs=1e-12)
+    elif "predicted_variance" in payload:
+        assert payload["imbalance_variance"] == pytest.approx(
+            payload["predicted_variance"], rel=0.10)
+    else:
+        assert len(payload["peaks"]) == 2
+        assert payload["peaks"] == pytest.approx(payload["predicted_peaks"], rel=0.05)

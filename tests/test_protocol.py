@@ -4,7 +4,7 @@ performance functionals vs Monte-Carlo estimates."""
 import numpy as np
 import pytest
 
-from telefock import resources
+from telefock import cli, fock, resources
 from telefock.errors import StateValidationError, UnsupportedRegimeError
 from telefock.fock import PureTwoModeState, negativity
 from telefock.protocol import (
@@ -28,7 +28,10 @@ from telefock.protocol import (
     two_mode_sector,
 )
 
-from helpers import random_input, random_resource, reference_monte_carlo
+from helpers import (
+    CLI_RESOURCES, random_input, random_resource, reference_monte_carlo, reference_teleport_outcome,
+    resource_id,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +398,60 @@ def test_success_probability_matches_outcome_sum():
         )
         assert success_probability_perfect(rho, N, psi=psi) == pytest.approx(
             by_outcome, abs=1e-12)
+
+
+def _assert_same_outcomes(got, want):
+    assert [(o.l, o.lam) for o in got] == [(o.l, o.lam) for o in want]
+    for g, w in zip(got, want):
+        assert g.probability == w.probability
+        assert (g.state is None) == (w.state is None)
+        if g.state is not None:
+            assert np.array_equal(g.state.matrix, w.state.matrix)
+            assert negativity(g.state) == negativity(w.state)
+
+
+@pytest.mark.parametrize("spec", CLI_RESOURCES, ids=resource_id)
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_outcomes_of_each_resolved_resource_match_the_dense_reference(spec, N):
+    # amplitudes and Diagonals give the outcome table of their dense state bit for bit
+    psi = random_input(N, np.random.default_rng(40 + N))
+    for nu in sorted({max(N, 3), 7, 12}):
+        resource = cli.resolve_resource(spec, nu)
+        dense = fock.dense_state(resource)
+        labels = build_basis(N, nu).outcomes
+        want = [reference_teleport_outcome(psi, dense, l, lam) for l, lam in labels]
+        _assert_same_outcomes(list(iter_outcomes(psi, resource)), want)
+        _assert_same_outcomes([teleport_outcome(psi, resource, l, lam) for l, lam in labels], want)
+
+
+def test_outcomes_of_a_dense_state_match_the_reference():
+    rng = np.random.default_rng(41)
+    for N, nu in [(1, 1), (1, 4), (2, 4), (3, 5), (3, 9)]:
+        psi, rho = random_input(N, rng), random_resource(nu, rng)
+        labels = build_basis(N, nu).outcomes
+        want = [reference_teleport_outcome(psi, rho, l, lam) for l, lam in labels]
+        _assert_same_outcomes([teleport_outcome(psi, rho, l, lam) for l, lam in labels], want)
+        _assert_same_outcomes(list(iter_outcomes(psi, rho)), want)
+
+
+def test_outcomes_certify_one_state_per_sector(monkeypatch):
+    psi = PureTwoModeState(2, np.array([0.6, 0.0, 0.8]))
+    states = [random_resource(6, np.random.default_rng(42)), resources.fock_separable(6, 3),
+              resources.fock_separable_diagonals(6, 3), resources.max_entangled_amplitudes(6)]
+    shapes = []
+    certified = fock._psd_certified
+
+    def count(m):
+        shapes.append(m.shape)
+        return certified(m)
+
+    monkeypatch.setattr(fock, "_psd_certified", count)
+    for rho in states:
+        shapes.clear()
+        outcomes = list(iter_outcomes(psi, rho))
+        sectors = {o.l for o in outcomes if o.probability > 0.0}
+        assert len(outcomes) > len(sectors) > 0
+        assert shapes == [(3, 3)] * len(sectors)
+        # the outcomes of a sector share its state
+        for l in sectors:
+            assert len({id(o.state) for o in outcomes if o.l == l}) == 1

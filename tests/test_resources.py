@@ -6,12 +6,14 @@ from scipy.special import gammaln
 
 from telefock import resources
 from telefock.errors import StateValidationError
-from telefock.fock import negativity
+from telefock.fock import Diagonals, negativity
 from telefock.protocol import (
     avg_entanglement_closed,
     fidelity_closed,
     fidelity_closed_pure,
 )
+
+from helpers import reference_occupation_peaks
 
 
 def binomial_amplitudes(nu: int) -> np.ndarray:
@@ -263,3 +265,28 @@ def test_real_families_return_float64_amplitudes():
         assert abs(np.linalg.norm(x) - 1.0) < 1e-15
     assert resources.su2_coherent_amplitudes(9, 1.1, 0.7).dtype == np.complex128
 
+
+
+@pytest.mark.parametrize("gamma", [-3.0, -2.0, -1.0, 0.0, 5.0, 7.368062997280773])
+def test_populations_of_amplitudes_and_states_agree_bitwise(gamma):
+    for nu in (1, 2, 41, 400):
+        params = resources.BoseHubbardParams.from_gamma(nu, gamma)
+        x = resources.double_well_ground_amplitudes(params)
+        state = resources.double_well_ground(params)
+        z = 1.0 - 2.0 * np.arange(nu + 1) / nu
+        want = reference_occupation_peaks(np.diagonal(state.matrix).real, z)
+        assert resources.occupation_peaks(x) == resources.occupation_peaks(state) == want
+        assert resources.imbalance_moments(x) == resources.imbalance_moments(state)
+
+
+@pytest.mark.parametrize("w", [
+    [0.1, 0.3, 0.3, 0.05, 0.2, 0.05],  # a tied top is no strict maximum
+    [0.5, 0.1, 0.02, 0.08, 0.03, 0.27],  # edge peaks; 0.08 is below a fifth of the top
+    [0.2, 0.2, 0.2, 0.2, 0.2],
+    [1.0, 0.0],
+])
+def test_occupation_peaks_of_diagonals_match_the_reference(w):
+    w = np.array(w)
+    nu = w.size - 1
+    z = 1.0 - 2.0 * np.arange(nu + 1) / nu
+    assert resources.occupation_peaks(Diagonals(nu, (w,))) == reference_occupation_peaks(w, z)
