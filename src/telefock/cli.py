@@ -300,7 +300,8 @@ def cmd_teleport(cfg: dict, args) -> int:
 
     rows = []
     for outcome in protocol.iter_outcomes(psi, rho):
-        neg = fock.negativity(outcome.state) if outcome.state is not None else 0.0
+        if outcome.lam == 0:  # the outcomes of a sector share its state
+            neg = fock.negativity(outcome.state) if outcome.state is not None else 0.0
         rows.append({
             "l": outcome.l, "lam": outcome.lam,
             "probability": outcome.probability, "negativity": neg,

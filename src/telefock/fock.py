@@ -92,14 +92,7 @@ class TwoModeDensityMatrix:
             raise StateValidationError(f"expected shape {(dim, dim)}, got {m.shape}")
         if not np.isfinite(m).all():
             raise StateValidationError("matrix has non-finite entries")
-        herm = 0.0
-        if dim:
-            # max |m^+ - m| with one dim x dim temporary, overwritten in place
-            diff = np.conjugate(m.T, order="C")
-            diff -= m
-            herm = float(np.max(np.abs(diff, out=diff).real))
-        if herm > NORM_TOL:
-            raise StateValidationError(f"matrix not Hermitian: max |m - m^+| = {herm:g}")
+        _check_hermitian(m)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > NORM_TOL:
             raise StateValidationError(f"matrix trace {tr!r} != 1")
@@ -112,6 +105,16 @@ class TwoModeDensityMatrix:
     @property
     def dim(self) -> int:
         return self.total_particles + 1
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    """Raise unless the nonempty square matrix m is Hermitian to NORM_TOL."""
+    # max |m^+ - m| with one temporary of m's size, overwritten in place
+    diff = np.conjugate(m.T, order="C")
+    diff -= m
+    herm = float(np.max(np.abs(diff, out=diff).real))
+    if herm > NORM_TOL:
+        raise StateValidationError(f"matrix not Hermitian: max |m - m^+| = {herm:g}")
 
 
 def _psd_certified(m: np.ndarray) -> bool:
@@ -224,11 +227,17 @@ def normalized_amplitudes(x) -> np.ndarray:
 
 
 def _entries(resource) -> np.ndarray:
-    """A state's (or raw) matrix, or amplitudes as `ResourceState.from_amplitudes` takes them."""
-    m = np.asarray(getattr(resource, "matrix", resource))
-    if m.ndim not in (1, 2):
-        raise UnsupportedRegimeError(f"a {type(resource).__name__} holds no entries")
-    return m if m.ndim == 2 else normalized_amplitudes(m.astype(complex))
+    """A state's matrix, a raw square matrix checked Hermitian to NORM_TOL as
+    a state is, or amplitudes as `ResourceState.from_amplitudes` takes them."""
+    if isinstance(resource, TwoModeDensityMatrix):
+        return resource.matrix
+    m = np.asarray(resource)
+    if m.ndim == 1:
+        return normalized_amplitudes(m.astype(complex))
+    if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
+        raise UnsupportedRegimeError(f"a {type(resource).__name__} of shape {m.shape} holds no entries")
+    _check_hermitian(m)
+    return m
 
 
 def _upper_diagonals(resource, N: int):
@@ -239,7 +248,7 @@ def _upper_diagonals(resource, N: int):
     m = _entries(resource)
     nu = m.shape[0] - 1
     if m.ndim == 2:
-        return nu, lambda: (np.diagonal(m, d) for d in range(min(N, nu) + 1))
+        return nu, lambda: (m.diagonal(d) for d in range(min(N, nu) + 1))
     return nu, lambda: (m[d:].conj() * m[: nu + 1 - d] for d in range(min(N, nu) + 1))
 
 

@@ -26,12 +26,12 @@ from .fock import (
     ResourceState,
     TwoModeDensityMatrix,
     _sector_reader,
+    _upper_diagonals,
     haar_weight_batch,
+    sample_haar,
 )
 
-PATH_AGREEMENT_TOL = 1e-12
 PROBABILITY_SUM_TOL = 1e-10
-IMAG_RESIDUE_TOL = 1e-10
 
 
 def multiplicity(N: int, nu: int, l: int) -> int:
@@ -222,9 +222,10 @@ class Band:
 
     `weight` is the trace; for d = 1..min(N, nu), sums[d-1] is
     sum_k (rho_{k,k+d} + rho_{k+d,k}) and moduli[d-1] the same sum over
-    |rho_{k,j}|.  A channel that scales diagonal d by a positive factor
-    scales both entries the same way, so the band noise path
-    (`noise.band_scan`) can act on these 2N numbers.
+    |rho_{k,j}|.  `band` makes one from any resource form.  A channel that
+    scales diagonal d by a positive factor scales both entries the same
+    way, so the band noise path (`noise.band_scan`) can act on these 2N
+    numbers.
     """
 
     n_particles: int
@@ -234,10 +235,28 @@ class Band:
 
 
 def band(rho, N: int) -> Band:
-    """The `Band` (width N) of any form `_diagonal_sums` reads."""
-    nu, weight, sums = _diagonal_sums(rho, N, moduli=False)
-    _, _, moduli = _diagonal_sums(rho, N, moduli=True)
-    return Band(nu, weight, np.array(sums), np.array(moduli))
+    """The `Band` (width N) of a resource, read in one pass.
+
+    An amplitude vector x (rho_{k,j} = x_k conj(x_j), weight 1) takes N
+    shifted dot products of x and N of |x|: O(nu N) time, O(nu) memory,
+    real arithmetic for real amplitudes.  A `Band` is cut to width N once
+    it is checked to hold that many diagonals.  A state, a raw coefficient
+    matrix (Hermitian to `fock.NORM_TOL`, checked where it enters) or
+    `Diagonals` goes diagonal by diagonal through `band_of_diagonals`.
+    """
+    if isinstance(rho, Band):
+        nu = rho.n_particles
+        _check_regime(N, nu)
+        width = min(N, nu)
+        if len(rho.sums) < width:
+            raise StateValidationError(f"band holds {len(rho.sums)} diagonals, N={N} reads {width}")
+        return Band(nu, rho.weight, rho.sums[:width], rho.moduli[:width])
+    if _is_vector(rho):
+        x = np.asarray(rho)
+        return Band(x.shape[0] - 1, 1.0,
+                    np.array(_shifted_dots(x, N)), np.array(_shifted_dots(np.abs(x), N)))
+    nu, diagonals = _upper_diagonals(rho, N)
+    return band_of_diagonals(nu, diagonals(), N)
 
 
 def band_of_diagonals(nu: int, upper, N: int) -> Band:
@@ -252,79 +271,47 @@ def band_of_diagonals(nu: int, upper, N: int) -> Band:
     width = min(N, nu)
     weight, sums, moduli = 0.0, np.zeros(width), np.zeros(width)
     for d, u in enumerate(upper):
+        # np.add.reduce is the reduction np.sum runs, without its dispatch
         if d == 0:
-            weight = float(np.sum(u).real)
+            weight = float(np.add.reduce(u).real)
         else:
-            sums[d - 1] = 2.0 * float(np.sum(u).real)
-            moduli[d - 1] = 2.0 * float(np.sum(np.abs(u)))
+            sums[d - 1] = 2.0 * float(np.add.reduce(u).real)
+            moduli[d - 1] = 2.0 * float(np.add.reduce(np.abs(u)))
         if d == width:
             break
     return Band(nu, weight, sums, moduli)
 
 
-def _diagonal_sums(rho, N: int, moduli: bool) -> tuple[int, float, list]:
-    """(nu, weight, sums): the trace and, for d = 1..min(N, nu),
-    sums[d-1] = sum_k (rho_{k,k+d} + rho_{k+d,k}) (of |rho_{k,j}| with
-    `moduli`).
+def _is_vector(rho) -> bool:
+    """True for an amplitude vector, decided without np.ndim for the other forms."""
+    return not isinstance(rho, (Band, Diagonals, TwoModeDensityMatrix)) and np.ndim(rho) == 1
 
-    Reads a state, a raw coefficient matrix, a normalized amplitude vector x
-    (rho_{k,j} = x_k conj(x_j), weight 1), `Diagonals` or a `Band`.  Vectors
-    take N shifted dot products, O(nu N) time and O(nu) memory; real
-    amplitudes take real dot products.  Matrices keep each diagonal pair's
-    complex sum, so `_band` can check the imaginary residue.
-    """
-    if isinstance(rho, Diagonals):
-        rho = band_of_diagonals(rho.n_particles, rho.upper, N)
-    if isinstance(rho, Band):
-        nu = rho.n_particles
-    else:
-        rho = np.asarray(getattr(rho, "matrix", rho))
-        nu = rho.shape[0] - 1
+
+def _shifted_dots(x: np.ndarray, N: int) -> list[float]:
+    """2 Re sum_k conj(x_k) x_{k+d} for d = 1..min(N, nu): the band sums of
+    the pure state with amplitudes x (its moduli when x is |x|)."""
+    nu = x.shape[0] - 1
     _check_regime(N, nu)
-    width = min(N, nu)
-    if isinstance(rho, Band):
-        sums = rho.moduli if moduli else rho.sums
-        if len(sums) < width:
-            raise StateValidationError(f"band holds {len(sums)} diagonals, N={N} reads {width}")
-        return nu, rho.weight, list(sums[:width])
-    if rho.ndim == 1:
-        x = np.abs(rho) if moduli else rho
-        return nu, 1.0, [2.0 * float(np.vdot(x[:-d], x[d:]).real) for d in range(1, width + 1)]
-    sums = []
-    for d in range(1, width + 1):
-        upper = np.diagonal(rho, offset=d)
-        lower = np.diagonal(rho, offset=-d)
-        if moduli:
-            upper, lower = np.abs(upper), np.abs(lower)
-        sums.append(np.sum(upper) + np.sum(lower))
-    return nu, float(np.trace(rho).real), sums
+    return [2.0 * float(np.vdot(x[:-d], x[d:]).real) for d in range(1, min(N, nu) + 1)]
 
 
-def _band(rho, N: int, moduli: bool) -> tuple[float, float]:
-    """(weight, band): the trace and sum_{0 < |k-j| <= N} (N+1-|k-j|) rho_{k,j}
-    (of |rho_{k,j}| with `moduli`) of any form `_diagonal_sums` reads."""
-    _, weight, sums = _diagonal_sums(rho, N, moduli)
+def _band_total(values, N: int) -> float:
+    """sum_{d=1..} (N+1-d) values[d-1], added in order of d."""
     total = 0.0
-    for d, s in enumerate(sums, 1):
-        total += (N + 1 - d) * s
-    if isinstance(total, complex):  # the sums of a raw matrix
-        if abs(total.imag) > IMAG_RESIDUE_TOL:
-            raise StateValidationError(f"band sum has imaginary residue {total.imag:g}")
-        total = total.real
-    return weight, float(total)
+    for d, v in enumerate(values, 1):
+        total += (N + 1 - d) * v
+    return float(total)
 
 
-def _fidelity(rho, N: int) -> float:
-    weight, total = _band(rho, N, moduli=False)
-    f = 2.0 * weight / (N + 2) + total / ((N + 1) * (N + 2))
+def _fidelity(weight: float, sums, N: int) -> float:
+    f = 2.0 * weight / (N + 2) + _band_total(sums, N) / ((N + 1) * (N + 2))
     if not -1e-10 <= f <= weight + 1e-10:
         raise StateValidationError(f"fidelity {f!r} outside [0, {weight}]")
     return float(min(max(f, 0.0), weight))
 
 
-def _avg_entanglement(rho, N: int) -> float:
-    _, total = _band(rho, N, moduli=True)
-    e = (np.pi / 8.0) * total / (N + 1)
+def _avg_entanglement(moduli, N: int) -> float:
+    e = (np.pi / 8.0) * _band_total(moduli, N) / (N + 1)
     upper = np.pi * N / 8.0
     if not -1e-10 <= e <= upper + 1e-8:
         raise StateValidationError(f"entanglement {e!r} outside [0, {upper}]")
@@ -335,14 +322,16 @@ def fidelity_closed(rho: ResourceState | np.ndarray | Diagonals | Band, N: int) 
     """Haar-averaged teleportation fidelity of the resource state.
 
     f = 2/(N+2) + sum_{k != j} max(0, N+1-|k-j|) rho_{k,j} / ((N+1)(N+2)),
-    evaluated over the |k-j| <= N band only, so the cost is O(nu N).
-    Accepts a raw (possibly subnormalized) coefficient matrix, `Diagonals`
-    or a `Band`, in which case the constant term is weighted by the trace,
-    or an amplitude vector, which goes to `fidelity_closed_pure`.
+    evaluated on the resource's `band` only, so the cost is O(nu N), plus
+    the O(nu^2) Hermiticity check of a raw matrix.  A raw (possibly
+    subnormalized, but Hermitian) coefficient matrix, `Diagonals` or a
+    `Band` weights the constant term by its trace.  An amplitude vector
+    goes to `fidelity_closed_pure`.
     """
-    if np.ndim(rho) == 1:
+    if _is_vector(rho):
         return fidelity_closed_pure(rho, N)
-    return _fidelity(rho, N)
+    b = band(rho, N)
+    return _fidelity(b.weight, b.sums, N)
 
 
 def avg_entanglement_closed(rho: ResourceState | np.ndarray | Diagonals | Band, N: int) -> float:
@@ -352,9 +341,9 @@ def avg_entanglement_closed(rho: ResourceState | np.ndarray | Diagonals | Band, 
     bounded by pi N / 8.  An amplitude vector goes to
     `avg_entanglement_closed_pure`.
     """
-    if np.ndim(rho) == 1:
+    if _is_vector(rho):
         return avg_entanglement_closed_pure(rho, N)
-    return _avg_entanglement(rho, N)
+    return _avg_entanglement(band(rho, N).moduli, N)
 
 
 def fidelity_closed_pure(amplitudes: np.ndarray, N: int) -> float:
@@ -364,12 +353,12 @@ def fidelity_closed_pure(amplitudes: np.ndarray, N: int) -> float:
     evaluated as N shifted dot products: O(nu N) time, O(nu) memory, which
     is what makes nu ~ 10^4 sweeps practical.
     """
-    return _fidelity(np.asarray(amplitudes).reshape(-1), N)
+    return _fidelity(1.0, _shifted_dots(np.asarray(amplitudes).reshape(-1), N), N)
 
 
 def avg_entanglement_closed_pure(amplitudes: np.ndarray, N: int) -> float:
     """Average final entanglement of a pure resource from its amplitudes."""
-    return _avg_entanglement(np.asarray(amplitudes).reshape(-1), N)
+    return _avg_entanglement(_shifted_dots(np.abs(np.asarray(amplitudes).reshape(-1)), N), N)
 
 
 def separable_fidelity(N: int) -> float:
@@ -429,8 +418,6 @@ def success_probability_perfect(
     nu = rho.n_particles
     _check_regime(N, nu)
     if psi is None:
-        from .fock import sample_haar
-
         psi = sample_haar(N, rng_seed)
     windows = sliding_window_view(np.diagonal(rho.matrix).real, nu - N + 1)
     return float(np.abs(psi.amplitudes) ** 2 @ windows.sum(axis=1))

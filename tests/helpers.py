@@ -2,10 +2,13 @@
 
 import numpy as np
 
+from telefock.errors import StateValidationError
 from telefock.fock import (
-    PureTwoModeState, ResourceState, TwoModeDensityMatrix, haar_amplitude_batch,
+    Diagonals, PureTwoModeState, ResourceState, TwoModeDensityMatrix, haar_amplitude_batch,
 )
-from telefock.protocol import TeleportOutcome, multiplicity, sector_component_range
+from telefock.protocol import (
+    Band, TeleportOutcome, _check_regime, multiplicity, sector_component_range,
+)
 
 # one spec per resource name `cli.resolve_resource` knows, and both phase kinds
 CLI_RESOURCES = [
@@ -122,3 +125,88 @@ def reference_loss_rhs(spec, nu: int, blocks: list) -> list:
             sub = blocks[src][ch.m : ch.m + amp.size, ch.m : ch.m + amp.size]
             out[src - drop][: amp.size, : amp.size] += ch.rate * np.outer(amp, amp) * sub
     return out
+
+
+def reference_band_of_diagonals(nu: int, upper, N: int) -> Band:
+    """The `Band` of the upper diagonals `upper`, summed with np.sum."""
+    _check_regime(N, nu)
+    width = min(N, nu)
+    weight, sums, moduli = 0.0, np.zeros(width), np.zeros(width)
+    for d, u in enumerate(upper):
+        if d == 0:
+            weight = float(np.sum(u).real)
+        else:
+            sums[d - 1] = 2.0 * float(np.sum(u).real)
+            moduli[d - 1] = 2.0 * float(np.sum(np.abs(u)))
+        if d == width:
+            break
+    return Band(nu, weight, sums, moduli)
+
+
+def reference_diagonal_sums(rho, N: int, moduli: bool) -> tuple[int, float, list]:
+    """(nu, weight, sums), read once per flag from a state, a raw matrix, an
+    amplitude vector, `Diagonals` or a `Band`.  Vectors take N shifted dot
+    products; a matrix keeps each diagonal pair's complex sum (upper plus
+    lower), so `reference_band_total` can check the imaginary residue."""
+    if isinstance(rho, Diagonals):
+        rho = reference_band_of_diagonals(rho.n_particles, rho.upper, N)
+    if isinstance(rho, Band):
+        nu = rho.n_particles
+    else:
+        rho = np.asarray(getattr(rho, "matrix", rho))
+        nu = rho.shape[0] - 1
+    _check_regime(N, nu)
+    width = min(N, nu)
+    if isinstance(rho, Band):
+        sums = rho.moduli if moduli else rho.sums
+        if len(sums) < width:
+            raise StateValidationError(f"band holds {len(sums)} diagonals, N={N} reads {width}")
+        return nu, rho.weight, list(sums[:width])
+    if rho.ndim == 1:
+        x = np.abs(rho) if moduli else rho
+        return nu, 1.0, [2.0 * float(np.vdot(x[:-d], x[d:]).real) for d in range(1, width + 1)]
+    sums = []
+    for d in range(1, width + 1):
+        upper = np.diagonal(rho, offset=d)
+        lower = np.diagonal(rho, offset=-d)
+        if moduli:
+            upper, lower = np.abs(upper), np.abs(lower)
+        sums.append(np.sum(upper) + np.sum(lower))
+    return nu, float(np.trace(rho).real), sums
+
+
+def reference_band_total(rho, N: int, moduli: bool) -> tuple[float, float]:
+    """(weight, sum_{0 < |k-j| <= N} (N+1-|k-j|) rho_{k,j}), of |rho_{k,j}|
+    with `moduli`; a matrix's complex total must be real to 1e-10."""
+    _, weight, sums = reference_diagonal_sums(rho, N, moduli)
+    total = 0.0
+    for d, s in enumerate(sums, 1):
+        total += (N + 1 - d) * s
+    if isinstance(total, complex):
+        if abs(total.imag) > 1e-10:
+            raise StateValidationError(f"band sum has imaginary residue {total.imag:g}")
+        total = total.real
+    return weight, float(total)
+
+
+def reference_band(rho, N: int) -> Band:
+    nu, weight, sums = reference_diagonal_sums(rho, N, moduli=False)
+    _, _, moduli = reference_diagonal_sums(rho, N, moduli=True)
+    return Band(nu, weight, np.array(sums), np.array(moduli))
+
+
+def reference_fidelity(rho, N: int) -> float:
+    weight, total = reference_band_total(rho, N, moduli=False)
+    f = 2.0 * weight / (N + 2) + total / ((N + 1) * (N + 2))
+    if not -1e-10 <= f <= weight + 1e-10:
+        raise StateValidationError(f"fidelity {f!r} outside [0, {weight}]")
+    return float(min(max(f, 0.0), weight))
+
+
+def reference_entanglement(rho, N: int) -> float:
+    _, total = reference_band_total(rho, N, moduli=True)
+    e = (np.pi / 8.0) * total / (N + 1)
+    upper = np.pi * N / 8.0
+    if not -1e-10 <= e <= upper + 1e-8:
+        raise StateValidationError(f"entanglement {e!r} outside [0, {upper}]")
+    return float(min(max(e, 0.0), upper))

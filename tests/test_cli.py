@@ -898,3 +898,28 @@ def test_teleport_and_ground_state_at_scale_in_bounded_memory(tmp_path, kind, cf
     else:
         assert len(payload["peaks"]) == 2
         assert payload["peaks"] == pytest.approx(payload["predicted_peaks"], rel=0.05)
+
+
+@pytest.mark.parametrize("resource", [{"name": "gaussian", "beta": 0.5},
+                                      {"name": "fock_separable", "k": 3}], ids=resource_id)
+def test_teleport_computes_one_negativity_per_sector(tmp_path, monkeypatch, resource):
+    N, nu, psi_cfg = 2, 6, [[0.6, 0.0], [0.0, 0.0], [0.0, 0.8]]
+    psi = fock.PureTwoModeState(N, cli._psi_amplitudes(psi_cfg, N))
+    outcomes = list(protocol.iter_outcomes(psi, cli.resolve_resource(resource, nu)))
+    # the per-outcome form: one negativity per outcome, 0 where the state is undefined
+    want = [{"l": o.l, "lam": o.lam, "probability": o.probability,
+             "negativity": fock.negativity(o.state) if o.state is not None else 0.0}
+            for o in outcomes]
+    sectors = {o.l for o in outcomes if o.probability > 0.0}
+    assert 0 < len(sectors) < len(outcomes)
+    calls = []
+    real = fock.negativity
+    monkeypatch.setattr(fock, "negativity", lambda state: calls.append(state) or real(state))
+    out = tmp_path / "out.json"
+    cfg = write_config(tmp_path, teleport_config(N=N, nu=nu, psi=psi_cfg, resource=resource))
+    assert main(["teleport", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
+    assert len(calls) == len(sectors)
+    got = json.loads(out.read_text())["outcomes"]
+    assert [r.keys() for r in got] == [r.keys() for r in want]
+    assert [[v.hex() if isinstance(v, float) else v for v in r.values()] for r in got] == \
+        [[v.hex() if isinstance(v, float) else v for v in r.values()] for r in want]

@@ -3,14 +3,18 @@ performance functionals vs Monte-Carlo estimates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from telefock import cli, fock, resources
-from telefock.errors import StateValidationError, UnsupportedRegimeError
+from telefock import cli, fock, noise, protocol, resources
+from telefock.errors import StateValidationError, TelefockError, UnsupportedRegimeError
 from telefock.fock import PureTwoModeState, negativity
 from telefock.protocol import (
+    Band,
     average_teleported,
     avg_entanglement_closed,
     avg_entanglement_closed_pure,
+    band,
     bob_isometry,
     build_basis,
     entanglement_monte_carlo,
@@ -29,8 +33,8 @@ from telefock.protocol import (
 )
 
 from helpers import (
-    CLI_RESOURCES, random_input, random_resource, reference_monte_carlo, reference_teleport_outcome,
-    resource_id,
+    CLI_RESOURCES, random_input, random_resource, reference_band, reference_entanglement,
+    reference_fidelity, reference_monte_carlo, reference_teleport_outcome, resource_id,
 )
 
 
@@ -280,6 +284,128 @@ def test_pure_functionals_real_and_complex_input_agree(x):
         assert fidelity_closed_pure(x, N) == pytest.approx(fidelity_closed_pure(z, N), rel=1e-15)
         assert avg_entanglement_closed_pure(x, N) == pytest.approx(
             avg_entanglement_closed_pure(z, N), rel=1e-15, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The band reader: every form read once into a `Band`
+# ---------------------------------------------------------------------------
+
+BAND_FORMS = ("real_amplitudes", "complex_amplitudes", "diagonals", "band")
+
+
+def _band_form(form: str, nu: int, rng: np.random.Generator):
+    """A random resource of the given form; `Diagonals` and `Band`s are not
+    states, so some fall outside the functionals' ranges and raise."""
+    if form.endswith("amplitudes"):
+        x = rng.standard_normal(nu + 1)
+        if form == "complex_amplitudes":
+            x = x + 1j * rng.standard_normal(nu + 1)
+        return x / np.linalg.norm(x)
+    if form == "diagonals":
+        populations = rng.random(nu + 1)
+        upper = [populations / populations.sum()]
+        for d in range(1, int(rng.integers(1, nu + 2))):
+            upper.append((rng.standard_normal(nu + 1 - d) + 1j * rng.standard_normal(nu + 1 - d))
+                         / (4 * (nu + 1)))
+        return fock.Diagonals(nu, tuple(upper))
+    width = int(rng.integers(0, nu + 1))  # narrower than N is rejected
+    sums = rng.uniform(-1.5, 1.5, width)
+    return Band(nu, float(rng.uniform(0.5, 1.0)), sums, np.abs(sums) + rng.uniform(0.0, 0.1, width))
+
+
+def _bits(fn, *args):
+    """fn(*args) bit for bit, or the package error it raises."""
+    try:
+        out = fn(*args)
+    except TelefockError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, Band):
+        return (out.n_particles, float(out.weight).hex(), out.sums.dtype.str, out.sums.tobytes(),
+                out.moduli.dtype.str, out.moduli.tobytes())
+    return type(out).__name__, out.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    form=st.sampled_from(BAND_FORMS),
+    N=st.integers(1, 4),
+    extra=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_reader_matches_the_reference_bitwise(form, N, extra, seed):
+    nu = min(N + extra, 12)
+    rho = _band_form(form, nu, np.random.default_rng(seed))
+    for got, want in [(band, reference_band), (fidelity_closed, reference_fidelity),
+                      (avg_entanglement_closed, reference_entanglement)]:
+        assert _bits(got, rho, N) == _bits(want, rho, N), (got.__name__, form, N, nu)
+    try:
+        read = band(rho, N)
+    except TelefockError:
+        return
+    # a functional of rho is the same functional of the band read from rho
+    for functional in (fidelity_closed, avg_entanglement_closed):
+        assert _bits(functional, read, N) == _bits(functional, rho, N)
+
+
+def test_band_reader_matches_the_reference_on_dense_states():
+    rng = np.random.default_rng(51)
+    worst = 0.0
+    for nu in (1, 2, 5, 12, 30):
+        for _ in range(12):
+            state = random_resource(nu, rng)
+            for rho in (state, state.matrix):
+                for N in range(1, min(nu, 4) + 1):
+                    got, want = band(rho, N), reference_band(rho, N)
+                    assert got.n_particles == want.n_particles
+                    f, e = fidelity_closed(rho, N), avg_entanglement_closed(rho, N)
+                    worst = max(worst, abs(got.weight - want.weight),
+                                float(np.max(np.abs(got.sums - want.sums))),
+                                float(np.max(np.abs(got.moduli - want.moduli))),
+                                abs(f - reference_fidelity(rho, N)),
+                                abs(e - reference_entanglement(rho, N)))
+    assert worst <= 1e-15
+
+
+def test_band_reads_diagonals_in_one_pass(monkeypatch):
+    m = random_resource(6, np.random.default_rng(52)).matrix
+    diagonals = fock.Diagonals(6, tuple(np.diagonal(m, d) for d in range(4)))
+    calls = []
+    read = protocol.band_of_diagonals
+    monkeypatch.setattr(protocol, "band_of_diagonals",
+                        lambda *args: calls.append(args) or read(*args))
+    band(diagonals, 2)
+    assert len(calls) == 1
+    assert _bits(band, diagonals, 2) == _bits(reference_band, diagonals, 2)
+
+
+NON_HERMITIAN_READERS = {
+    "fidelity_closed": lambda rho, N: fidelity_closed(rho, N),
+    "avg_entanglement_closed": lambda rho, N: avg_entanglement_closed(rho, N),
+    "band": lambda rho, N: band(rho, N),
+    "band_scan-dephasing": lambda rho, N: noise.band_scan(
+        rho, noise.DephasingSpec(0.5, 0.5, 0.0), N, [0.1]),
+    "band_scan-loss": lambda rho, N: noise.band_scan(
+        rho, noise.LossSpec((noise.LossChannel(0.3, 1, 0),), t=0.0), N, [0.1]),
+    "band_scan-mixing": lambda rho, N: noise.band_scan(
+        rho, noise.MixingSpec(resources.max_entangled_amplitudes(6), 0.0), N, [0.5]),
+    "band_scan-mixing-undesired": lambda rho, N: noise.band_scan(
+        resources.max_entangled_amplitudes(6), noise.MixingSpec(rho, 0.0), N, [0.5]),
+    "iter_outcomes": lambda rho, N: list(
+        iter_outcomes(random_input(N, np.random.default_rng(53)), rho)),
+}
+
+
+@pytest.mark.parametrize("reader", NON_HERMITIAN_READERS)
+def test_raw_non_hermitian_matrix_is_rejected_where_it_enters(reader):
+    read = NON_HERMITIAN_READERS[reader]
+    m = resources.max_entangled(6).matrix.copy()
+    m[0, 1] = m[1, 0] = 0.01j
+    with pytest.raises(StateValidationError, match="not Hermitian"):
+        read(m, 2)
+    # Hermitian to NORM_TOL is accepted, as for a state
+    m = resources.max_entangled(6).matrix.copy()
+    m[0, 1] += 1e-13
+    read(m, 2)
 
 
 def test_fidelity_requires_supported_regime():
