@@ -491,8 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument(
             "--timings", action="store_true",

@@ -14,14 +14,13 @@ that one object supports both fixed-nu quadrature and convergence sweeps.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import HypothesisViolationError, QuadratureError, StateValidationError
-from .fock import ResourceState, normalized_amplitudes
+from .fock import normalized_amplitudes
 from .protocol import fidelity_closed_pure
 from . import resources
 
@@ -38,10 +37,11 @@ SMOOTHNESS_CLASSES = ("twice", "once", "continuous", "none")
 class ContinuumProfile:
     """A family of two-mode profiles over the imbalance square [-1, 1]^2.
 
-    kind "pure":     omega(z, y) = conj(chi(z)) chi(y), with the amplitude
-                     chi given per-nu by `chi_of_nu` (see `scaled_chi`);
-                     `chi_of_nu` is None for families with no continuum shape.
-    kind "density":  omega given per-nu by `omega_of_nu`.
+    A profile that sets `omega_of_nu` is a density (`kind` "density"): omega
+    is given per nu by `omega_of_nu`.  Any other is pure (`kind` "pure"):
+    omega(z, y) = conj(chi(z)) chi(y), with the amplitude chi given per nu by
+    `chi_of_nu` (see `scaled_chi`), which is None for families with no
+    continuum shape.
 
     `alpha(nu)` is the width scaling the convergence fits read.
     `smoothness` declares the regularity class of the shape function
@@ -59,7 +59,6 @@ class ContinuumProfile:
     step fails its error test.
     """
 
-    kind: str
     smoothness: str
     alpha: Callable[[float], float] = lambda nu: 1.0
     chi_of_nu: Callable[[float], Callable] | None = None
@@ -68,10 +67,13 @@ class ContinuumProfile:
     features_of_nu: Callable[[float], tuple] = lambda nu: ()
 
     def __post_init__(self):
-        if self.kind not in ("pure", "density"):
-            raise StateValidationError(f"unknown profile kind {self.kind!r}")
         if self.smoothness not in SMOOTHNESS_CLASSES:
             raise StateValidationError(f"unknown smoothness class {self.smoothness!r}")
+
+    @property
+    def kind(self) -> str:
+        """The profile kind: "density" if it sets `omega_of_nu`, else "pure"."""
+        return "pure" if self.omega_of_nu is None else "density"
 
     def chi(self, nu: float) -> Callable:
         if self.kind != "pure" or self.chi_of_nu is None:
@@ -83,8 +85,6 @@ class ContinuumProfile:
         if self.kind == "pure":
             chi = self.chi(nu)
             return lambda z, y: np.conj(chi(z)) * chi(y)
-        if self.omega_of_nu is None:
-            raise StateValidationError("density profile lacks omega_of_nu")
         return self.omega_of_nu(nu)
 
     def diagonal_norm(self, nu: float) -> float:
@@ -93,10 +93,6 @@ class ContinuumProfile:
         val, _ = _quad(lambda z: float(np.real(om(z, z))), -1.0, 1.0,
                        points=self._features(nu))
         return val
-
-    def to_resource(self, nu: int) -> ResourceState:
-        """Discrete counterpart at nu particles."""
-        return ResourceState.from_amplitudes(self.amplitudes(nu))
 
     def amplitudes(self, nu: int) -> np.ndarray:
         """Discretized normalized amplitude vector x_k = chi(z_k) sqrt(2/nu)."""
@@ -293,9 +289,6 @@ class ConvergenceReport:
     hypothesis_flags: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 def _validate_grid(nu_grid) -> list[int]:
     grid = [int(nu) for nu in nu_grid]
@@ -450,7 +443,6 @@ def scaled_chi(
 def flat_family() -> ContinuumProfile:
     """Uniform amplitude chi = 1/sqrt(2); the maximally entangled family."""
     return ContinuumProfile(
-        kind="pure",
         smoothness="twice",
         chi_of_nu=scaled_chi(
             lambda u: np.full_like(np.asarray(u, dtype=float), 1.0 / np.sqrt(2.0)),
@@ -475,7 +467,6 @@ def gaussian_beta_family(beta: float) -> ContinuumProfile:
     """
     alpha = lambda nu: float(nu) ** (1.0 - beta)
     return ContinuumProfile(
-        kind="pure",
         smoothness="twice",
         alpha=alpha,
         chi_of_nu=scaled_chi(_gaussian_zeta(2.0), alpha),
@@ -492,7 +483,6 @@ def gaussian_bump_family(
     """Single Gaussian bump at imbalance `center` with width sigma_of_nu(nu)."""
     alpha = lambda nu: 1.0 / sigma_of_nu(nu)
     return ContinuumProfile(
-        kind="pure",
         smoothness="twice",
         alpha=alpha,
         chi_of_nu=scaled_chi(_gaussian_zeta(1.0), alpha, lambda nu: -center),
@@ -554,7 +544,6 @@ def double_well_bimodal_profile(gamma: float) -> ContinuumProfile:
         )
 
     return ContinuumProfile(
-        kind="pure",
         smoothness="twice",
         alpha=lambda nu: 1.0 / sigma(nu),
         chi_of_nu=chi_of_nu,
@@ -587,7 +576,6 @@ def factorized_gaussian_profile(sigma_z: float) -> ContinuumProfile:
     plus = lambda s: norm * np.exp(-np.asarray(s, dtype=float) ** 2 / (8.0 * sigma_z ** 2))
     minus = lambda v: np.exp(-np.asarray(v, dtype=float) ** 2)
     return ContinuumProfile(
-        kind="density",
         smoothness="twice",
         alpha=lambda nu: a,
         omega_of_nu=lambda nu: lambda z, y: plus(z + y) * minus((z - y) * a),
@@ -599,7 +587,6 @@ def discrete_only_family(
 ) -> ContinuumProfile:
     """Family with no admissible continuum shape (separable, N00N, ...)."""
     return ContinuumProfile(
-        kind="pure",
         smoothness="none",
         amplitudes_of_nu=amplitudes_of_nu,
     )
@@ -608,7 +595,6 @@ def discrete_only_family(
 def spike_profile(width: float, center: float = 0.0) -> ContinuumProfile:
     """Near-singular diagonal profile; outside every proposition hypothesis."""
     return ContinuumProfile(
-        kind="pure",
         smoothness="none",
         chi_of_nu=lambda nu: _shifted_gaussian(center, width),
         # bracket the spike so the adaptive grid cannot step over it

@@ -45,9 +45,7 @@ class PureTwoModeState:
             )
         if not np.isfinite(amps).all():
             raise StateValidationError("amplitudes have non-finite entries")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise StateValidationError(f"state not normalized: sum |c_k|^2 = {norm_sq!r}")
+        _check_normalized(amps)
         object.__setattr__(self, "amplitudes", amps)
 
     def density(self) -> "TwoModeDensityMatrix":
@@ -64,16 +62,16 @@ class TwoModeDensityMatrix:
     m - PSD_EIG_FLOOR * 1 (see `_psd_certified`); only when that fails is
     the spectrum computed, to decide against the floor and name the minimum
     eigenvalue.  Constructors whose output is PSD by construction (amplitude
-    outer products in `ResourceState.from_amplitudes`,
-    `resources.apply_phases`, and `Diagonals.state` of a diagonal matrix
-    whose entries clear the floor, such as `resources.fock_separable`) pass
-    validate_spectrum=False; every other dense state, the outputs of the
-    dense noise channels (`noise.mix`, `noise.dephase`) included, is
-    certified.
+    outer products in `ResourceState.from_amplitudes`, and `Diagonals.state`
+    of a diagonal matrix whose entries clear the floor, such as
+    `resources.fock_separable_diagonals`) pass validate_spectrum=False;
+    every other dense state, the outputs of the dense noise channels
+    (`noise.mix`, `noise.dephase`) included, is certified.
 
     Dense resources are built only by the oracles (four-mode contraction,
-    Monte Carlo, Lindblad integration, the dense channels).  The commands
-    read amplitudes or `Diagonals` in O(M N) memory; `teleport` certifies
+    Monte Carlo, Lindblad integration, the dense channels), through one of
+    `ResourceState.from_amplitudes`, `Diagonals.state` and `dense_state`.
+    The commands read amplitudes or `Diagonals` in O(M N) memory; `teleport` certifies
     each sector's conditional state.  The noise channels keep a positive
     resource positive (a Schur product with a positive-definite Gaussian
     kernel, a congruence E rho E, a convex mix), so no certificate is lost.
@@ -226,14 +224,23 @@ def normalized_amplitudes(x) -> np.ndarray:
     return x / nrm
 
 
+def _check_normalized(x) -> np.ndarray:
+    """The amplitudes x, flattened, once sum |x_k|^2 = 1 is checked to NORM_TOL."""
+    x = np.asarray(x).reshape(-1)
+    norm_sq = float(np.vdot(x, x).real)
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
+        raise StateValidationError(f"state not normalized: sum |c_k|^2 = {norm_sq!r}")
+    return x
+
+
 def _entries(resource) -> np.ndarray:
     """A state's matrix, a raw square matrix checked Hermitian to NORM_TOL as
-    a state is, or amplitudes as `ResourceState.from_amplitudes` takes them."""
+    a state is, or a complex copy of amplitudes checked normalized to NORM_TOL."""
     if isinstance(resource, TwoModeDensityMatrix):
         return resource.matrix
     m = np.asarray(resource)
     if m.ndim == 1:
-        return normalized_amplitudes(m.astype(complex))
+        return normalized_amplitudes(_check_normalized(m.astype(complex)))
     if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
         raise UnsupportedRegimeError(f"a {type(resource).__name__} of shape {m.shape} holds no entries")
     _check_hermitian(m)

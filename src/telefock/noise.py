@@ -123,13 +123,6 @@ def four_coherence_diagonals(
     return Diagonals(nu, tuple(upper))
 
 
-def four_coherence_state(
-    a: float, b: float, c: float, d: float, x: float, y: float, nu: int
-) -> ResourceState:
-    """The dense state of `four_coherence_diagonals`."""
-    return four_coherence_diagonals(a, b, c, d, x, y, nu).state()
-
-
 @dataclass
 class ThresholdReport:
     """Dephasing time beyond which the state stops beating the baseline."""
@@ -286,37 +279,18 @@ class LossResult:
             total += sum(float(np.trace(b).real) for b in self.lower_blocks)
         return total
 
-    def entanglement_eligible_lower_weights(self, N: int) -> dict[int, float]:
-        """Weights of lower blocks close enough in particle number to still
-        carry final-state entanglement (nu - b < N); reported separately,
-        never folded into the fixed-number performance functionals."""
-        if self.lower_blocks is None:
-            return {}
-        return {
-            b: float(np.trace(self.lower_blocks[b]).real)
-            for b in range(len(self.lower_blocks))
-            if self.n_particles - b < N
-        }
 
-
-def particle_loss_analytic(
-    rho: ResourceState, spec: LossSpec, compute_lower: bool = False
-) -> LossResult:
+def particle_loss_analytic(rho: ResourceState, spec: LossSpec) -> LossResult:
     """Closed-form surviving block of the loss evolution.
 
     Entries damp as exp(-t (eta_k + eta_j)); the weight remaining in the
-    nu-particle sector is sum_k exp(-2 t eta_k) rho_{k,k}.  Lower blocks, when
-    requested, come from the numerical integrator.
+    nu-particle sector is sum_k exp(-2 t eta_k) rho_{k,k}.  The lower
+    blocks come from the integrator, `particle_loss_lindblad`.
     """
     nu = rho.n_particles
     e = np.exp(-spec.t * eta_rates(spec, nu))
     surviving = e[:, None] * rho.matrix * e[None, :]
-    weight = float(np.trace(surviving).real)
-    lower = None
-    if compute_lower:
-        numeric = particle_loss_lindblad(rho, spec, spec.t)
-        lower = numeric.lower_blocks
-    return LossResult(nu, surviving, weight, lower)
+    return LossResult(nu, surviving, float(np.trace(surviving).real))
 
 
 def _block_offsets(nu: int) -> np.ndarray:
@@ -507,9 +481,10 @@ def loss_fidelity_bounds(
     evolved state still beats the separable baseline.
     """
     max_eta = float(np.max(eta_rates(spec, rho.n_particles)))
-    f0 = fidelity_closed(rho, N)
     times = np.linspace(0.0, spec.t, n_times)
-    fid = [fidelity_closed(lossy, N) for lossy, _ in band_scan(rho, spec, N, times)]
+    # f(0) is the scan's own t = 0 row: exp(-0 * eta) is exactly 1
+    scan = band_scan(rho, spec, N, [0.0, *times])
+    f0, *fid = (fidelity_closed(lossy, N) for lossy, _ in scan)
     bound = loss_floor(f0, max_eta, times).tolist()
     ratio = f0 * (N + 2) / 2.0
     if max_eta == 0.0:

@@ -25,6 +25,7 @@ from .fock import (
     PureTwoModeState,
     ResourceState,
     TwoModeDensityMatrix,
+    _check_normalized,
     _sector_reader,
     _upper_diagonals,
     haar_weight_batch,
@@ -237,12 +238,13 @@ class Band:
 def band(rho, N: int) -> Band:
     """The `Band` (width N) of a resource, read in one pass.
 
-    An amplitude vector x (rho_{k,j} = x_k conj(x_j), weight 1) takes N
-    shifted dot products of x and N of |x|: O(nu N) time, O(nu) memory,
-    real arithmetic for real amplitudes.  A `Band` is cut to width N once
-    it is checked to hold that many diagonals.  A state, a raw coefficient
-    matrix (Hermitian to `fock.NORM_TOL`, checked where it enters) or
-    `Diagonals` goes diagonal by diagonal through `band_of_diagonals`.
+    An amplitude vector x (rho_{k,j} = x_k conj(x_j), weight 1, checked
+    normalized to `fock.NORM_TOL`) takes N shifted dot products of x and N
+    of |x|: O(nu N) time, O(nu) memory, real arithmetic for real
+    amplitudes.  A `Band` is cut to width N once it is checked to hold that
+    many diagonals.  A state, a raw coefficient matrix (Hermitian to
+    `fock.NORM_TOL`, checked where it enters) or `Diagonals` goes diagonal
+    by diagonal through `band_of_diagonals`.
     """
     if isinstance(rho, Band):
         nu = rho.n_particles
@@ -252,7 +254,7 @@ def band(rho, N: int) -> Band:
             raise StateValidationError(f"band holds {len(rho.sums)} diagonals, N={N} reads {width}")
         return Band(nu, rho.weight, rho.sums[:width], rho.moduli[:width])
     if _is_vector(rho):
-        x = np.asarray(rho)
+        x = _check_normalized(rho)
         return Band(x.shape[0] - 1, 1.0,
                     np.array(_shifted_dots(x, N)), np.array(_shifted_dots(np.abs(x), N)))
     nu, diagonals = _upper_diagonals(rho, N)
@@ -353,12 +355,12 @@ def fidelity_closed_pure(amplitudes: np.ndarray, N: int) -> float:
     evaluated as N shifted dot products: O(nu N) time, O(nu) memory, which
     is what makes nu ~ 10^4 sweeps practical.
     """
-    return _fidelity(1.0, _shifted_dots(np.asarray(amplitudes).reshape(-1), N), N)
+    return _fidelity(1.0, _shifted_dots(_check_normalized(amplitudes), N), N)
 
 
 def avg_entanglement_closed_pure(amplitudes: np.ndarray, N: int) -> float:
     """Average final entanglement of a pure resource from its amplitudes."""
-    return _avg_entanglement(_shifted_dots(np.abs(np.asarray(amplitudes).reshape(-1)), N), N)
+    return _avg_entanglement(_shifted_dots(np.abs(_check_normalized(amplitudes)), N), N)
 
 
 def separable_fidelity(N: int) -> float:

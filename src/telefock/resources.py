@@ -1,20 +1,21 @@
 """Constructors for the resource-state zoo.
 
 Separable Fock states, N00N, uniform (maximally entangled) superpositions,
-discrete Gaussians, SU(2) coherent states, double-well ground states from
-exact diagonalization, and phase decorations of any of them.
+discrete Gaussians, SU(2) coherent states and double-well ground states from
+exact diagonalization.
 
-Every pure family has an `*_amplitudes` primitive returning the normalized
-coefficient vector; the matching constructor wraps it into a full
-`ResourceState`.  Large-nu sweeps should stay at the amplitude level.  Real
-families (uniform, N00N, Gaussian, double well) return float64 vectors;
-SU(2) coherent amplitudes are complex.
+Every pure family has one constructor, `*_amplitudes`, returning the
+normalized coefficient vector; the separable Fock state is its one diagonal
+(`fock_separable_diagonals`).  The functionals and noise scans read these
+forms directly; an oracle that needs the dense state builds it with
+`ResourceState.from_amplitudes` or `Diagonals.state`.  Real families
+(uniform, N00N, Gaussian, double well) return float64 vectors; SU(2)
+coherent amplitudes are complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,13 +34,8 @@ def max_entangled(nu: int) -> ResourceState:
     return ResourceState.from_amplitudes(max_entangled_amplitudes(nu))
 
 
-def fock_separable(nu: int, k: int) -> ResourceState:
-    """Product Fock state |k> (x) |nu-k>; the separable baseline."""
-    return fock_separable_diagonals(nu, k).state()
-
-
 def fock_separable_diagonals(nu: int, k: int) -> Diagonals:
-    """`fock_separable` as its one diagonal, the form the band noise path reads."""
+    """Product Fock state |k> (x) |nu-k>, the separable baseline, as its one diagonal."""
     if not 0 <= k <= nu:
         raise StateValidationError(f"occupation k={k} outside [0, {nu}]")
     populations = np.zeros(nu + 1)
@@ -48,16 +44,12 @@ def fock_separable_diagonals(nu: int, k: int) -> Diagonals:
 
 
 def noon_amplitudes(nu: int) -> np.ndarray:
+    """(|nu, 0> + |0, nu>)/sqrt(2)."""
     if nu < 1:
         raise StateValidationError("N00N state needs nu >= 1")
     x = np.zeros(nu + 1)
     x[0] = x[nu] = 1.0 / np.sqrt(2.0)
     return x
-
-
-def noon(nu: int) -> ResourceState:
-    """(|nu, 0> + |0, nu>)/sqrt(2)."""
-    return ResourceState.from_amplitudes(noon_amplitudes(nu))
 
 
 @dataclass(frozen=True)
@@ -91,12 +83,12 @@ def gaussian_amplitudes(spec: GaussianSpec) -> np.ndarray:
     return normalized_amplitudes(np.exp(expo - np.max(expo)))
 
 
-def gaussian_pure(spec: GaussianSpec) -> ResourceState:
-    """Normalized pure state with Gaussian amplitudes."""
-    return ResourceState.from_amplitudes(gaussian_amplitudes(spec))
-
-
 def su2_coherent_amplitudes(nu: int, theta: float, phi: float) -> np.ndarray:
+    """Spin (atomic) coherent state with binomial amplitudes.
+
+    x_k = sqrt(binom(nu, k)) sin^k(theta/2) cos^(nu-k)(theta/2) e^(i k phi),
+    so theta = 0 gives |0> (x) |nu> and theta = pi gives |nu> (x) |0>.
+    """
     if not 0.0 <= theta <= np.pi:
         raise StateValidationError("theta must lie in [0, pi]")
     if not 0.0 <= phi < 2.0 * np.pi:
@@ -110,15 +102,6 @@ def su2_coherent_amplitudes(nu: int, theta: float, phi: float) -> np.ndarray:
     log_c = np.where(nu - k > 0, (nu - k) * np.log(c) if c > 0.0 else -np.inf, 0.0)
     moduli = np.exp(0.5 * log_binom + log_s + log_c)
     return normalized_amplitudes(moduli * linear_phase(phi, nu + 1))
-
-
-def su2_coherent(nu: int, theta: float, phi: float) -> ResourceState:
-    """Spin (atomic) coherent state with binomial amplitudes.
-
-    x_k = sqrt(binom(nu, k)) sin^k(theta/2) cos^(nu-k)(theta/2) e^(i k phi),
-    so theta = 0 gives |0> (x) |nu> and theta = pi gives |nu> (x) |0>.
-    """
-    return ResourceState.from_amplitudes(su2_coherent_amplitudes(nu, theta, phi))
 
 
 @dataclass(frozen=True)
@@ -173,10 +156,6 @@ def double_well_ground_amplitudes(params: BoseHubbardParams) -> np.ndarray:
     return normalized_amplitudes(x)
 
 
-def double_well_ground(params: BoseHubbardParams) -> ResourceState:
-    return ResourceState.from_amplitudes(double_well_ground_amplitudes(params))
-
-
 def linear_phase(coeff: float, n: int) -> np.ndarray:
     """The phase vector e^{i coeff k}, k = 0..n-1, from O(sqrt(n)) exponentials.
 
@@ -191,19 +170,6 @@ def linear_phase(coeff: float, n: int) -> np.ndarray:
     high = np.exp(1j * (coeff * B) * np.arange(-(-n // B)))
     low = np.exp(1j * coeff * np.arange(B))
     return np.multiply.outer(high, low).reshape(-1)[:n]
-
-
-def apply_phases(rho: ResourceState, theta: Callable[[int], float]) -> ResourceState:
-    """Conjugate by the diagonal unitary diag(e^{i theta(k)}).
-
-    Leaves all entry moduli (hence negativity and the averaged final
-    entanglement) unchanged; fidelity changes unless theta is constant.
-    """
-    nu = rho.n_particles
-    phases = np.exp(1j * np.array([theta(k) for k in range(nu + 1)]))
-    return ResourceState(
-        nu, rho.matrix * np.outer(phases, phases.conj()), validate_spectrum=False
-    )
 
 
 def _imbalance_populations(rho) -> tuple[np.ndarray, np.ndarray]:

@@ -76,9 +76,10 @@ def _check_separable_baseline(_rng) -> bool:
     ok = True
     for N in (1, 2, 3):
         for k in (0, 2, 4):
-            f = protocol.fidelity_closed(resources.fock_separable(4, k), N)
+            rho = resources.fock_separable_diagonals(4, k).state()
+            f = protocol.fidelity_closed(rho, N)
             ok &= abs(f - 2.0 / (N + 2)) < 1e-12
-            e = protocol.avg_entanglement_closed(resources.fock_separable(4, k), N)
+            e = protocol.avg_entanglement_closed(rho, N)
             ok &= abs(e) < 1e-12
     return ok
 

@@ -29,7 +29,7 @@ def test_acceptance_1_closed_form_baselines():
     for N in range(1, 6):
         for nu in range(N, 51):
             for k in range(nu + 1):
-                f = protocol.fidelity_closed(resources.fock_separable(nu, k), N)
+                f = protocol.fidelity_closed(resources.fock_separable_diagonals(nu, k).state(), N)
                 assert abs(f - 2.0 / (N + 2)) <= 1e-12
             x = resources.max_entangled_amplitudes(nu)
             f = protocol.fidelity_closed_pure(x, N)
@@ -113,9 +113,9 @@ def _resource_suite(rng):
         x = haar_amplitude_batch(nu, 1, rng)[0]
         suite.append((ResourceState.from_amplitudes(x), int(rng.integers(1, min(nu, 5) + 1))))
     for nu in range(5, 25):
-        suite.append((resources.noon(nu), 2))
-        suite.append((resources.su2_coherent(nu, 1.0, 0.5), 2))
-        suite.append((resources.gaussian_pure(resources.GaussianSpec.from_beta(nu, 0.8)), 2))
+        for x in (resources.noon_amplitudes(nu), resources.su2_coherent_amplitudes(nu, 1.0, 0.5),
+                  resources.gaussian_amplitudes(resources.GaussianSpec.from_beta(nu, 0.8))):
+            suite.append((ResourceState.from_amplitudes(x), 2))
     return suite
 
 
@@ -210,16 +210,14 @@ def test_acceptance_7_gaussian_convergence_scaling():
 def test_acceptance_8_double_well_ground_states():
     nu, N = 400, 2
     gamma = float(nu) ** (1.0 / 3.0)
-    repulsive = resources.double_well_ground(
-        resources.BoseHubbardParams.from_gamma(nu, gamma)
-    )
+    repulsive = ResourceState.from_amplitudes(resources.double_well_ground_amplitudes(
+        resources.BoseHubbardParams.from_gamma(nu, gamma)))
     _, var = resources.imbalance_moments(repulsive)
     predicted = 1.0 / (nu * np.sqrt(gamma + 1.0))
     assert abs(var - predicted) / predicted <= 0.10
 
-    attractive = resources.double_well_ground(
-        resources.BoseHubbardParams.from_gamma(nu, -2.0)
-    )
+    attractive = ResourceState.from_amplitudes(resources.double_well_ground_amplitudes(
+        resources.BoseHubbardParams.from_gamma(nu, -2.0)))
     peaks = resources.occupation_peaks(attractive)
     z0 = np.sqrt(3.0) / 2.0
     assert len(peaks) == 2
@@ -310,7 +308,8 @@ def test_acceptance_11_mixing_linearity():
     rho = resources.max_entangled(6)
     for s in (1.0, 1e2, 1e4, 1e6):
         for k in (0, 3, 6):
-            mixed = noise.mix(rho, noise.MixingSpec(resources.fock_separable(6, k), s))
+            sigma = resources.fock_separable_diagonals(6, k).state()
+            mixed = noise.mix(rho, noise.MixingSpec(sigma, s))
             assert protocol.fidelity_closed(mixed, N) > protocol.separable_fidelity(N)
     _report("11", "mixing fidelity affine in the weight; separable mixtures "
                   "stay above baseline through s = 1e6")

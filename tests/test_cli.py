@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -174,8 +175,28 @@ def test_sweep_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path, sweep_config())
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def readme_synopsis_options() -> set[str]:
+    """The options in the code block that opens README's `## Command line`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return set(re.findall(r"--[a-z][a-z-]*", block))
+
+
+def test_readme_synopsis_lists_each_subcommand_option(tmp_path, capsys):
+    synopsis = readme_synopsis_options()
+    subparsers = next(a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+    for name, sub in subparsers.choices.items():
+        options = {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+        want = synopsis - {"--config"} if name == "selftest" else synopsis
+        assert options - {"--help"} == want, name
+    # an option the synopsis does not list is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", write_config(tmp_path, sweep_config()), "--threads", "4"])
+    assert exc.value.code == 2 and "--threads" in capsys.readouterr().err
 
 
 def test_consecutive_calls_share_no_options(tmp_path):

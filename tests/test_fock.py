@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from telefock import fock, noise
+from telefock import fock, noise, protocol, resources
 from telefock.errors import StateValidationError
 from telefock.fock import (
     PSD_EIG_FLOOR,
@@ -294,3 +294,39 @@ def test_diagonals_rebuild_the_dense_state():
         Diagonals(6, (np.ones(7) / 7, np.zeros(7)))
     with pytest.raises(StateValidationError, match="non-finite"):
         Diagonals(2, (np.array([1.0, np.nan, 0.0]),))
+
+
+
+def _vector_readers():
+    """Each call that takes amplitudes, as a function of the amplitudes of 8 particles."""
+    psi = PureTwoModeState(2, np.array([0.6, 0.0, 0.8]))
+    scan = lambda x, spec, t: noise.band_scan(x, spec, 2, [t])
+    return {
+        "fock._entries": fock._entries,
+        "band": lambda x: protocol.band(x, 2),
+        "fidelity_closed": lambda x: protocol.fidelity_closed(x, 2),
+        "fidelity_closed_pure": lambda x: protocol.fidelity_closed_pure(x, 2),
+        "avg_entanglement_closed_pure": lambda x: protocol.avg_entanglement_closed_pure(x, 2),
+        "performance_report": lambda x: protocol.performance_report(x, 2),
+        "band_scan.dephasing": lambda x: scan(x, noise.DephasingSpec(0.5, 0.5, 0.0), 0.1),
+        "band_scan.loss": lambda x: scan(
+            x, noise.LossSpec((noise.LossChannel(0.5, 1, 0),), 0.0), 0.1),
+        "band_scan.mixing": lambda x: scan(
+            x, noise.MixingSpec(resources.fock_separable_diagonals(8, 0), 0.0), 0.5),
+        "band_scan.mixing_undesired": lambda x: scan(
+            resources.max_entangled_amplitudes(8), noise.MixingSpec(x, 0.0), 0.5),
+        "iter_outcomes": lambda x: list(protocol.iter_outcomes(psi, x)),
+        "imbalance_moments": resources.imbalance_moments,
+    }
+
+
+@pytest.mark.parametrize("reader", list(_vector_readers()))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_every_vector_reader_rejects_unnormalized_amplitudes(reader, dtype):
+    read = _vector_readers()[reader]
+    x = resources.max_entangled_amplitudes(8).astype(dtype)
+    read(x)  # a normalized vector passes
+    with pytest.raises(StateValidationError, match="not normalized"):
+        read(1.001 * x)
+    with pytest.raises(StateValidationError, match="not normalized"):
+        read(np.where(np.arange(9) == 4, np.nan, x))

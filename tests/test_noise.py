@@ -59,7 +59,7 @@ def test_mix_average_state_linearity():
 def test_mix_with_separable_stays_above_baseline():
     N = 2
     rho = resources.max_entangled(4)
-    sigma = resources.fock_separable(4, 2)
+    sigma = resources.fock_separable_diagonals(4, 2).state()
     for s in (0.0, 1.0, 1e3, 1e6):
         f = fidelity_closed(noise.mix(rho, noise.MixingSpec(sigma, s)), N)
         assert f > separable_fidelity(N)
@@ -151,8 +151,8 @@ def test_dephase_nonnegative_band_keeps_beating_baseline():
     # states whose near-diagonal entries are nonnegative never drop below the
     # separable fidelity under dephasing
     N = 2
-    for rho in (resources.max_entangled(6),
-                resources.gaussian_pure(resources.GaussianSpec.from_beta(12, 0.7))):
+    gaussian = resources.gaussian_amplitudes(resources.GaussianSpec.from_beta(12, 0.7))
+    for rho in (resources.max_entangled(6), ResourceState.from_amplitudes(gaussian)):
         for t in (0.1, 1.0, 5.0, 10.0):
             evolved = noise.dephase(rho, noise.DephasingSpec(0.6, 0.4, t))
             assert fidelity_closed(evolved, N) > separable_fidelity(N)
@@ -175,7 +175,7 @@ def test_threshold_analytic_value():
 
 def test_threshold_fidelity_sides():
     report = noise.dephasing_threshold_demo(**THRESHOLD_ARGS)
-    rho = noise.four_coherence_state(0.35, 0.15, 0.15, 0.35, -0.1, 0.3, 4)
+    rho = noise.four_coherence_diagonals(0.35, 0.15, 0.15, 0.35, -0.1, 0.3, 4).state()
     f_before = fidelity_closed(
         noise.dephase(rho, noise.DephasingSpec(0.5, 0.5, 0.5 * report.t_star)), 4
     )
@@ -192,11 +192,11 @@ def test_threshold_time_zero_criterion():
     y_boundary = -x * N / (N - 2)
     a = d = 0.3
     b = c = 0.2
-    above = noise.four_coherence_state(a, b, c, d, x, y_boundary + 1e-3, 4)
-    below = noise.four_coherence_state(a, b, c, d, x, y_boundary - 1e-3, 4)
+    above = noise.four_coherence_diagonals(a, b, c, d, x, y_boundary + 1e-3, 4).state()
+    below = noise.four_coherence_diagonals(a, b, c, d, x, y_boundary - 1e-3, 4).state()
     assert fidelity_closed(above, N) > separable_fidelity(N)
     assert fidelity_closed(below, N) < separable_fidelity(N)
-    boundary = noise.four_coherence_state(a, b, c, d, x, y_boundary, 4)
+    boundary = noise.four_coherence_diagonals(a, b, c, d, x, y_boundary, 4).state()
     assert fidelity_closed(boundary, N) == pytest.approx(separable_fidelity(N), abs=1e-12)
 
 
@@ -209,9 +209,9 @@ def test_threshold_requires_large_input_sector():
 
 def test_threshold_positivity_validation():
     with pytest.raises(StateValidationError):
-        noise.four_coherence_state(0.35, 0.15, 0.15, 0.35, -0.5, 0.3, 4)
+        noise.four_coherence_diagonals(0.35, 0.15, 0.15, 0.35, -0.5, 0.3, 4)
     with pytest.raises(StateValidationError):
-        noise.four_coherence_state(0.4, 0.1, 0.1, 0.4, -0.1, 0.5, 4)
+        noise.four_coherence_diagonals(0.4, 0.1, 0.1, 0.4, -0.1, 0.5, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +286,6 @@ def test_lindblad_block_bookkeeping():
         assert block.shape == (b + 1, b + 1)
         assert np.trace(block).real >= -1e-12
     assert abs(res.total_trace() - 1.0) < 1e-8
-    eligible = res.entanglement_eligible_lower_weights(N=2)
-    assert set(eligible) == {4}  # nu - b < N means b > nu - N = 3
 
 
 LOSS_CHANNEL_SETS = [((1, 0),), ((0, 1),), ((1, 1),), ((2, 0),), ((0, 2),),
@@ -320,7 +318,8 @@ def test_analytic_with_lower_blocks():
     rng = np.random.default_rng(74)
     rho = random_resource(4, rng)
     spec = noise.LossSpec((noise.LossChannel(0.6, 1, 0),), t=0.5)
-    res = noise.particle_loss_analytic(rho, spec, compute_lower=True)
+    lower = noise.particle_loss_lindblad(rho, spec, spec.t).lower_blocks
+    res = replace(noise.particle_loss_analytic(rho, spec), lower_blocks=lower)
     assert res.lower_blocks is not None
     assert abs(res.total_trace() - 1.0) < 1e-8
 
@@ -368,7 +367,7 @@ def test_dephasing_substitution_rule():
     # in imbalance variables the exponent grows by t L nu^2 / 8
     nu, t, l3, l4 = 60, 0.02, 0.5, 0.5
     prof = continuum.gaussian_beta_family(0.75)
-    state = prof.to_resource(nu)
+    state = ResourceState.from_amplitudes(prof.amplitudes(nu))
     evolved = noise.dephase(state, noise.DephasingSpec(l3, l4, t))
     z = 1.0 - 2.0 * np.arange(nu + 1) / nu
     extra = t * (l3 + l4) * nu ** 2 / 8.0
@@ -383,7 +382,7 @@ def test_loss_substitution_rule():
     l3, l4, l33, l44, l34 = 0.2, 0.3, 0.15, 0.1, 0.05
     spec = noise.two_particle_loss_spec(l3, l4, l33, l44, l34, t)
     prof = continuum.gaussian_beta_family(0.75)
-    state = prof.to_resource(nu)
+    state = ResourceState.from_amplitudes(prof.amplitudes(nu))
     res = noise.particle_loss_analytic(state, spec)
     eta = noise.eta_rates(spec, nu)
     delta = l33 + l44 - l34
@@ -496,7 +495,7 @@ def test_loss_floor_matches_bounds_report():
 
 def test_noisy_convergence_rejects_mixing_channel():
     prof = continuum.gaussian_beta_family(0.75)
-    mixing = noise.MixingSpec(resources.fock_separable(8, 4), 0.5)
+    mixing = noise.MixingSpec(resources.fock_separable_diagonals(8, 4).state(), 0.5)
     with pytest.raises(UnsupportedRegimeError, match="MixingSpec"):
         noise.noisy_convergence(prof, mixing, lambda nu: 0.0, 2, [8, 16, 32, 64])
 
@@ -517,11 +516,11 @@ def _band_and_dense(kind, nu, rng):
         a, b, c, d = rng.dirichlet(np.ones(4))
         x = float(rng.uniform(-1.0, 1.0)) * math.sqrt(b * c)
         y = float(rng.uniform(-1.0, 1.0)) * math.sqrt(a * d)
-        return (noise.four_coherence_diagonals(a, b, c, d, x, y, nu),
-                noise.four_coherence_state(a, b, c, d, x, y, nu))
+        diagonals = noise.four_coherence_diagonals(a, b, c, d, x, y, nu)
+        return diagonals, diagonals.state()
     if kind == "fock_separable":
-        k = int(rng.integers(0, nu + 1))
-        return resources.fock_separable_diagonals(nu, k), resources.fock_separable(nu, k)
+        diagonals = resources.fock_separable_diagonals(nu, int(rng.integers(0, nu + 1)))
+        return diagonals, diagonals.state()
     state = random_resource(nu, rng)
     return state, state
 
@@ -586,7 +585,7 @@ def test_threshold_bisection_matches_dense_dephasing_bitwise():
     args = dict(THRESHOLD_ARGS)
     N, l3, l4 = args.pop("N"), args.pop("lambda3"), args.pop("lambda4")
     for nu in (4, 9, 64):
-        rho = noise.four_coherence_state(*args.values(), nu)
+        rho = noise.four_coherence_diagonals(*args.values(), nu).state()
         band0 = protocol.band(noise.four_coherence_diagonals(*args.values(), nu), N)
         times = (0.0, 0.01, 0.1, 0.7)
         scan = noise.band_scan(band0, noise.DephasingSpec(l3, l4, 0.0), N, times)
@@ -637,7 +636,7 @@ STOCK_FAMILIES = {
 @pytest.mark.parametrize("name", list(STOCK_FAMILIES))
 def test_factorized_gaussian_fit_matches_matrix_probe(name, nu):
     profile = STOCK_FAMILIES[name]
-    want = _probe_matrix(profile.to_resource(nu).matrix)
+    want = _probe_matrix(ResourceState.from_amplitudes(profile.amplitudes(nu)).matrix)
     assert noise._is_factorized_gaussian(profile.amplitudes(nu)) == want
 
 
@@ -662,9 +661,10 @@ def test_dense_channels_take_every_resolved_mixing_spec():
     rho = resources.max_entangled(6)
     four = dict(a=0.35, b=0.15, c=0.15, d=0.35, x=-0.1, y=0.3)
     for undesired, sigma in (
-        ({"name": "fock_separable", "k": 2}, resources.fock_separable(6, 2)),
-        ({"name": "noon"}, resources.noon(6)),
-        ({"name": "four_coherence", **four}, noise.four_coherence_state(*four.values(), 6)),
+        ({"name": "fock_separable", "k": 2}, resources.fock_separable_diagonals(6, 2).state()),
+        ({"name": "noon"}, ResourceState.from_amplitudes(resources.noon_amplitudes(6))),
+        ({"name": "four_coherence", **four},
+         noise.four_coherence_diagonals(*four.values(), 6).state()),
     ):
         # the section names no weight (a scan sets each); set s as `band_scan` does
         spec = replace(resolve_noise({"kind": "mixing", "undesired": undesired}, 6), s=0.5)

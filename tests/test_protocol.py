@@ -167,7 +167,7 @@ def test_perfect_sectors_with_max_entangled_resource():
 
 def test_zero_probability_outcome_is_null():
     psi = PureTwoModeState(1, np.array([1.0, 0.0]))
-    rho = resources.fock_separable(3, 0)
+    rho = resources.fock_separable_diagonals(3, 0).state()
     # sector l=3 needs resource occupation >= 3 on the k=0 component
     outcome = teleport_outcome(psi, rho, 3, 0)
     assert outcome.probability == 0.0
@@ -211,7 +211,7 @@ def test_average_teleported_paths_agree():
 def test_average_teleported_separable_resource_is_diagonal():
     rng = np.random.default_rng(26)
     psi = random_input(2, rng)
-    rho = resources.fock_separable(4, 4)
+    rho = resources.fock_separable_diagonals(4, 4).state()
     avg = average_teleported(psi, rho)
     expected = np.diag(np.abs(psi.amplitudes) ** 2)
     assert np.max(np.abs(avg.matrix - expected)) < 1e-14
@@ -242,7 +242,7 @@ def test_average_teleported_overlap_approaches_one():
 def test_fidelity_separable_baseline():
     for N in range(1, 6):
         for k in range(7):
-            f = fidelity_closed(resources.fock_separable(6, k), N)
+            f = fidelity_closed(resources.fock_separable_diagonals(6, k).state(), N)
             assert f == pytest.approx(2.0 / (N + 2), abs=1e-15)
 
 
@@ -251,7 +251,7 @@ def test_fidelity_max_entangled_closed_form():
 
 
 def test_entanglement_closed_forms():
-    assert avg_entanglement_closed(resources.fock_separable(5, 2), 2) == 0.0
+    assert avg_entanglement_closed(resources.fock_separable_diagonals(5, 2).state(), 2) == 0.0
     e = avg_entanglement_closed(resources.max_entangled(3), 1)
     assert e == pytest.approx(3.0 * np.pi / 32.0, abs=1e-15)
 
@@ -562,7 +562,8 @@ def test_outcomes_of_a_dense_state_match_the_reference():
 
 def test_outcomes_certify_one_state_per_sector(monkeypatch):
     psi = PureTwoModeState(2, np.array([0.6, 0.0, 0.8]))
-    states = [random_resource(6, np.random.default_rng(42)), resources.fock_separable(6, 3),
+    states = [random_resource(6, np.random.default_rng(42)),
+              resources.fock_separable_diagonals(6, 3).state(),
               resources.fock_separable_diagonals(6, 3), resources.max_entangled_amplitudes(6)]
     shapes = []
     certified = fock._psd_certified

@@ -6,7 +6,7 @@ from scipy.special import gammaln
 
 from telefock import resources
 from telefock.errors import StateValidationError
-from telefock.fock import Diagonals, negativity
+from telefock.fock import Diagonals, ResourceState, negativity
 from telefock.protocol import (
     avg_entanglement_closed,
     fidelity_closed,
@@ -40,28 +40,29 @@ def test_max_entangled_fidelity_anchor():
 
 
 def test_fock_separable_matrix_and_performance():
-    state = resources.fock_separable(4, 4)
+    state = resources.fock_separable_diagonals(4, 4).state()
     expected = np.zeros((5, 5))
     expected[4, 4] = 1.0
     assert np.array_equal(state.matrix.real, expected)
     for N in (1, 2):
         for k in range(5):
-            s = resources.fock_separable(4, k)
+            s = resources.fock_separable_diagonals(4, k).state()
             assert fidelity_closed(s, N) == pytest.approx(2 / (N + 2), abs=1e-15)
             assert avg_entanglement_closed(s, N) == 0.0
     with pytest.raises(StateValidationError):
-        resources.fock_separable(4, 5)
+        resources.fock_separable_diagonals(4, 5)
 
 
 def test_noon_state():
-    state = resources.noon(2)
+    state = ResourceState.from_amplitudes(resources.noon_amplitudes(2))
     x = np.sqrt(np.diag(state.matrix).real)
     assert np.allclose(x, [1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)], atol=1e-15)
     assert negativity(state) == pytest.approx(0.5, abs=1e-15)
     # the lone coherence sits at distance nu > N from the diagonal, so the
     # banded fidelity sum collapses to the separable baseline exactly
     for nu in (2, 5, 9):
-        assert fidelity_closed(resources.noon(nu), 1) == pytest.approx(2 / 3, abs=1e-15)
+        state = ResourceState.from_amplitudes(resources.noon_amplitudes(nu))
+        assert fidelity_closed(state, 1) == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_gaussian_wide_limit_is_uniform():
@@ -95,9 +96,9 @@ def test_gaussian_wide_beta_tracks_uniform_rate():
 
 
 def test_su2_coherent_poles():
-    north = resources.su2_coherent(4, 0.0, 0.0)
+    north = ResourceState.from_amplitudes(resources.su2_coherent_amplitudes(4, 0.0, 0.0))
     assert north.matrix[0, 0].real == pytest.approx(1.0, abs=1e-15)
-    south = resources.su2_coherent(4, np.pi, 0.0)
+    south = ResourceState.from_amplitudes(resources.su2_coherent_amplitudes(4, np.pi, 0.0))
     assert south.matrix[4, 4].real == pytest.approx(1.0, abs=1e-15)
 
 
@@ -126,7 +127,8 @@ def test_su2_coherent_fidelity_rate():
 
 def test_double_well_noninteracting_ground_state():
     nu = 40
-    state = resources.double_well_ground(resources.BoseHubbardParams(nu, 1.0, 0.0))
+    state = ResourceState.from_amplitudes(
+        resources.double_well_ground_amplitudes(resources.BoseHubbardParams(nu, 1.0, 0.0)))
     x = np.sqrt(np.diag(state.matrix).real)
     assert np.max(np.abs(x - binomial_amplitudes(nu))) < 1e-10
 
@@ -134,9 +136,8 @@ def test_double_well_noninteracting_ground_state():
 def test_double_well_repulsive_width():
     nu = 400
     gamma = float(nu) ** (1.0 / 3.0)
-    state = resources.double_well_ground(
-        resources.BoseHubbardParams.from_gamma(nu, gamma)
-    )
+    state = ResourceState.from_amplitudes(resources.double_well_ground_amplitudes(
+        resources.BoseHubbardParams.from_gamma(nu, gamma)))
     _, var = resources.imbalance_moments(state)
     predicted = 1.0 / (nu * np.sqrt(gamma + 1.0))
     assert abs(var - predicted) / predicted < 0.10
@@ -144,9 +145,8 @@ def test_double_well_repulsive_width():
 
 def test_double_well_attractive_bimodal():
     nu = 400
-    state = resources.double_well_ground(
-        resources.BoseHubbardParams.from_gamma(nu, -2.0)
-    )
+    state = ResourceState.from_amplitudes(resources.double_well_ground_amplitudes(
+        resources.BoseHubbardParams.from_gamma(nu, -2.0)))
     peaks = resources.occupation_peaks(state)
     z0 = np.sqrt(3.0) / 2.0
     assert len(peaks) == 2
@@ -158,9 +158,8 @@ def test_double_well_attractive_width_loose():
     # two-bump width 1/(nu |gamma| sqrt(gamma^2-1)); subleading corrections at
     # accessible nu are unknown, so only a 20% agreement is asserted
     nu, gamma = 400, -2.0
-    state = resources.double_well_ground(
-        resources.BoseHubbardParams.from_gamma(nu, gamma)
-    )
+    state = ResourceState.from_amplitudes(resources.double_well_ground_amplitudes(
+        resources.BoseHubbardParams.from_gamma(nu, gamma)))
     w = np.diag(state.matrix).real
     z = 1.0 - 2.0 * np.arange(nu + 1) / nu
     right = z < 0.0  # one of the two bumps
@@ -186,25 +185,18 @@ def test_double_well_intermediate_width_scaling():
     # (in the imbalance variable, variance ~ nu^(-2/3))
     scaled = []
     for nu in (200, 400, 800, 1600):
-        state = resources.double_well_ground(
-            resources.BoseHubbardParams.from_gamma(nu, -1.0)
-        )
+        state = ResourceState.from_amplitudes(resources.double_well_ground_amplitudes(
+            resources.BoseHubbardParams.from_gamma(nu, -1.0)))
         _, var = resources.imbalance_moments(state)
         scaled.append(var * float(nu) ** (2.0 / 3.0))
     scaled = np.array(scaled)
     assert np.max(scaled) / np.min(scaled) < 1.10
 
 
-def test_apply_phases_identity():
-    rho = resources.max_entangled(5)
-    same = resources.apply_phases(rho, lambda k: 0.0)
-    assert np.max(np.abs(same.matrix - rho.matrix)) == 0.0
-
-
 def test_apply_phases_alternating_drops_fidelity():
     nu, N = 11, 1
-    rho = resources.max_entangled(nu)
-    flipped = resources.apply_phases(rho, lambda k: np.pi * k)
+    rho = resources.max_entangled_amplitudes(nu)
+    flipped = rho * (1.0 - 2.0 * (np.arange(nu + 1) % 2))
     f_max = fidelity_closed(rho, N)
     f_flip = fidelity_closed(flipped, N)
     assert f_flip < f_max
@@ -214,10 +206,10 @@ def test_apply_phases_alternating_drops_fidelity():
 
 def test_apply_phases_preserves_moduli_functionals():
     rng = np.random.default_rng(44)
-    rho = resources.max_entangled(7)
-    theta = dict(enumerate(rng.uniform(0, 2 * np.pi, 8)))
-    decorated = resources.apply_phases(rho, lambda k: theta[k])
-    assert negativity(decorated) == pytest.approx(negativity(rho), abs=1e-12)
+    rho = resources.max_entangled_amplitudes(7)
+    decorated = rho * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
+    assert negativity(ResourceState.from_amplitudes(decorated)) == pytest.approx(
+        negativity(ResourceState.from_amplitudes(rho)), abs=1e-12)
     assert avg_entanglement_closed(decorated, 2) == pytest.approx(
         avg_entanglement_closed(rho, 2), abs=1e-12
     )
@@ -225,17 +217,16 @@ def test_apply_phases_preserves_moduli_functionals():
 
 def test_constructors_produce_valid_states():
     # re-validate with the full spectral check, including the fast paths
-    from telefock.fock import ResourceState
-
-    candidates = [
-        resources.max_entangled(6),
-        resources.fock_separable(6, 2),
-        resources.noon(6),
-        resources.gaussian_pure(resources.GaussianSpec.from_beta(20, 0.7)),
-        resources.su2_coherent(12, 1.1, 0.7),
-        resources.double_well_ground(resources.BoseHubbardParams.from_gamma(16, 3.0)),
-        resources.apply_phases(resources.max_entangled(6), lambda k: 0.3 * k * k),
+    amplitudes = [
+        resources.max_entangled_amplitudes(6),
+        resources.noon_amplitudes(6),
+        resources.gaussian_amplitudes(resources.GaussianSpec.from_beta(20, 0.7)),
+        resources.su2_coherent_amplitudes(12, 1.1, 0.7),
+        resources.double_well_ground_amplitudes(resources.BoseHubbardParams.from_gamma(16, 3.0)),
+        resources.max_entangled_amplitudes(6) * np.exp(0.3j * np.arange(7) ** 2),
     ]
+    candidates = [resources.fock_separable_diagonals(6, 2).state()]
+    candidates += [ResourceState.from_amplitudes(x) for x in amplitudes]
     for state in candidates:
         ResourceState(state.n_particles, state.matrix)  # validate_spectrum=True
 
@@ -272,7 +263,7 @@ def test_populations_of_amplitudes_and_states_agree_bitwise(gamma):
     for nu in (1, 2, 41, 400):
         params = resources.BoseHubbardParams.from_gamma(nu, gamma)
         x = resources.double_well_ground_amplitudes(params)
-        state = resources.double_well_ground(params)
+        state = ResourceState.from_amplitudes(x)
         z = 1.0 - 2.0 * np.arange(nu + 1) / nu
         want = reference_occupation_peaks(np.diagonal(state.matrix).real, z)
         assert resources.occupation_peaks(x) == resources.occupation_peaks(state) == want
