@@ -26,6 +26,7 @@ from . import resources
 
 QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-10
+QUAD_LIMIT = 400
 # profiles whose diagonal mass deviates from 1 by more than this are rejected;
 # smaller deviations (compact-interval truncation of wide shapes) renormalize
 RENORM_LIMIT = 0.5
@@ -52,11 +53,12 @@ class ContinuumProfile:
     `features_of_nu` lists interior z-points (bump centers) handed to the
     quadrature as breakpoints.
 
-    The `chi` and `omega` callables must accept numpy arrays and broadcast
-    over them (every stock profile does; a constant is fine): the strip
-    integral across the diagonal evaluates QUADPACK's first GK21 step at all
-    42 nodes in one call, and falls back to adaptive `quad` only when that
-    step fails its error test.
+    The `chi` and `omega` callables must accept numpy arrays of any shape,
+    2-D included, and broadcast over them (every stock profile does; a
+    constant omega is fine): the band integral evaluates omega once per
+    batch of outer nodes, on a 2-D array that holds the 42 points of
+    QUADPACK's first GK21 step across the strip at every node, and falls
+    back to adaptive `quad` only for a node whose step fails its error test.
     """
 
     smoothness: str
@@ -90,8 +92,9 @@ class ContinuumProfile:
     def diagonal_norm(self, nu: float) -> float:
         """Integral of omega(z, z) over [-1, 1]; must be 1 for a valid profile."""
         om = self.omega(nu)
-        val, _ = _quad(lambda z: float(np.real(om(z, z))), -1.0, 1.0,
-                       points=self._features(nu))
+        # a constant omega gives a scalar
+        val, _ = _qagp(lambda z: np.broadcast_to(np.real(om(z, z)), z.shape), -1.0, 1.0,
+                       self._features(nu))
         return val
 
     def amplitudes(self, nu: int) -> np.ndarray:
@@ -110,26 +113,31 @@ class ContinuumProfile:
         return [float(p) for p in self.features_of_nu(nu) if -1.0 < p < 1.0]
 
 
-def _quad(func, lo, hi, points=None) -> tuple[float, float]:
-    """Adaptive quadrature that turns genuine non-convergence into an error.
+def _accept(val: float, err: float, failure: str | None) -> tuple[float, float]:
+    """A quadrature result, or the QuadratureError it stands for.
 
-    Roundoff-limited warnings with a tiny reported error estimate are
-    accepted; anything with a substantial residual error raises.
+    Roundoff-limited warnings (`failure`) with a tiny reported error
+    estimate are accepted; anything with a substantial residual error
+    raises, and so does a non-finite value or estimate.
     """
+    if not (np.isfinite(val) and np.isfinite(err)):
+        raise QuadratureError(f"quadrature gave a non-finite result: {val!r} +/- {err!r}")
+    if failure is not None and err > max(1e-9, 1e-7 * abs(val)):
+        raise QuadratureError(f"quadrature failed to converge: {failure}")
+    return val, err
+
+
+def _quad(func, lo, hi, points=None) -> tuple[float, float]:
+    """Adaptive scalar quadrature by `scipy.integrate.quad`, checked by `_accept`."""
     import scipy.integrate
 
     out = scipy.integrate.quad(
         func, lo, hi,
         epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-        limit=400, points=points if points else None,
+        limit=QUAD_LIMIT, points=points if points else None,
         full_output=1,
     )
-    val, err = out[0], out[1]
-    if not (np.isfinite(val) and np.isfinite(err)):
-        raise QuadratureError(f"quadrature gave a non-finite result: {val!r} +/- {err!r}")
-    if len(out) > 3 and err > max(1e-9, 1e-7 * abs(val)):
-        raise QuadratureError(f"quadrature failed to converge: {out[3]}")
-    return val, err
+    return _accept(out[0], out[1], out[3] if len(out) > 3 else None)
 
 
 # QUADPACK dqk21 (Piessens et al., 1983): Kronrod abscissae on [0, 1], center
@@ -156,40 +164,396 @@ _GK21_WG = np.array([
     0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
     0.0, 0.295524224714752870173892994651338, 0.0,
 ])
-# the 21 nodes and weights of one panel, from its left end to its right end
+# the 21 nodes of one panel, from its left end to its right end
 _GK21_T = np.concatenate((-_GK21_X, _GK21_X[-2::-1]))
-_GK21_WK21 = np.concatenate((_GK21_WK, _GK21_WK[-2::-1]))
-_GK21_WG21 = np.concatenate((_GK21_WG, _GK21_WG[-2::-1]))
+# dqk21's sums run over the center, then over the pairs f(c - h x_j) +
+# f(c + h x_j): for resk, resg and resabs those of the Gauss abscissae
+# j = 1, 3, .., 9 first, for resasc in the order j = 0..9.  Gathering the
+# node rows by `_GK21_PAIRS` (or `_GK21_PAIRS_ASC`) puts the left nodes in
+# order in rows 0..10 and their right partners in rows 11..21: the center
+# comes twice, as f(c) + f(c), whose halved weight makes the same product.
+_GK21_LEFT = np.array([10, 1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
+_GK21_LEFT_ASC = np.array([10, *range(10)])
+_GK21_PAIRS, _GK21_PAIRS_ASC = (np.concatenate((j, np.where(j == 10, 10, 20 - j)))
+                                for j in (_GK21_LEFT, _GK21_LEFT_ASC))
+_GK21_HALVED = np.array([1.0] * 10 + [0.5])
+_GK21_W3 = (np.stack((_GK21_WK, _GK21_WG, _GK21_WK)) * _GK21_HALVED)[:, _GK21_LEFT]
+_GK21_WK_ASC = (_GK21_WK * _GK21_HALVED)[_GK21_LEFT_ASC]
 _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
+_OFLOW = float(np.finfo(float).max)
 
 
-def _gk21_pair(f, b: float) -> tuple[float, float]:
-    """QUADPACK qagp's first step for the integral of f over [-b, b].
+def _gk21(node: np.ndarray, hlgth) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """QUADPACK dqk21 on a batch of panels.
 
-    That step applies dqk21 to [-b, 0] and [0, b] (breakpoint 0); here all
-    42 nodes are evaluated in one call of the array function f.  Returns the
-    summed value and error estimate; when the estimate passes qagp's own
-    test, `quad` would return the same value up to summation order.
+    `node[k]` holds f at `center + hlgth * _GK21_T[k]` for every panel, its
+    trailing shape the batch's, which `hlgth` broadcasts against.  Returns
+    dqk21's (result, abserr, resabs, resasc) per panel, each sum added in
+    dqk21's order (`np.add.accumulate` adds in order).
     """
-    h = 0.5 * b  # also the panel centers' distance from 0
-    fv = f((np.array([[-h], [h]]) + h * _GK21_T).ravel()).reshape(2, 21)
-    resk = fv @ _GK21_WK21
-    resg = fv @ _GK21_WG21
-    resabs = np.abs(fv) @ _GK21_WK21
-    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK21_WK21
-    val = err = 0.0
-    for k, g, ra, rs in zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist()):
-        e = abs((k - g) * h)
-        ra, rs = ra * h, rs * h
-        if rs != 0.0 and e != 0.0:
-            r = 200.0 * e / rs
-            e = rs * (r ** 1.5 if r < 1.0 else 1.0)  # min(1, r**1.5); pow cannot overflow
-        if ra > _UFLOW / (50.0 * _EPMACH):
-            e = max(50.0 * _EPMACH * ra, e)
-        val += k * h
-        err += e
-    return val, err
+    batch = (..., *[None] * (node.ndim - 1))  # weights broadcast over the batch
+    with np.errstate(all="ignore"):  # IEEE arithmetic, as QUADPACK's: inf - inf is NaN
+        paired = node[_GK21_PAIRS]
+        absp = np.abs(paired)
+        terms = np.concatenate((paired[:11] + paired[11:],) * 2 + (absp[:11] + absp[11:],))
+        terms = terms.reshape((3, 11) + node.shape[1:]) * _GK21_W3[batch]
+        resk, resg, resabs = np.add.accumulate(terms, axis=1)[:, -1]
+        dev = np.abs(node[_GK21_PAIRS_ASC] - 0.5 * resk)
+        resasc = np.add.accumulate((dev[:11] + dev[11:]) * _GK21_WK_ASC[batch])[-1]
+        dh = np.abs(hlgth)
+        resabs, resasc = resabs * dh, resasc * dh
+        abserr = np.abs((resk - resg) * hlgth)
+        # resasc min(1, r**1.5) as min(1, r)**1.5, which cannot overflow;
+        # fmin and fmax drop a NaN argument, as QUADPACK's C translation does
+        scaled = resasc * np.fmin(200.0 * abserr / resasc, 1.0) ** 1.5
+        abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
+        abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                          np.fmax(50.0 * _EPMACH * resabs, abserr), abserr)
+        return resk * hlgth, abserr, resabs, resasc
+
+
+_PAIR_SIDES = np.array([[-1.0], [1.0]])
+
+
+def _gk21_pair(f, b) -> tuple[np.ndarray, np.ndarray]:
+    """QUADPACK qagp's first step for the integral of f over [-b, b], at each b.
+
+    That step applies dqk21 to [-b, 0] and [0, b] (breakpoint 0); here f is
+    called once, on the 42 nodes of every b, one row per node (shape
+    `(42,) + b.shape`).  Returns the summed values and error estimates, of
+    b's shape; where an estimate passes qagp's own test, `quad` would
+    return the same value up to summation order.
+    """
+    h = 0.5 * np.asarray(b, dtype=float)  # also the panel centers' distance from 0
+    v = (_PAIR_SIDES * h[..., None, None] + h[..., None, None] * _GK21_T).T  # (21, 2) + b.shape
+    fv = np.reshape(f(v.reshape((42,) + h.shape)), v.shape)
+    val, err, _, _ = _gk21(fv, h)
+    return val[0] + val[1], err[0] + err[1]
+
+
+def _panels(f, lo: np.ndarray, hi: np.ndarray) -> list[list[float]]:
+    """dqk21's (result, abserr, resabs, resasc) on the panels [lo_i, hi_i],
+    from one call of f on all their nodes."""
+    centr = 0.5 * (lo + hi)
+    hlgth = 0.5 * (hi - lo)
+    x = centr + hlgth * _GK21_T[:, None]
+    return [r.tolist() for r in _gk21(f(x.ravel()).reshape(x.shape), hlgth)]
+
+
+def _dqpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int):
+    """QUADPACK dqpsrt: keep `iord` (interval indices, position p at iord[p-1])
+    in descending order of `elist` after interval `maxerr` was bisected into
+    itself and interval `last - 1`.  Returns the next (maxerr, errmax, nrmax)."""
+    if last <= 2:
+        iord[0], iord[1] = 0, 1
+    else:
+        errmax = elist[maxerr]
+        # only after subdivision increased the error: move maxerr up
+        for _ in range(nrmax - 1):
+            isucc = iord[nrmax - 2]
+            if errmax <= elist[isucc]:
+                break
+            iord[nrmax - 1] = isucc
+            nrmax -= 1
+        # the number of entries kept ordered shrinks as the limit nears
+        jupbn = limit + 3 - last if last > limit // 2 + 2 else last
+        errmin = elist[last - 1]
+        jbnd = jupbn - 1
+        for i in range(nrmax + 1, jbnd + 1):  # insert errmax top-down
+            isucc = iord[i - 1]
+            if errmax >= elist[isucc]:
+                iord[i - 2] = maxerr
+                k = jbnd
+                for _ in range(i, jbnd + 1):  # insert errmin bottom-up
+                    isucc = iord[k - 1]
+                    if errmin < elist[isucc]:
+                        iord[k] = last - 1
+                        break
+                    iord[k] = isucc
+                    k -= 1
+                else:
+                    iord[i - 1] = last - 1
+                break
+            iord[i - 2] = isucc
+        else:
+            iord[jbnd - 1] = maxerr
+            iord[jupbn - 1] = last - 1
+    maxerr = iord[nrmax - 1]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _dqelg(n: int, epstab: list, res3la: list, nres: int):
+    """QUADPACK dqelg: the epsilon algorithm on epstab[1..n].
+
+    Both lists are 1-based and updated in place: epstab (with room to index
+    52) and res3la[1..3], the last three results.  Returns (n, result,
+    abserr, nres)."""
+    nres += 1
+    abserr = _OFLOW
+    result = epstab[n]
+    if n >= 3:
+        limexp = 50
+        epstab[n + 2] = epstab[n]
+        newelm = (n - 1) // 2
+        epstab[n] = _OFLOW
+        num = k1 = n
+        for i in range(1, newelm + 1):
+            k2, k3 = k1 - 1, k1 - 2
+            res = epstab[k1 + 2]
+            e0, e1, e2 = epstab[k3], epstab[k2], res
+            e1abs = abs(e1)
+            delta2 = e2 - e1
+            err2 = abs(delta2)
+            tol2 = max(abs(e2), e1abs) * _EPMACH
+            delta3 = e1 - e0
+            err3 = abs(delta3)
+            tol3 = max(e1abs, abs(e0)) * _EPMACH
+            if not (err2 > tol2 or err3 > tol3):
+                # e0, e1 and e2 equal to machine accuracy: converged
+                return n, res, max(err2 + err3, 5.0 * _EPMACH * abs(res)), nres
+            e3 = epstab[k1]
+            epstab[k1] = e1
+            delta1 = e1 - e3
+            err1 = abs(delta1)
+            tol1 = max(e1abs, abs(e3)) * _EPMACH
+            # two close elements, or irregular behaviour: drop part of the table
+            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                n = i + i - 1
+                break
+            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+            if not abs(ss * e1) > 1e-4:
+                n = i + i - 1
+                break
+            res = e1 + 1.0 / ss
+            epstab[k1] = res
+            k1 -= 2
+            error = err2 + abs(res - e2) + err3
+            if not error > abserr:
+                abserr, result = error, res
+        if n == limexp:
+            n = 2 * (limexp // 2) - 1
+        ib = 2 if num % 2 == 0 else 1
+        for _ in range(newelm + 1):  # shift the table
+            epstab[ib] = epstab[ib + 2]
+            ib += 2
+        if num != n:
+            epstab[1 : n + 1] = epstab[num - n + 1 : num + 1]
+        if nres < 4:
+            res3la[nres] = result
+            abserr = _OFLOW
+        else:
+            abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
+                      + abs(result - res3la[1]))
+            res3la[1:4] = [res3la[2], res3la[3], result]
+    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+
+
+def _qagpe(f, a: float, b: float, points) -> tuple[float, float, dict]:
+    """QUADPACK dqagpe (Piessens et al., 1983) for a < b, with f evaluated
+    on arrays: one call on the 21 nodes of every panel between the
+    breakpoints, then one call on the 42 nodes of each bisection step.
+
+    The breakpoints are `points` strictly inside (a, b), deduplicated, as
+    `scipy.integrate.quad` passes them.  It keeps qagp's GK21 panels, its
+    error ordering (dqpsrt), epsilon extrapolation (dqelg), roundoff, limit
+    and divergence flags, with `QUAD_EPSABS`, `QUAD_EPSREL` and
+    `QUAD_LIMIT`.  Returns (result, abserr, info): info holds `ier` (0 on
+    success, else QUADPACK's code), `neval`, `last` and the first `last`
+    entries of alist, blist, rlist, elist and level.
+    """
+    epsabs, epsrel, limit = QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT
+    inner = np.unique(np.asarray(points, dtype=float))
+    edges = np.concatenate(([a], inner[(a < inner) & (inner < b)], [b]))
+    nint = len(edges) - 1
+    rlist, elist, defabs, resa = _panels(f, edges[:-1], edges[1:])
+    ier = 0
+    result = abserr = resabs = 0.0
+    for i in range(nint):
+        abserr += elist[i]
+        result += rlist[i]
+        resabs += defabs[i]
+    errsum = 0.0
+    for i in range(nint):
+        if elist[i] == resa[i] and elist[i] != 0.0:
+            elist[i] = abserr
+        errsum += elist[i]
+    pad = [0.0] * (limit - nint)
+    alist, blist = edges[:-1].tolist() + pad, edges[1:].tolist() + pad
+    rlist, elist = rlist + pad, elist + pad
+    level = [0] * limit
+    iord = list(range(nint)) + [0] * (limit - nint)
+    last, neval = nint, 21 * nint
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd:
+        ier = 2
+    for i in range(nint - 1):  # order iord by decreasing error
+        ind1, k = iord[i], i
+        for j in range(i + 1, nint):
+            ind2 = iord[j]
+            if not elist[ind1] > elist[ind2]:
+                ind1, k = ind2, j
+        if ind1 != iord[i]:
+            iord[k], iord[i] = iord[i], ind1
+    if limit < nint + 1:
+        ier = 1
+
+    if ier == 0 and not abserr <= errbnd:
+        rlist2 = [0.0] * 53  # dqelg's 1-based table
+        rlist2[1] = result
+        res3la = [0.0] * 4
+        maxerr = iord[0]
+        errmax = elist[maxerr]
+        area = result
+        nrmax, nres, numrl2, ktmin = 1, 0, 1, 0
+        extrap = noext = False
+        erlarg, ertest, correc = errsum, errbnd, 0.0
+        levmax = 1
+        iroff1 = iroff2 = iroff3 = ierro = 0
+        abserr = _OFLOW
+        ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * resabs else -1
+        converged = False
+        for last in range(nint + 1, limit + 1):
+            # bisect the interval with the nrmax-th largest error estimate
+            levcur = level[maxerr] + 1
+            a1, b2 = alist[maxerr], blist[maxerr]
+            a2 = b1 = 0.5 * (a1 + b2)
+            erlast = errmax
+            (area1, area2), (error1, error2), _, (defab1, defab2) = _panels(
+                f, np.array([a1, a2]), np.array([b1, b2]))
+            neval += 42
+            area12 = area1 + area2
+            erro12 = error1 + error2
+            errsum = errsum + erro12 - errmax
+            area = area + area12 - rlist[maxerr]
+            if defab1 != error1 and defab2 != error2:
+                if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
+                        or erro12 < 0.99 * errmax):
+                    if extrap:
+                        iroff2 += 1
+                    else:
+                        iroff1 += 1
+                if last > 10 and erro12 > errmax:
+                    iroff3 += 1
+            level[maxerr] = level[last - 1] = levcur
+            rlist[maxerr], rlist[last - 1] = area1, area2
+            errbnd = max(epsabs, epsrel * abs(area))
+            if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+                ier = 2
+            if iroff2 >= 5:
+                ierro = 3
+            if last == limit:
+                ier = 1
+            # bad integrand behaviour at a point of the range
+            if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+                ier = 4
+            if error2 > error1:
+                alist[maxerr], alist[last - 1], blist[last - 1] = a2, a1, b1
+                rlist[maxerr], rlist[last - 1] = area2, area1
+                elist[maxerr], elist[last - 1] = error2, error1
+            else:
+                alist[last - 1], blist[maxerr], blist[last - 1] = a2, b1, b2
+                elist[maxerr], elist[last - 1] = error1, error2
+            maxerr, errmax, nrmax = _dqpsrt(limit, last, maxerr, elist, iord, nrmax)
+            if errsum <= errbnd:
+                converged = True
+                break
+            if ier != 0:
+                break
+            if noext:
+                continue
+            erlarg -= erlast
+            if levcur + 1 <= levmax:
+                erlarg += erro12
+            if not extrap:
+                # extrapolate only once the next interval is a smallest one
+                if level[maxerr] + 1 <= levmax:
+                    continue
+                extrap = True
+                nrmax = 2
+            if ierro != 3 and erlarg > ertest:
+                # the smallest interval has the largest error: bisect the
+                # larger intervals first, while erlarg exceeds ertest
+                jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
+                larger = False
+                for _ in range(nrmax, jupbnd + 1):
+                    maxerr = iord[nrmax - 1]
+                    errmax = elist[maxerr]
+                    larger = level[maxerr] + 1 <= levmax
+                    if larger:
+                        break
+                    nrmax += 1
+                if larger:
+                    continue
+            numrl2 += 1
+            rlist2[numrl2] = area
+            if numrl2 > 2:
+                numrl2, reseps, abseps, nres = _dqelg(numrl2, rlist2, res3la, nres)
+                ktmin += 1
+                if ktmin > 5 and abserr < 1e-3 * errsum:
+                    ier = 5
+                if abseps < abserr:
+                    ktmin = 0
+                    abserr, result, correc = abseps, reseps, erlarg
+                    ertest = max(epsabs, epsrel * abs(reseps))
+                    if abserr < ertest:
+                        break
+                if numrl2 == 1:
+                    noext = True
+                if ier >= 5:
+                    break
+            # prepare bisection of the smallest interval
+            maxerr = iord[0]
+            errmax = elist[maxerr]
+            nrmax = 1
+            extrap = False
+            levmax += 1
+            erlarg = errsum
+
+        summed = converged or abserr == _OFLOW
+        tested = not summed
+        if tested and ier + ierro != 0:
+            if ierro == 3:
+                abserr += correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                summed = abserr / abs(result) > errsum / abs(area)
+            else:
+                summed = abserr > errsum
+            tested = not summed and area != 0.0
+        # the divergence test
+        if tested and not (ksgn == -1 and max(abs(result), abs(area)) <= resabs * 0.01):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = float(np.float64(result) / area)
+            if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
+                ier = 6
+        if summed:
+            result = 0.0
+            for r in rlist[:last]:
+                result += r
+            abserr = errsum
+    if ier > 2:
+        ier -= 1
+    info = dict(ier=ier, neval=neval, last=last, alist=alist[:last], blist=blist[:last],
+                rlist=rlist[:last], elist=elist[:last], level=level[:last])
+    return result, abserr, info
+
+
+_IER_MESSAGES = {
+    1: f"the maximum number of subdivisions ({QUAD_LIMIT}) has been achieved",
+    2: "the occurrence of roundoff error is detected",
+    3: "extremely bad integrand behavior occurs at some points of the integration interval",
+    4: "the algorithm does not converge: roundoff error in the extrapolation table",
+    5: "the integral is probably divergent, or slowly convergent",
+}
+
+
+def _qagp(f, a: float, b: float, points) -> tuple[float, float]:
+    """(value, error estimate) of `_qagpe`, checked by `_accept` as `_quad` is."""
+    val, err, info = _qagpe(f, a, b, points)
+    return _accept(val, err, _IER_MESSAGES.get(info["ier"]))
 
 
 def triangle_kernel_moment(a: float, b: float, j: int, method: str = "quad") -> float:
@@ -207,7 +571,7 @@ def triangle_kernel_moment(a: float, b: float, j: int, method: str = "quad") -> 
         raise ValueError(f"unknown method {method!r}")
     if b == 0.0:
         return 0.0
-    val, _ = _quad(lambda x: (a - abs(x)) * x ** j, -b, b, points=[0.0])
+    val, _ = _qagp(lambda x: (a - np.abs(x)) * x ** j, -b, b, [0.0])
     return val
 
 
@@ -217,27 +581,30 @@ def _band_integral(omega, nu: float, N: int, features) -> float:
     Rotated coordinates u = (z+y)/2, v = z - y confine the kernel to
     |v| <= w = 2(N+1)/nu, which the inner integral resolves explicitly; a
     naive quadrature over (z, y) misses the band entirely once nu is large.
-    The inner integral is one vectorized GK21 pair (`_gk21_pair`) and falls
-    back to adaptive `quad` when that pair fails its error test.
+    The outer integral is `_qagp`; each batch of its u-nodes gets its inner
+    integrals from one vectorized GK21 pair (`_gk21_pair`: one omega call on
+    every u and v), and a u whose pair fails its error test falls back to
+    adaptive `quad`.
     """
     w = 2.0 * (N + 1.0) / nu
 
-    def inner(u: float) -> float:
-        b = min(w, 2.0 - 2.0 * abs(u))
-        if b <= 0.0:
-            return 0.0
-        def g(v):
-            return np.real(
-                (N + 1.0 - np.abs(v) * nu / 2.0) * omega(u + v / 2.0, u - v / 2.0)
-            )
-        val, err = _gk21_pair(g, b)
-        if not err <= max(QUAD_EPSABS, QUAD_EPSREL * abs(val)):  # NaN fails too
-            val, _ = _quad(lambda v: float(g(v)), -b, b, points=[0.0])
-        return val
+    def g(u, v):
+        return np.real((N + 1.0 - np.abs(v) * nu / 2.0) * omega(u + v / 2.0, u - v / 2.0))
 
-    pts = sorted({-1.0 + w / 2.0, 1.0 - w / 2.0, *features})
-    pts = [p for p in pts if -1.0 < p < 1.0]
-    val, _ = _quad(inner, -1.0, 1.0, points=pts)
+    def inner(u: np.ndarray) -> np.ndarray:
+        b = np.minimum(w, 2.0 - 2.0 * np.abs(u))
+        out = np.zeros(u.shape)
+        live = np.flatnonzero(b > 0.0)
+        u, b = u[live], b[live]
+        val, err = _gk21_pair(lambda v: g(u, v), b)
+        out[live] = val
+        # NaN fails the test too
+        for i in np.flatnonzero(~(err <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(val)))):
+            ui, bi = float(u[i]), float(b[i])
+            out[live[i]], _ = _quad(lambda v: float(g(ui, v)), -bi, bi, points=[0.0])
+        return out
+
+    val, _ = _qagp(inner, -1.0, 1.0, (-1.0 + w / 2.0, 1.0 - w / 2.0, *features))
     return val
 
 

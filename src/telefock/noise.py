@@ -469,9 +469,11 @@ def loss_floor(f0: float, max_eta: float, times) -> np.ndarray:
 
 
 def loss_fidelity_bounds(
-    rho: ResourceState, spec: LossSpec, N: int, n_times: int = 20
+    rho, spec: LossSpec, N: int, n_times: int = 20
 ) -> BoundsReport:
     """f(t) over a time grid with the bound f(t) >= exp(-2 t max_k eta_k) f(0).
+
+    `rho` is any resource `band_scan` reads: amplitudes, `Diagonals` or a state.
 
     Lower particle-number blocks never contribute to the fidelity (a state
     with the wrong particle number has zero overlap with the input), so f(t)
@@ -480,7 +482,8 @@ def loss_fidelity_bounds(
     time 2 t max eta = ln(f(0) (N+2)/2) bounds the window in which the
     evolved state still beats the separable baseline.
     """
-    max_eta = float(np.max(eta_rates(spec, rho.n_particles)))
+    nu, _ = _upper_diagonals(rho, N)
+    max_eta = float(np.max(eta_rates(spec, nu)))
     times = np.linspace(0.0, spec.t, n_times)
     # f(0) is the scan's own t = 0 row: exp(-0 * eta) is exactly 1
     scan = band_scan(rho, spec, N, [0.0, *times])

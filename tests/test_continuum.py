@@ -390,3 +390,99 @@ def test_convergence_report_verdict_flags_and_fit():
                                           converges=False)
     assert not report.converges and report.hypothesis_flags == ["a", "no-convergence"]
     assert report.fitted_exponent is None
+
+
+# ---------------------------------------------------------------------------
+# The array-driven QUADPACK qagp port, against scipy's on scalar wrappers
+# ---------------------------------------------------------------------------
+
+QAGP_CASES = {
+    "smooth": (lambda x: np.exp(-x ** 2) * np.cos(3.0 * x), -2.0, 3.0, [1.1, -0.7, 0.2]),
+    "no_breakpoints": (lambda x: np.exp(-(x / 0.01) ** 2), -1.0, 1.0, []),
+    "kink_at_breakpoint": (lambda x: np.abs(x - 0.3) * np.exp(x), -1.0, 1.0, [0.3, 0.3, 2.0]),
+    "kink_between_breakpoints": (lambda x: np.abs(x - 1.0 / 3.0), -1.0, 1.0, [0.0]),
+    # the epsilon extrapolation, after 9 intervals and 336 evaluations
+    "endpoint_log_singularity": (lambda x: x ** -0.5 * np.log(x), 0.0, 1.0, [0.5]),
+    "oscillating": (lambda x: np.sin(1.0 / x), 1e-3, 1.0, [0.5]),
+    # roundoff flag, with an error estimate small enough to accept
+    "single_precision": (lambda x: np.exp(x).astype(np.float32).astype(float), 0.0, 1.0, [0.5]),
+    # divergence flag, accepted
+    "barely_divergent": (lambda x: x ** -1.0001, 0.0, 1.0, [0.5]),
+    # subdivision limit, which raises
+    "divergent": (lambda x: 1.0 / x, 0.0, 1.0, [0.5]),
+    # an infinite value at the center node of [0.25, 1], which raises
+    "infinite_at_a_node": (lambda x: np.where(x == 0.625, np.inf, x), 0.0, 1.0, [0.25]),
+}
+
+
+def scalar_qagp(f, a, b, points):
+    """scipy's qagp on a scalar wrapper of the array integrand f."""
+    return integrate.quad(
+        lambda x: float(f(np.array([x]))[0]), a, b, points=points,
+        epsabs=continuum.QUAD_EPSABS, epsrel=continuum.QUAD_EPSREL,
+        limit=continuum.QUAD_LIMIT, full_output=1,
+    )
+
+
+def outcome(quadrature, *args):
+    """The value of a checked quadrature, or the QuadratureError it raised."""
+    try:
+        return quadrature(*args)[0]
+    except QuadratureError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("case", QAGP_CASES.values(), ids=QAGP_CASES.keys())
+def test_qagp_port_follows_scipy_qagp(case):
+    f, a, b, points = case
+    val, err, info = continuum._qagpe(f, a, b, points)
+    ref_val, ref_err, ref = scalar_qagp(f, a, b, points)[:3]
+    last = ref["last"]
+    assert (info["last"], info["neval"]) == (last, ref["neval"])
+    assert info["alist"] == ref["alist"][:last].tolist()
+    assert info["blist"] == ref["blist"][:last].tolist()
+    for got, want in ((info["rlist"], ref["rlist"][:last]), (info["elist"], ref["elist"][:last]),
+                      ([val, err], [ref_val, ref_err])):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # the same verdict under `_quad`'s rule
+    checked = outcome(continuum._qagp, f, a, b, points)
+    ref_checked = outcome(continuum._quad, lambda x: float(f(np.array([x]))[0]), a, b, points)
+    if isinstance(ref_checked, QuadratureError):
+        assert str(checked).split(":")[0] == str(ref_checked).split(":")[0]
+    else:
+        assert checked == val
+
+
+def test_qagp_port_cases_reach_each_path():
+    assert continuum._qagpe(*QAGP_CASES["endpoint_log_singularity"])[2]["last"] == 9
+    assert [continuum._qagpe(*QAGP_CASES[name])[2]["ier"]
+            for name in ("single_precision", "barely_divergent", "divergent")] == [2, 5, 1]
+    with pytest.raises(QuadratureError, match="failed to converge"):
+        continuum._qagp(*QAGP_CASES["divergent"])
+
+
+def test_band_integral_calls_omega_once_per_qagp_batch(monkeypatch):
+    # one call on the u-nodes of the first pass, then one per bisection step:
+    # 8 calls here, for 399 u-nodes
+    prof = continuum.double_well_bimodal_profile(-2.0)
+    nu, N = 300, 2
+    om = continuum._checked_omega(prof, nu)
+    calls = []
+
+    def counted(z, y):
+        calls.append(np.shape(z))
+        return om(z, y)
+
+    runs = []
+    qagpe = continuum._qagpe
+
+    def recorded(*args):
+        runs.append(qagpe(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(continuum, "_qagpe", recorded)
+    band = continuum._band_integral(counted, nu, N, prof._features(nu))
+    [(_, _, info)] = runs
+    steps = info["neval"] // 21 - info["last"]  # neval = 21 (last - steps) + 42 steps
+    assert 0 < len(calls) <= steps + 1
+    assert band == continuum._band_integral(om, nu, N, prof._features(nu))

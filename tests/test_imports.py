@@ -109,6 +109,24 @@ def test_cli_and_a_pure_sweep_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_continuum_functionals_on_stock_profiles_load_no_scipy():
+    # the band integrals run on the array qagp port; `quad` is only the
+    # fallback of a strip that fails its GK21 error test
+    code = (
+        "import sys\n"
+        "from telefock import continuum\n"
+        "for prof in (continuum.flat_family(), continuum.gaussian_beta_family(0.8),\n"
+        "             continuum.double_well_family(10.0), continuum.double_well_family(-2.0),\n"
+        "             continuum.factorized_gaussian_profile(0.05)):\n"
+        "    for nu in (100, 10000):\n"
+        "        continuum.fidelity_continuum(prof, 2, nu)\n"
+        "        continuum.entanglement_continuum(prof, 2, nu)\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'continuum'\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_noise_solve_ivp_resolves_before_other_scipy_use():
     code = (
         "import sys\n"
@@ -148,7 +166,8 @@ def test_rebound_quad_is_what_the_continuum_calls(monkeypatch):
 
     calls = []
     monkeypatch.setattr(scipy.integrate, "quad", counting(scipy.integrate.quad, calls))
-    continuum.fidelity_continuum(continuum.flat_family(), 2, 100)
+    # the spike's strip fails the GK21 pair's error test, so it falls back to `quad`
+    continuum.fidelity_continuum(continuum.spike_profile(width=1e-4), 2, 100)
     assert calls
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from telefock import continuum, noise, protocol, resources
 from telefock.errors import StateValidationError, UnsupportedRegimeError
-from telefock.fock import ResourceState, negativity
+from telefock.fock import Diagonals, ResourceState, negativity
 from telefock.protocol import (
     avg_entanglement_closed,
     average_teleported,
@@ -685,6 +685,20 @@ def test_loss_bounds_read_the_band_path(monkeypatch):
     spec = noise.LossSpec((noise.LossChannel(0.5, 1, 1),), t=0.4)
     report = noise.loss_fidelity_bounds(resources.max_entangled(1000), spec, 2)
     assert len(report.fidelity) == 20 and report.bound_satisfied
+
+
+@pytest.mark.parametrize("x", [
+    resources.max_entangled_amplitudes(8),
+    np.exp(0.3j * np.arange(9)) * resources.gaussian_amplitudes(resources.GaussianSpec(8, 4.0, 2.0)),
+], ids=["uniform", "phased_gaussian"])
+def test_loss_bounds_read_every_resource_form_alike(x):
+    # amplitudes, their Diagonals and their dense state give one report, bit for bit
+    state = ResourceState.from_amplitudes(x)
+    diagonals = Diagonals(8, tuple(state.matrix.diagonal(d) for d in range(9)))
+    spec = noise.LossSpec((noise.LossChannel(0.5, 1, 1), noise.LossChannel(0.3, 1, 0)), t=0.6)
+    reports = [noise.loss_fidelity_bounds(form, spec, 2) for form in (x, diagonals, state)]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].max_eta > 0.0
 
 
 @pytest.mark.parametrize("nu", [6, 12])
