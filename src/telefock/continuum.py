@@ -511,6 +511,8 @@ def _qagpe(f, a: float, b: float, points) -> tuple[float, float, dict]:
             levmax += 1
             erlarg = errsum
 
+        # the result: the extrapolated one, unless the sum over the intervals
+        # is better, then the divergence test
         summed = converged or abserr == _OFLOW
         tested = not summed
         if tested and ier + ierro != 0:
@@ -523,7 +525,6 @@ def _qagpe(f, a: float, b: float, points) -> tuple[float, float, dict]:
             else:
                 summed = abserr > errsum
             tested = not summed and area != 0.0
-        # the divergence test
         if tested and not (ksgn == -1 and max(abs(result), abs(area)) <= resabs * 0.01):
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = float(np.float64(result) / area)
