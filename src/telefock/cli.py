@@ -44,10 +44,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _emit(path, text: str) -> None:
+    """Write text to the file at path, or to stdout if path is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -55,13 +53,14 @@ def _write_rows(path, columns, rows) -> None:
             fh.write(text)
 
 
+def _write_rows(path, columns, rows) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+    _emit(path, "\n".join(lines) + "\n")
+
+
 def _write_json(path, payload) -> None:
-    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(path, json.dumps(payload, indent=2, default=_json_default) + "\n")
 
 
 def _write_gnuplot(script_path: str, csv_path: str, x: str, ys: list[str],

@@ -53,12 +53,12 @@ class ContinuumProfile:
     `features_of_nu` lists interior z-points (bump centers) handed to the
     quadrature as breakpoints.
 
-    The `chi` and `omega` callables must accept numpy arrays of any shape,
-    2-D included, and broadcast over them (every stock profile does; a
-    constant omega is fine): the band integral evaluates omega once per
-    batch of outer nodes, on a 2-D array that holds the 42 points of
-    QUADPACK's first GK21 step across the strip at every node, and falls
-    back to adaptive `quad` only for a node whose step fails its error test.
+    The `chi` and `omega` callables must accept numpy arrays of any shape
+    and broadcast over them (every stock profile does; a constant omega is
+    fine): the band integral evaluates omega once per batch of outer nodes,
+    on an array that holds QUADPACK's first GK21 step across the strip at
+    every node, and once per bisection step of a node whose step fails its
+    error test.
     """
 
     smoothness: str
@@ -111,33 +111,6 @@ class ContinuumProfile:
 
     def _features(self, nu: float) -> list[float]:
         return [float(p) for p in self.features_of_nu(nu) if -1.0 < p < 1.0]
-
-
-def _accept(val: float, err: float, failure: str | None) -> tuple[float, float]:
-    """A quadrature result, or the QuadratureError it stands for.
-
-    Roundoff-limited warnings (`failure`) with a tiny reported error
-    estimate are accepted; anything with a substantial residual error
-    raises, and so does a non-finite value or estimate.
-    """
-    if not (np.isfinite(val) and np.isfinite(err)):
-        raise QuadratureError(f"quadrature gave a non-finite result: {val!r} +/- {err!r}")
-    if failure is not None and err > max(1e-9, 1e-7 * abs(val)):
-        raise QuadratureError(f"quadrature failed to converge: {failure}")
-    return val, err
-
-
-def _quad(func, lo, hi, points=None) -> tuple[float, float]:
-    """Adaptive scalar quadrature by `scipy.integrate.quad`, checked by `_accept`."""
-    import scipy.integrate
-
-    out = scipy.integrate.quad(
-        func, lo, hi,
-        epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-        limit=QUAD_LIMIT, points=points if points else None,
-        full_output=1,
-    )
-    return _accept(out[0], out[1], out[3] if len(out) > 3 else None)
 
 
 # QUADPACK dqk21 (Piessens et al., 1983): Kronrod abscissae on [0, 1], center
@@ -213,32 +186,13 @@ def _gk21(node: np.ndarray, hlgth) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         return resk * hlgth, abserr, resabs, resasc
 
 
-_PAIR_SIDES = np.array([[-1.0], [1.0]])
-
-
-def _gk21_pair(f, b) -> tuple[np.ndarray, np.ndarray]:
-    """QUADPACK qagp's first step for the integral of f over [-b, b], at each b.
-
-    That step applies dqk21 to [-b, 0] and [0, b] (breakpoint 0); here f is
-    called once, on the 42 nodes of every b, one row per node (shape
-    `(42,) + b.shape`).  Returns the summed values and error estimates, of
-    b's shape; where an estimate passes qagp's own test, `quad` would
-    return the same value up to summation order.
-    """
-    h = 0.5 * np.asarray(b, dtype=float)  # also the panel centers' distance from 0
-    v = (_PAIR_SIDES * h[..., None, None] + h[..., None, None] * _GK21_T).T  # (21, 2) + b.shape
-    fv = np.reshape(f(v.reshape((42,) + h.shape)), v.shape)
-    val, err, _, _ = _gk21(fv, h)
-    return val[0] + val[1], err[0] + err[1]
-
-
-def _panels(f, lo: np.ndarray, hi: np.ndarray) -> list[list[float]]:
-    """dqk21's (result, abserr, resabs, resasc) on the panels [lo_i, hi_i],
-    from one call of f on all their nodes."""
+def _panels(f, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """dqk21's (result, abserr, resabs, resasc) on the panels [lo, hi], of
+    any broadcast shape, from one call of f on all their nodes (shape
+    `(21,) + ` the panels' shape)."""
     centr = 0.5 * (lo + hi)
     hlgth = 0.5 * (hi - lo)
-    x = centr + hlgth * _GK21_T[:, None]
-    return [r.tolist() for r in _gk21(f(x.ravel()).reshape(x.shape), hlgth)]
+    return _gk21(f(centr + np.multiply.outer(_GK21_T, hlgth)), hlgth)
 
 
 def _dqpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int):
@@ -366,7 +320,7 @@ def _qagpe(f, a: float, b: float, points) -> tuple[float, float, dict]:
     inner = np.unique(np.asarray(points, dtype=float))
     edges = np.concatenate(([a], inner[(a < inner) & (inner < b)], [b]))
     nint = len(edges) - 1
-    rlist, elist, defabs, resa = _panels(f, edges[:-1], edges[1:])
+    rlist, elist, defabs, resa = (r.tolist() for r in _panels(f, edges[:-1], edges[1:]))
     ier = 0
     result = abserr = resabs = 0.0
     for i in range(nint):
@@ -420,8 +374,8 @@ def _qagpe(f, a: float, b: float, points) -> tuple[float, float, dict]:
             a1, b2 = alist[maxerr], blist[maxerr]
             a2 = b1 = 0.5 * (a1 + b2)
             erlast = errmax
-            (area1, area2), (error1, error2), _, (defab1, defab2) = _panels(
-                f, np.array([a1, a2]), np.array([b1, b2]))
+            (area1, area2), (error1, error2), _, (defab1, defab2) = (
+                r.tolist() for r in _panels(f, np.array([a1, a2]), np.array([b1, b2])))
             neval += 42
             area12 = area1 + area2
             erro12 = error1 + error2
@@ -552,9 +506,18 @@ _IER_MESSAGES = {
 
 
 def _qagp(f, a: float, b: float, points) -> tuple[float, float]:
-    """(value, error estimate) of `_qagpe`, checked by `_accept` as `_quad` is."""
+    """(value, error estimate) of `_qagpe`, or the QuadratureError it stands for.
+
+    A flagged result (roundoff, say) with a tiny error estimate is accepted;
+    one with a substantial residual error raises, and so does a non-finite
+    value or estimate.
+    """
     val, err, info = _qagpe(f, a, b, points)
-    return _accept(val, err, _IER_MESSAGES.get(info["ier"]))
+    if not (np.isfinite(val) and np.isfinite(err)):
+        raise QuadratureError(f"quadrature gave a non-finite result: {val!r} +/- {err!r}")
+    if info["ier"] != 0 and err > max(1e-9, 1e-7 * abs(val)):
+        raise QuadratureError(f"quadrature failed to converge: {_IER_MESSAGES[info['ier']]}")
+    return val, err
 
 
 def triangle_kernel_moment(a: float, b: float, j: int, method: str = "quad") -> float:
@@ -583,9 +546,9 @@ def _band_integral(omega, nu: float, N: int, features) -> float:
     |v| <= w = 2(N+1)/nu, which the inner integral resolves explicitly; a
     naive quadrature over (z, y) misses the band entirely once nu is large.
     The outer integral is `_qagp`; each batch of its u-nodes gets its inner
-    integrals from one vectorized GK21 pair (`_gk21_pair`: one omega call on
-    every u and v), and a u whose pair fails its error test falls back to
-    adaptive `quad`.
+    integrals from one vectorized first qagp step (`_panels` on [-b, 0] and
+    [0, b]: one omega call on every u and v), and a u whose step fails its
+    error test falls back to `_qagp` on its strip.
     """
     w = 2.0 * (N + 1.0) / nu
 
@@ -595,14 +558,16 @@ def _band_integral(omega, nu: float, N: int, features) -> float:
     def inner(u: np.ndarray) -> np.ndarray:
         b = np.minimum(w, 2.0 - 2.0 * np.abs(u))
         out = np.zeros(u.shape)
-        live = np.flatnonzero(b > 0.0)
+        live = b > 0.0
         u, b = u[live], b[live]
-        val, err = _gk21_pair(lambda v: g(u, v), b)
-        out[live] = val
+        edges = np.multiply.outer([-1.0, 0.0, 1.0], b)
+        val, err, _, _ = _panels(lambda v: g(u, v), edges[:-1], edges[1:])
+        val, err = val[0] + val[1], err[0] + err[1]
         # NaN fails the test too
         for i in np.flatnonzero(~(err <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(val)))):
             ui, bi = float(u[i]), float(b[i])
-            out[live[i]], _ = _quad(lambda v: float(g(ui, v)), -bi, bi, points=[0.0])
+            val[i], _ = _qagp(lambda v: g(ui, v), -bi, bi, [0.0])
+        out[live] = val
         return out
 
     val, _ = _qagp(inner, -1.0, 1.0, (-1.0 + w / 2.0, 1.0 - w / 2.0, *features))

@@ -7,6 +7,8 @@ from scipy import integrate
 from telefock import continuum, resources
 from telefock.errors import HypothesisViolationError, QuadratureError, StateValidationError
 
+from helpers import reference_accept, reference_band_integral
+
 
 # Exact values of the continuum integrals for the flat profile chi = 1/sqrt(2),
 # derived by direct evaluation of the band integral:
@@ -218,7 +220,7 @@ def test_report_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# The strip integral: vectorized GK21 first step with adaptive fallback
+# The strip integral: vectorized first qagp step with a qagp fallback
 # ---------------------------------------------------------------------------
 
 def scalar_band_integral(omega, nu, N, features):
@@ -250,16 +252,16 @@ def scalar_reference(profile, N, nu):
 
 @pytest.fixture
 def strip_quad_calls(monkeypatch):
-    """Counts `quad` calls on a strip [-b, b] split at 0 (the adaptive fallback)."""
+    """Counts `_qagpe` runs on a strip [-b, b] split at 0 (the adaptive fallback)."""
     calls = []
-    quad = integrate.quad
+    qagpe = continuum._qagpe
 
-    def counting(func, a, b, *args, **kwargs):
-        if kwargs.get("points") == [0.0] and a == -b:
+    def counting(f, a, b, points):
+        if points == [0.0] and a == -b:
             calls.append((a, b))
-        return quad(func, a, b, *args, **kwargs)
+        return qagpe(f, a, b, points)
 
-    monkeypatch.setattr(integrate, "quad", counting)
+    monkeypatch.setattr(continuum, "_qagpe", counting)
     return calls
 
 
@@ -294,6 +296,26 @@ def test_spike_profile_falls_back_to_adaptive_quad(strip_quad_calls):
     assert abs(f - f_ref) <= 1e-14 * abs(f_ref)
 
 
+# spikes narrow against the strip width 2(N+1)/nu, so some strips fail the
+# first step's error test
+FALLBACK_CASES = [(1e-5, 0.0, 10000, 3), (1e-5, -0.55, 10000, 1), (1e-5, 0.8, 1000, 2),
+                  (1e-4, 0.3, 1000, 2), (1e-4, -0.55, 50, 1), (1e-3, 0.8, 50, 3),
+                  (3e-3, -0.55, 50, 1)]
+
+
+@pytest.mark.parametrize("width, center, nu, N", FALLBACK_CASES)
+def test_strip_fallback_matches_scalar_quad_composition(width, center, nu, N,
+                                                        strip_quad_calls):
+    prof = continuum.spike_profile(width, center)
+    om = continuum._checked_omega(prof, nu)
+    features = prof._features(nu)
+    band = continuum._band_integral(om, nu, N, features)
+    fallbacks = []
+    assert band == reference_band_integral(om, nu, N, features, fallbacks)
+    # the same strips fall back, each split at 0
+    assert strip_quad_calls == fallbacks != []
+
+
 def test_gk21_pair_is_quadpack_first_step():
     # same nodes as `quad` on [-b, 0] + [0, b]; where `quad` stops after its
     # first step (42 evaluations) value and error estimate agree, elsewhere
@@ -308,8 +330,10 @@ def test_gk21_pair_is_quadpack_first_step():
                 limit=400, full_output=1,
             )
             nodes = []
-            got, got_err = continuum._gk21_pair(lambda v: nodes.append(v) or f(v), b)
-            assert set(np.concatenate(nodes).tolist()) == set(seen[:42])
+            got, got_err, _, _ = continuum._panels(lambda v: nodes.append(v) or f(v),
+                                                   np.array([-b, 0.0]), np.array([0.0, b]))
+            got, got_err = got[0] + got[1], got_err[0] + got_err[1]
+            assert set(np.concatenate(nodes).ravel().tolist()) == set(seen[:42])
             tol = max(continuum.QUAD_EPSABS, continuum.QUAD_EPSREL * abs(got))
             if info["neval"] == 42:
                 assert abs(got - val) <= 1e-15 * abs(val)
@@ -331,7 +355,6 @@ def test_constant_density_broadcasts():
             continuum.entanglement_continuum(flat, N, nu), rel=1e-14)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_nan_pure_profile_raises():
     def chi(z):
         z = np.asarray(z, dtype=float)
@@ -344,7 +367,6 @@ def test_nan_pure_profile_raises():
         continuum.entanglement_continuum(prof, 1, 100)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_nan_density_profile_raises():
     # finite on the diagonal, so the norm check passes; the NaN above it
     # reaches the strip integral, whose quadrature must raise
@@ -436,7 +458,8 @@ def outcome(quadrature, *args):
 def test_qagp_port_follows_scipy_qagp(case):
     f, a, b, points = case
     val, err, info = continuum._qagpe(f, a, b, points)
-    ref_val, ref_err, ref = scalar_qagp(f, a, b, points)[:3]
+    out = scalar_qagp(f, a, b, points)
+    ref_val, ref_err, ref = out[:3]
     last = ref["last"]
     assert (info["last"], info["neval"]) == (last, ref["neval"])
     assert info["alist"] == ref["alist"][:last].tolist()
@@ -444,9 +467,9 @@ def test_qagp_port_follows_scipy_qagp(case):
     for got, want in ((info["rlist"], ref["rlist"][:last]), (info["elist"], ref["elist"][:last]),
                       ([val, err], [ref_val, ref_err])):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-    # the same verdict under `_quad`'s rule
+    # the same verdict under the same acceptance rule
     checked = outcome(continuum._qagp, f, a, b, points)
-    ref_checked = outcome(continuum._quad, lambda x: float(f(np.array([x]))[0]), a, b, points)
+    ref_checked = outcome(reference_accept, out)
     if isinstance(ref_checked, QuadratureError):
         assert str(checked).split(":")[0] == str(ref_checked).split(":")[0]
     else:

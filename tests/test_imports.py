@@ -1,7 +1,7 @@
 """Import layout of the package: every module-level import is used, scipy
 is imported only inside the functions that call it, and the scipy entry
-points an outside tracer rebinds (`noise.solve_ivp`, `scipy.integrate.quad`)
-are looked up at call time.  The lints are stdlib-only."""
+point an outside tracer rebinds (`noise.solve_ivp`) is looked up at call
+time.  The lints are stdlib-only."""
 
 import ast
 import os
@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telefock import continuum, fock, noise
+from telefock import fock, noise
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "telefock"
@@ -110,14 +110,15 @@ def test_cli_and_a_pure_sweep_load_no_scipy():
 
 
 def test_continuum_functionals_on_stock_profiles_load_no_scipy():
-    # the band integrals run on the array qagp port; `quad` is only the
-    # fallback of a strip that fails its GK21 error test
+    # the band integrals run on the array qagp port, the fallback of a strip
+    # that fails its first step's error test (the spike's) included
     code = (
         "import sys\n"
         "from telefock import continuum\n"
         "for prof in (continuum.flat_family(), continuum.gaussian_beta_family(0.8),\n"
         "             continuum.double_well_family(10.0), continuum.double_well_family(-2.0),\n"
-        "             continuum.factorized_gaussian_profile(0.05)):\n"
+        "             continuum.factorized_gaussian_profile(0.05),\n"
+        "             continuum.spike_profile(width=1e-4)):\n"
         "    for nu in (100, 10000):\n"
         "        continuum.fidelity_continuum(prof, 2, nu)\n"
         "        continuum.entanglement_continuum(prof, 2, nu)\n"
@@ -159,16 +160,6 @@ def test_rebound_solve_ivp_is_what_the_integrator_calls(monkeypatch):
     spec = noise.LossSpec((noise.LossChannel(0.5, 1, 0),), t=0.2)
     noise.particle_loss_lindblad(rho, spec, 0.2)
     assert calls == [1]
-
-
-def test_rebound_quad_is_what_the_continuum_calls(monkeypatch):
-    import scipy.integrate
-
-    calls = []
-    monkeypatch.setattr(scipy.integrate, "quad", counting(scipy.integrate.quad, calls))
-    # the spike's strip fails the GK21 pair's error test, so it falls back to `quad`
-    continuum.fidelity_continuum(continuum.spike_profile(width=1e-4), 2, 100)
-    assert calls
 
 
 # A finder that refuses every scipy module, as on an install without scipy.
