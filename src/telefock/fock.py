@@ -8,6 +8,7 @@ coefficient matrix of the same sector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import StateValidationError, UnsupportedRegimeError
 NORM_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 PRODUCT_AMPLITUDE_TOL = 1e-10
+_NORM_BLOCK = 8192  # entries per BLAS dot in `_check_normalized`
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -68,13 +70,13 @@ class TwoModeDensityMatrix:
     every other dense state, the outputs of the dense noise channels
     (`noise.mix`, `noise.dephase`) included, is certified.
 
-    Dense resources are built only by the oracles (four-mode contraction,
-    Monte Carlo, Lindblad integration, the dense channels), through one of
-    `ResourceState.from_amplitudes`, `Diagonals.state` and `dense_state`.
-    The commands read amplitudes or `Diagonals` in O(M N) memory; `teleport` certifies
-    each sector's conditional state.  The noise channels keep a positive
-    resource positive (a Schur product with a positive-definite Gaussian
-    kernel, a congruence E rho E, a convex mix), so no certificate is lost.
+    Only the oracles (four-mode contraction, Lindblad integration, the dense
+    channels) read a resource's matrix, built by `ResourceState.from_amplitudes`,
+    `Diagonals.state` or `dense_state`; every other reader takes any form
+    through `_reader`.  `teleport` certifies each sector's conditional state.
+    The noise channels keep a positive resource positive (a Schur product
+    with a positive-definite Gaussian kernel, a congruence E rho E, a convex
+    mix), so no certificate is lost.
     """
 
     total_particles: int
@@ -157,11 +159,11 @@ class Diagonals:
     """A Hermitian coefficient matrix of M particles by its upper diagonals.
 
     upper[d][k] = rho_{k,k+d} for k = 0..M-d and d = 0..D; rho_{k+d,k} is
-    the conjugate and every diagonal beyond D is zero.  The band readers
-    (`protocol.band`) and the band noise path (`noise.band_scan`) take this
-    form in O(M D) memory.  It certifies nothing: the constructors that
-    make one from parameters (`noise.four_coherence_diagonals`,
-    `resources.fock_separable_diagonals`) check those instead.
+    the conjugate and every diagonal beyond D is zero.  Every reader takes
+    this form (`_reader`) in O(M D) memory.  It certifies nothing: the
+    constructors that make one from parameters
+    (`noise.four_coherence_diagonals`, `resources.fock_separable_diagonals`)
+    check those instead.
     """
 
     n_particles: int
@@ -225,50 +227,47 @@ def normalized_amplitudes(x) -> np.ndarray:
 
 
 def _check_normalized(x) -> np.ndarray:
-    """The amplitudes x, flattened, once sum |x_k|^2 = 1 is checked to NORM_TOL."""
+    """The amplitudes x, flattened, once sum |x_k|^2 = 1 is checked to NORM_TOL:
+    one BLAS dot per block errs by at most _NORM_BLOCK * 2^-53 = 9.1e-13 of
+    the block's sum (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 3) and math.fsum adds the blocks exactly, at any length."""
     x = np.asarray(x).reshape(-1)
-    norm_sq = float(np.vdot(x, x).real)
+    try:  # fsum raises where the exact sum of finite block sums overflows
+        norm_sq = math.fsum(np.vdot(x[i : i + _NORM_BLOCK], x[i : i + _NORM_BLOCK]).real
+                            for i in range(0, x.shape[0], _NORM_BLOCK))
+    except OverflowError:
+        norm_sq = math.inf
     if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
         raise StateValidationError(f"state not normalized: sum |c_k|^2 = {norm_sq!r}")
     return x
 
 
-def _entries(resource) -> np.ndarray:
-    """A state's matrix, a raw square matrix checked Hermitian to NORM_TOL as
-    a state is, or a complex copy of amplitudes checked normalized to NORM_TOL."""
+def _reader(resource, width: int):
+    """(nu, diagonals, block) of a state, `Diagonals`, a raw square matrix
+    (checked Hermitian to NORM_TOL) or amplitudes (checked normalized, cast to
+    complex and renormalized as `ResourceState.from_amplitudes` does, so each
+    entry is the dense state's bit for bit): the one place a form is decided.
+    diagonals() yields rho_{k,k+d} for d = 0..min(width, nu) one at a time
+    (of `Diagonals`, those it holds) and block(lo, hi) is rho[lo:hi+1, lo:hi+1]."""
+    if isinstance(resource, Diagonals):
+        return resource.n_particles, lambda: iter(resource.upper[: width + 1]), resource.block
     if isinstance(resource, TwoModeDensityMatrix):
-        return resource.matrix
-    m = np.asarray(resource)
-    if m.ndim == 1:
-        return normalized_amplitudes(_check_normalized(m.astype(complex)))
-    if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
-        raise UnsupportedRegimeError(f"a {type(resource).__name__} of shape {m.shape} holds no entries")
-    _check_hermitian(m)
-    return m
-
-
-def _upper_diagonals(resource, N: int):
-    """(nu, diagonals): diagonals() yields the upper diagonals d = 0, 1, ...
-    one at a time: up to d = min(N, nu) of amplitudes or a state, all of `Diagonals`."""
-    if isinstance(resource, Diagonals):
-        return resource.n_particles, lambda: iter(resource.upper)
-    m = _entries(resource)
+        m = resource.matrix
+    else:
+        m = np.asarray(resource)
+        if m.ndim == 1:
+            x = normalized_amplitudes(_check_normalized(m.astype(complex)))
+            nu = x.shape[0] - 1
+            return (nu,
+                    lambda: (x[d:].conj() * x[: nu + 1 - d] for d in range(min(width, nu) + 1)),
+                    lambda lo, hi: np.outer(x[lo : hi + 1], x[lo : hi + 1].conj()))
+        if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
+            raise UnsupportedRegimeError(
+                f"a {type(resource).__name__} of shape {m.shape} holds no entries")
+        _check_hermitian(m)
     nu = m.shape[0] - 1
-    if m.ndim == 2:
-        return nu, lambda: (m.diagonal(d) for d in range(min(N, nu) + 1))
-    return nu, lambda: (m[d:].conj() * m[: nu + 1 - d] for d in range(min(N, nu) + 1))
-
-
-def _sector_reader(resource):
-    """(nu, block): block(lo, hi) is rho[lo:hi+1, lo:hi+1] of a state, amplitudes
-    or `Diagonals`, bit for bit as in the dense state, which is not built.  A
-    state gives its own slice: one Hermitian only to NORM_TOL keeps its entries."""
-    if isinstance(resource, Diagonals):
-        return resource.n_particles, resource.block
-    m = _entries(resource)
-    if m.ndim == 2:
-        return m.shape[0] - 1, lambda lo, hi: m[lo : hi + 1, lo : hi + 1]
-    return m.shape[0] - 1, lambda lo, hi: np.outer(m[lo : hi + 1], m[lo : hi + 1].conj())
+    return (nu, lambda: (m.diagonal(d) for d in range(min(width, nu) + 1)),
+            lambda lo, hi: m[lo : hi + 1, lo : hi + 1])
 
 
 def negativity(state: TwoModeDensityMatrix) -> float:

@@ -24,7 +24,7 @@ from .errors import (
     StateValidationError,
     UnsupportedRegimeError,
 )
-from .fock import Diagonals, ResourceState, _upper_diagonals, dense_state
+from .fock import Diagonals, ResourceState, _reader, dense_state
 from .protocol import Band, band, band_of_diagonals, fidelity_closed, separable_fidelity
 
 
@@ -428,9 +428,9 @@ def band_scan(
             w = np.exp(-0.5 * t * spec.rate_sum * d2)[1:]  # as `dephase`'s kernel
             out.append((replace(clean, sums=clean.sums * w, moduli=clean.moduli * w), 1.0))
         return out
-    nu, rho = _upper_diagonals(resource, N)
+    nu, rho, _ = _reader(resource, N)
     if isinstance(spec, MixingSpec):
-        sigma_nu, sigma = _upper_diagonals(spec.undesired, N)
+        sigma_nu, sigma, _ = _reader(spec.undesired, N)
         if sigma_nu != nu:
             raise StateValidationError("mixing requires matching particle numbers")
         for s in points:
@@ -482,11 +482,10 @@ def loss_fidelity_bounds(
     time 2 t max eta = ln(f(0) (N+2)/2) bounds the window in which the
     evolved state still beats the separable baseline.
     """
-    nu, _ = _upper_diagonals(rho, N)
-    max_eta = float(np.max(eta_rates(spec, nu)))
     times = np.linspace(0.0, spec.t, n_times)
     # f(0) is the scan's own t = 0 row: exp(-0 * eta) is exactly 1
     scan = band_scan(rho, spec, N, [0.0, *times])
+    max_eta = float(np.max(eta_rates(spec, scan[0][0].n_particles)))
     f0, *fid = (fidelity_closed(lossy, N) for lossy, _ in scan)
     bound = loss_floor(f0, max_eta, times).tolist()
     ratio = f0 * (N + 2) / 2.0

@@ -26,8 +26,7 @@ from .fock import (
     ResourceState,
     TwoModeDensityMatrix,
     _check_normalized,
-    _sector_reader,
-    _upper_diagonals,
+    _reader,
     haar_weight_batch,
     sample_haar,
 )
@@ -88,12 +87,10 @@ class MeasurementBasis:
 
     def vector(self, l: int, lam: int) -> np.ndarray:
         """Basis vector flattened over (mode-2 occupation) x (mode-3 occupation)."""
-        d2, d3 = self.N + 1, self.nu + 1
-        v = np.zeros(d2 * d3, dtype=complex)
         k_lo, phases = self.amplitudes(l, lam)
-        for i, a in enumerate(phases):
-            k = k_lo + i
-            v[(self.N - k) * d3 + (k + l)] = a
+        k = k_lo + np.arange(phases.size)
+        v = np.zeros((self.N + 1) * (self.nu + 1), dtype=complex)
+        v[(self.N - k) * (self.nu + 1) + (k + l)] = phases
         return v
 
     def completeness_operator(self) -> np.ndarray:
@@ -153,7 +150,7 @@ def teleport_outcome(
     Neither depends on lam.  `rho` is a state, `Diagonals` or a normalized
     amplitude vector; only the sector's block is read.
     """
-    nu, block = _sector_reader(rho)
+    nu, _, block = _reader(rho, psi.n_particles)
     c_l = multiplicity(psi.n_particles, nu, l)
     if not 0 <= lam < c_l:
         raise StateValidationError(f"phase label lam={lam} outside [0, {c_l - 1}]")
@@ -179,7 +176,7 @@ def iter_outcomes(psi: PureTwoModeState, rho: ResourceState | Diagonals | np.nda
     """All teleport outcomes, ordered by (l, lam), of any form `teleport_outcome`
     reads.  The C_l outcomes of sector l share one state, certified once."""
     N = psi.n_particles
-    nu, block = _sector_reader(rho)
+    nu, _, block = _reader(rho, N)
     for l in range(-N, nu + 1):
         p, state = _sector_outcome(psi, block, nu, l)
         for lam in range(multiplicity(N, nu, l)):
@@ -187,27 +184,28 @@ def iter_outcomes(psi: PureTwoModeState, rho: ResourceState | Diagonals | np.nda
 
 
 def average_teleported(
-    psi: PureTwoModeState, rho: ResourceState, method: str = "closed"
+    psi: PureTwoModeState, rho: ResourceState | Diagonals | np.ndarray, method: str = "closed"
 ) -> TwoModeDensityMatrix:
     """Outcome-averaged teleported state on modes 1,4.
 
-    method="closed" evaluates the double sum directly: entry (k, j) is
-    c_k conj(c_j) times the full trace of the (k-j)-offset diagonal of the
-    resource matrix.  method="outcomes" accumulates p * state over all
-    measurement records.  The two agree to 1e-12 and the agreement is a
-    standing regression test.
+    `rho` is any form `iter_outcomes` reads.  method="closed" evaluates the
+    double sum directly: entry (k, j) is c_k conj(c_j) times the full trace
+    of the resource's (k-j)-offset diagonal.  method="outcomes" accumulates
+    p * state over all measurement records.  The two agree to 1e-12 and the
+    agreement is a standing regression test.
     """
-    N, nu = psi.n_particles, rho.n_particles
+    N = psi.n_particles
+    nu, diagonals, _ = _reader(rho, N)
     _check_regime(N, nu)
     if method == "closed":
         c = psi.amplitudes
-        m = rho.matrix
-        out = np.empty((N + 1, N + 1), dtype=complex)
-        diag_sums = {d: np.trace(m, offset=-d) for d in range(-N, N + 1)}
-        for k in range(N + 1):
-            for j in range(N + 1):
-                out[k, j] = c[k] * np.conj(c[j]) * diag_sums[k - j]
-        return TwoModeDensityMatrix(N, out)
+        upper = np.zeros(N + 1, dtype=complex)
+        for d, u in enumerate(diagonals()):
+            upper[d] = np.sum(u)
+        # offset k - j = -N..N: the upper diagonals above, their conjugates below
+        traces = np.concatenate((upper[:0:-1], upper[:1], upper[1:].conj()))
+        k = np.arange(N + 1)
+        return TwoModeDensityMatrix(N, np.outer(c, c.conj()) * traces[k[:, None] - k + N])
     if method == "outcomes":
         acc = np.zeros((N + 1, N + 1), dtype=complex)
         for outcome in iter_outcomes(psi, rho):
@@ -257,7 +255,7 @@ def band(rho, N: int) -> Band:
         x = _check_normalized(rho)
         return Band(x.shape[0] - 1, 1.0,
                     np.array(_shifted_dots(x, N)), np.array(_shifted_dots(np.abs(x), N)))
-    nu, diagonals = _upper_diagonals(rho, N)
+    nu, diagonals, _ = _reader(rho, N)
     return band_of_diagonals(nu, diagonals(), N)
 
 
@@ -406,22 +404,24 @@ def performance_report(rho: ResourceState | np.ndarray, N: int) -> PerformanceRe
 
 
 def success_probability_perfect(
-    rho: ResourceState, N: int, psi: PureTwoModeState | None = None, rng_seed: int = 0
+    rho: ResourceState | Diagonals | np.ndarray, N: int, psi: PureTwoModeState | None = None,
+    rng_seed: int = 0,
 ) -> float:
     """Total probability of the perfectly-teleporting sectors 0 <= l <= nu-N.
 
     Outcome probabilities do not depend on the phase label, so each sector
     contributes sum_k |c_k|^2 rho_{k+l,k+l}, and the total is
-    sum_k |c_k|^2 sum_{l=0}^{nu-N} rho_{k+l,k+l}: O(nu N).  For the
+    sum_k |c_k|^2 sum_{l=0}^{nu-N} rho_{k+l,k+l}: O(nu N), read from the
+    populations of a state, `Diagonals` or amplitudes.  For the
     uniform-superposition (maximally entangled) resource this equals
     (nu - N + 1)/(nu + 1) independently of the input state; `psi` defaults to
     a Haar sample so the independence is exercised by varying the seed.
     """
-    nu = rho.n_particles
+    nu, diagonals, _ = _reader(rho, 0)
     _check_regime(N, nu)
     if psi is None:
         psi = sample_haar(N, rng_seed)
-    windows = sliding_window_view(np.diagonal(rho.matrix).real, nu - N + 1)
+    windows = sliding_window_view(next(diagonals()).real, nu - N + 1)
     return float(np.abs(psi.amplitudes) ** 2 @ windows.sum(axis=1))
 
 
@@ -429,20 +429,17 @@ def success_probability_perfect(
 # Brute-force oracle: explicit four-mode tensor contraction
 # ---------------------------------------------------------------------------
 
-def _four_mode_global_state(psi: PureTwoModeState, rho: ResourceState) -> np.ndarray:
-    """|psi><psi| (x) rho as a dense matrix over modes (1,2,3,4)."""
+def _four_mode_factors(psi: PureTwoModeState, rho: ResourceState) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of |psi><psi| (x) rho over modes (1,2,3,4): psi as the
+    (N+1) x (N+1) matrix psi[n1, n2] of modes 1,2, and rho as the
+    (nu+1)^4 tensor rho[n3, n4, n3', n4'] of modes 3,4."""
     N, nu = psi.n_particles, rho.n_particles
-    d1 = d2 = N + 1
-    d3 = d4 = nu + 1
-    vec12 = np.zeros(d1 * d2, dtype=complex)
-    for k in range(N + 1):
-        vec12[k * d2 + (N - k)] = psi.amplitudes[k]
-    rho12 = np.outer(vec12, vec12.conj())
-    rho34 = np.zeros((d3 * d4, d3 * d4), dtype=complex)
-    for m in range(nu + 1):
-        for mp in range(nu + 1):
-            rho34[m * d4 + (nu - m), mp * d4 + (nu - mp)] = rho.matrix[m, mp]
-    return np.kron(rho12, rho34)
+    k, m = np.arange(N + 1), np.arange(nu + 1)
+    psi12 = np.zeros((N + 1, N + 1), dtype=complex)
+    psi12[k, N - k] = psi.amplitudes
+    rho34 = np.zeros((nu + 1,) * 4, dtype=complex)
+    rho34[m[:, None], nu - m[:, None], m, nu - m] = rho.matrix
+    return psi12, rho34
 
 
 def teleport_outcome_dense(
@@ -452,26 +449,24 @@ def teleport_outcome_dense(
     lam: int,
     apply_correction: bool = True,
 ) -> tuple[float, np.ndarray | None]:
-    """Outcome (l, lam) by projecting the full four-mode state and tracing.
-
-    Builds |psi><psi| (x) rho explicitly, sandwiches it with
-    1 (x) P_23 (x) V_4 (V_4 = identity when `apply_correction` is False),
-    and traces out modes 2,3.  Returns (probability, normalized matrix over
-    the joint mode-1 x mode-4 occupation space), with the matrix None at
-    zero probability.  This is the independent check of `teleport_outcome`.
+    """Outcome (l, lam) by projecting |psi><psi| (x) rho with
+    1 (x) P_23 (x) V_4 (V_4 = identity when `apply_correction` is False) and
+    tracing out modes 2,3, without the Kronecker product: <phi| goes into
+    psi's mode 2, that into the (nu+1)^4 rho tensor, then V_4.  Returns
+    (probability, normalized matrix over the joint mode-1 x mode-4
+    occupation space), the matrix None at zero probability.  It reads no
+    band sum or sector block: the independent check of `teleport_outcome`.
     """
     N, nu = psi.n_particles, rho.n_particles
-    d1 = d2 = N + 1
-    d3 = d4 = nu + 1
-    basis = build_basis(N, nu)
-    phi = basis.vector(l, lam)
+    d1, d4 = N + 1, nu + 1
+    phi = build_basis(N, nu).vector(l, lam).reshape(N + 1, nu + 1)
     v4 = bob_isometry(l, lam, N, nu) if apply_correction else np.eye(d4, dtype=complex)
 
-    rho_global = _four_mode_global_state(psi, rho)
-    t = rho_global.reshape(d1, d2 * d3, d4, d1, d2 * d3, d4)
-    # <phi| rho |phi> over modes 2,3: rows contract with conj(phi), columns with phi
-    a = np.einsum("m,amcbnd,n->acbd", phi.conj(), t, phi, optimize=True)
-    r = np.einsum("pc,acbd,qd->apbq", v4, a, v4.conj(), optimize=True)
+    psi12, rho34 = _four_mode_factors(psi, rho)
+    x = psi12 @ phi.conj()  # x[n1, n3] = sum_n2 psi[n1, n2] conj(phi[n2, n3])
+    # rows contract with x, columns with conj(x), then V_4 on both sides
+    a = np.einsum("ac,cdef,be->adbf", x, rho34, x.conj(), optimize=True)
+    r = np.einsum("pd,adbf,qf->apbq", v4, a, v4.conj(), optimize=True)
     mat = r.reshape(d1 * d4, d1 * d4)
     p = float(np.trace(mat).real)
     if p <= 0.0:
@@ -501,7 +496,7 @@ def _sector_kernel(rho: ResourceState, N: int, moduli: bool) -> np.ndarray:
     """Sum of the sector blocks of rho, each placed at its input components:
     the real parts, or the moduli off the diagonal.  The per-input outcome
     sum over sectors is then one quadratic form in this kernel."""
-    nu, block = _sector_reader(rho)
+    nu, _, block = _reader(rho, N)
     _check_regime(N, nu)
     kernel = np.zeros((N + 1, N + 1))
     for l in range(-N, nu + 1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, StateValidationError
-from .fock import Diagonals, ResourceState, _upper_diagonals, normalized_amplitudes
+from .fock import Diagonals, ResourceState, _reader, normalized_amplitudes
 
 
 def max_entangled_amplitudes(nu: int) -> np.ndarray:
@@ -174,7 +174,7 @@ def linear_phase(coeff: float, n: int) -> np.ndarray:
 
 def _imbalance_populations(rho) -> tuple[np.ndarray, np.ndarray]:
     """(z, w): the imbalance 1 - 2k/nu and the populations of any resource form."""
-    nu, diagonals = _upper_diagonals(rho, 0)
+    nu, diagonals, _ = _reader(rho, 0)
     return 1.0 - 2.0 * np.arange(nu + 1) / nu, next(diagonals()).real
 
 
@@ -187,12 +187,16 @@ def imbalance_moments(rho) -> tuple[float, float]:
 
 
 def occupation_peaks(rho) -> list[float]:
-    """Imbalance locations of strict local maxima of the occupation density.
-
+    """Imbalance locations of local maxima of the occupation density: a run
+    of equal populations above both neighbouring levels is one peak, at its
+    mean z (the tied central pair of a repulsive ground state at odd nu).
     Only peaks of at least a fifth of the global maximum are reported,
     ordered by increasing z.
     """
     z, w = _imbalance_populations(rho)
-    padded = np.pad(w, 1, constant_values=-np.inf)
-    peak = (w > padded[:-2]) & (w > padded[2:]) & (w >= 0.2 * np.max(w))
-    return sorted(z[peak].tolist())
+    start = np.flatnonzero(np.diff(w, prepend=np.nan))  # each run's first level
+    end = np.append(start[1:], w.size) - 1
+    run = np.pad(w[start], 1, constant_values=-np.inf)
+    peak = (run[1:-1] > np.maximum(run[:-2], run[2:])) & (run[1:-1] >= 0.2 * np.max(w))
+    # z is affine in k: the mean over a run is that of its ends, z itself for one level
+    return sorted(((z[start] + z[end]) / 2.0)[peak].tolist())

@@ -9,7 +9,8 @@ from telefock.fock import (
     Diagonals, PureTwoModeState, ResourceState, TwoModeDensityMatrix, haar_amplitude_batch,
 )
 from telefock.protocol import (
-    Band, TeleportOutcome, _check_regime, multiplicity, sector_component_range,
+    Band, TeleportOutcome, _check_regime, bob_isometry, build_basis, multiplicity,
+    sector_component_range,
 )
 
 # one spec per resource name `cli.resolve_resource` knows, and both phase kinds
@@ -65,16 +66,53 @@ def reference_teleport_outcome(psi, rho: ResourceState, l: int, lam: int) -> Tel
 
 
 def reference_occupation_peaks(w: np.ndarray, z: np.ndarray) -> list:
-    """Strict local maxima of the populations w at or above a fifth of
-    their maximum, level by level, as their imbalances z in increasing order."""
+    """Local maxima of the populations w at or above a fifth of their maximum,
+    level by level, as imbalances z in increasing order.  A run of equal
+    levels above both its neighbours is one peak, at the mean of its first
+    and last z (z itself for a run of one level)."""
     floor = 0.2 * np.max(w)
+    nu = w.size - 1
     peaks = []
-    for i in range(w.size):
+    i = 0
+    while i < w.size:
+        j = i
+        while j + 1 < w.size and w[j + 1] == w[i]:
+            j += 1
         left = w[i - 1] if i > 0 else -np.inf
-        right = w[i + 1] if i < w.size - 1 else -np.inf
+        right = w[j + 1] if j < nu else -np.inf
         if w[i] > left and w[i] > right and w[i] >= floor:
-            peaks.append(float(z[i]))
+            peaks.append(float((z[i] + z[j]) / 2.0))
+        i = j + 1
     return sorted(peaks)
+
+
+def reference_outcome_dense(psi, rho: ResourceState, l: int, lam: int,
+                            apply_correction: bool = True):
+    """`teleport_outcome_dense` the way it first was: |psi><psi| (x) rho built
+    as one dense matrix over modes (1,2,3,4) with `np.kron`, its mode-3,4
+    factor filled entry by entry, then sandwiched with 1 (x) P_23 (x) V_4 and
+    traced over modes 2,3.  (probability, normalized joint mode-1,4 matrix or
+    None); memory grows as (N+1)^4 (nu+1)^4, so nu <= 3 or so."""
+    N, nu = psi.n_particles, rho.n_particles
+    d1 = d2 = N + 1
+    d3 = d4 = nu + 1
+    phi = build_basis(N, nu).vector(l, lam)
+    v4 = bob_isometry(l, lam, N, nu) if apply_correction else np.eye(d4, dtype=complex)
+    vec12 = np.zeros(d1 * d2, dtype=complex)
+    for k in range(N + 1):
+        vec12[k * d2 + (N - k)] = psi.amplitudes[k]
+    rho34 = np.zeros((d3 * d4, d3 * d4), dtype=complex)
+    for m in range(nu + 1):
+        for mp in range(nu + 1):
+            rho34[m * d4 + (nu - m), mp * d4 + (nu - mp)] = rho.matrix[m, mp]
+    t = np.kron(np.outer(vec12, vec12.conj()), rho34).reshape(d1, d2 * d3, d4, d1, d2 * d3, d4)
+    a = np.einsum("m,amcbnd,n->acbd", phi.conj(), t, phi, optimize=True)
+    r = np.einsum("pc,acbd,qd->apbq", v4, a, v4.conj(), optimize=True)
+    mat = r.reshape(d1 * d4, d1 * d4)
+    p = float(np.trace(mat).real)
+    if p <= 0.0:
+        return max(p, 0.0), None
+    return p, mat / p
 
 
 def reference_monte_carlo(kind: str, rho, N: int, samples: int, rng_seed: int):

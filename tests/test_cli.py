@@ -944,3 +944,13 @@ def test_teleport_computes_one_negativity_per_sector(tmp_path, monkeypatch, reso
     assert [r.keys() for r in got] == [r.keys() for r in want]
     assert [[v.hex() if isinstance(v, float) else v for v in r.values()] for r in got] == \
         [[v.hex() if isinstance(v, float) else v for v in r.values()] for r in want]
+
+
+def test_sweep_of_the_uniform_resource_at_ten_million(tmp_path):
+    # the normalization check once rejected this resource above nu ~ 2.7e6
+    nu = 10_000_000
+    out = tmp_path / "sweep.json"
+    cfg = write_config(tmp_path, sweep_config(nu_grid=[nu]))
+    assert main(["sweep", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
+    [row] = json.loads(out.read_text())
+    assert abs(row["fidelity"] - (1.0 - 1.0 / (3.0 * (nu + 1)))) <= 1e-12

@@ -302,7 +302,7 @@ def _vector_readers():
     psi = PureTwoModeState(2, np.array([0.6, 0.0, 0.8]))
     scan = lambda x, spec, t: noise.band_scan(x, spec, 2, [t])
     return {
-        "fock._entries": fock._entries,
+        "fock._reader": lambda x: fock._reader(x, 2),
         "band": lambda x: protocol.band(x, 2),
         "fidelity_closed": lambda x: protocol.fidelity_closed(x, 2),
         "fidelity_closed_pure": lambda x: protocol.fidelity_closed_pure(x, 2),
@@ -316,6 +316,8 @@ def _vector_readers():
         "band_scan.mixing_undesired": lambda x: scan(
             resources.max_entangled_amplitudes(8), noise.MixingSpec(x, 0.0), 0.5),
         "iter_outcomes": lambda x: list(protocol.iter_outcomes(psi, x)),
+        "success_probability_perfect": lambda x: protocol.success_probability_perfect(x, 2, psi),
+        "average_teleported": lambda x: protocol.average_teleported(psi, x),
         "imbalance_moments": resources.imbalance_moments,
     }
 
@@ -330,3 +332,22 @@ def test_every_vector_reader_rejects_unnormalized_amplitudes(reader, dtype):
         read(1.001 * x)
     with pytest.raises(StateValidationError, match="not normalized"):
         read(np.where(np.arange(9) == 4, np.nan, x))
+
+
+@pytest.mark.parametrize("nu", [2_748_719, 5_000_000, 10_000_000])
+def test_normalization_check_admits_long_uniform_vectors(nu):
+    # one dot over the whole vector errs by up to 1.3e-12 here, past NORM_TOL
+    x = resources.max_entangled_amplitudes(nu)
+    fock._check_normalized(x)
+    with pytest.raises(StateValidationError, match="not normalized"):
+        fock._check_normalized(1.001 * x)
+    x[nu // 2] = np.nan
+    with pytest.raises(StateValidationError, match="not normalized"):
+        fock._check_normalized(x)
+
+
+def test_normalization_check_rejects_an_overflowing_sum():
+    # each block sums to 1.6e308, finite, and the two to more than the largest float
+    x = np.full(2 * fock._NORM_BLOCK, 1.4e152)
+    with pytest.raises(StateValidationError, match="sum \\|c_k\\|\\^2 = inf"):
+        fock._check_normalized(x)

@@ -1,7 +1,8 @@
 """Import layout of the package: every module-level import is used, scipy
 is imported only inside the functions that call it, and the scipy entry
 point an outside tracer rebinds (`noise.solve_ivp`) is looked up at call
-time.  The lints are stdlib-only."""
+time.  Only the oracles and the dense channels read a dense state's
+matrix.  The lints are stdlib-only."""
 
 import ast
 import os
@@ -87,6 +88,51 @@ def test_scipy_checker_catches_module_level_imports():
     )
     assert module_level_scipy_imports(source) == [
         "scipy (line 3)", "scipy.linalg (line 1)", "scipy.special (line 7)"]
+
+
+# Where a layer module may read a dense state's `.matrix`: the four-mode
+# oracle's factors, the conditional states `average_teleported` sums, and the
+# dense noise channels.  Every other reader goes through `fock._reader`.
+DENSE_READERS = {
+    "protocol.py": {"_four_mode_factors", "average_teleported"},
+    "noise.py": {"mix", "dephase", "particle_loss_analytic", "particle_loss_lindblad"},
+    "resources.py": set(),
+    "continuum.py": set(),
+    "cli.py": set(),
+}
+
+
+def matrix_loads(source: str, allowed: set) -> list[str]:
+    """Loads of an attribute `matrix` outside the functions named in `allowed`
+    (a load inside a function nested in an allowed one is allowed)."""
+    found = []
+
+    def visit(node, inside: bool):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name in allowed
+        if (isinstance(node, ast.Attribute) and node.attr == "matrix"
+                and isinstance(node.ctx, ast.Load) and not inside):
+            found.append(f"line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_READERS))
+def test_only_the_oracles_read_a_dense_matrix(name):
+    assert matrix_loads((PACKAGE / name).read_text(), DENSE_READERS[name]) == []
+
+
+def test_matrix_checker_catches_a_load_outside_the_allowlist():
+    source = (
+        "def oracle(rho):\n    return [s.matrix for s in rho]\n"
+        "def closed(rho):\n    m = rho.matrix\n    rho.matrix = m\n"
+        "x = rho.matrix\n"
+        "class C:\n    def oracle(self):\n        return self.matrix\n"
+    )
+    assert matrix_loads(source, {"oracle"}) == ["line 4", "line 6"]
 
 
 def run_python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -1,6 +1,8 @@
 """Measurement basis, conditional outcomes vs the dense oracle, closed-form
 performance functionals vs Monte-Carlo estimates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,8 @@ from telefock.protocol import (
 
 from helpers import (
     CLI_RESOURCES, random_input, random_resource, reference_band, reference_entanglement,
-    reference_fidelity, reference_monte_carlo, reference_teleport_outcome, resource_id,
+    reference_fidelity, reference_monte_carlo, reference_outcome_dense,
+    reference_teleport_outcome, resource_id,
 )
 
 
@@ -142,6 +145,36 @@ def test_outcomes_match_dense_contraction():
                 sector, residual = two_mode_sector(joint, N, nu)
                 assert residual < 1e-12
                 assert np.max(np.abs(sector - outcome.state.matrix)) < 1e-12
+
+
+def test_dense_oracle_matches_the_kronecker_reference():
+    rng = np.random.default_rng(29)
+    for N, nu in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]:
+        psi, rho = random_input(N, rng), random_resource(nu, rng)
+        for l, lam in build_basis(N, nu).outcomes:
+            for correct in (True, False):
+                p, joint = teleport_outcome_dense(psi, rho, l, lam, apply_correction=correct)
+                p_ref, joint_ref = reference_outcome_dense(psi, rho, l, lam, apply_correction=correct)
+                assert abs(p - p_ref) <= 1e-14
+                assert (joint is None) == (joint_ref is None)
+                if joint is not None:
+                    assert np.max(np.abs(joint - joint_ref)) <= 1e-14
+
+
+def test_dense_oracle_reaches_nu_20():
+    # the Kronecker form would hold a 7056 x 7056 complex matrix (~800 MB) here
+    rng = np.random.default_rng(30)
+    N, nu = 3, 20
+    psi, rho = random_input(N, rng), random_resource(nu, rng)
+    outcomes = list(iter_outcomes(psi, rho))
+    assert len(outcomes) == (N + 1) * (nu + 1)
+    for outcome in outcomes:
+        p, joint = teleport_outcome_dense(psi, rho, outcome.l, outcome.lam)
+        assert abs(p - outcome.probability) <= 1e-14
+        if outcome.state is not None:
+            sector, residual = two_mode_sector(joint, N, nu)
+            assert residual <= 1e-14
+            assert np.max(np.abs(sector - outcome.state.matrix)) <= 1e-14
 
 
 def test_outcome_probabilities_sum_to_one():
@@ -582,3 +615,73 @@ def test_outcomes_certify_one_state_per_sector(monkeypatch):
         # the outcomes of a sector share its state
         for l in sectors:
             assert len({id(o.state) for o in outcomes if o.l == l}) == 1
+
+
+def _flat(result) -> np.ndarray:
+    """Every number in a reader's result, in order, as one complex array
+    (NaN for a missing conditional state)."""
+    if result is None:
+        return np.array([np.nan])
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (list, tuple)):
+        return np.concatenate([_flat(r) for r in result] or [np.zeros(0)])
+    return np.ravel(result).astype(complex)
+
+
+N_FORMS, NU_FORMS = 2, 9
+PSI_FORMS = PureTwoModeState(N_FORMS, np.array([0.6, 0.0, 0.8j]))
+LOSS_FORMS = noise.LossSpec((noise.LossChannel(0.5, 1, 0), noise.LossChannel(0.2, 1, 1)), 0.3)
+
+
+def _scan(spec, values):
+    return lambda rho: noise.band_scan(rho, spec, N_FORMS, values)
+
+
+# reader: (result as a function of the resource, tolerance of amplitudes,
+# of Diagonals, against the state).  0 is bit for bit.  The band readers take
+# amplitudes as shifted dot products; Diagonals.block makes the lower triangle
+# of a sector block by conjugation, where from_amplitudes multiplies.
+FORM_READERS = {
+    "band": (lambda rho: band(rho, N_FORMS), 2e-15, 0.0),
+    "fidelity_closed": (lambda rho: fidelity_closed(rho, N_FORMS), 2e-15, 0.0),
+    "avg_entanglement_closed": (lambda rho: avg_entanglement_closed(rho, N_FORMS), 2e-15, 0.0),
+    "performance_report": (lambda rho: performance_report(rho, N_FORMS), 2e-15, 0.0),
+    "iter_outcomes": (lambda rho: list(iter_outcomes(PSI_FORMS, rho)), 0.0, 1e-15),
+    "teleport_outcome": (lambda rho: [teleport_outcome(PSI_FORMS, rho, l, lam)
+                                      for l, lam in build_basis(N_FORMS, NU_FORMS).outcomes],
+                         0.0, 1e-15),
+    "success_probability_perfect": (
+        lambda rho: success_probability_perfect(rho, N_FORMS, PSI_FORMS), 0.0, 0.0),
+    "average_teleported": (lambda rho: average_teleported(PSI_FORMS, rho), 1e-15, 1e-15),
+    "fidelity_monte_carlo": (
+        lambda rho: fidelity_monte_carlo(rho, N_FORMS, samples=1000, rng_seed=3), 0.0, 0.0),
+    "entanglement_monte_carlo": (
+        lambda rho: entanglement_monte_carlo(rho, N_FORMS, samples=1000, rng_seed=3), 0.0, 0.0),
+    "imbalance_moments": (resources.imbalance_moments, 0.0, 0.0),
+    "occupation_peaks": (resources.occupation_peaks, 0.0, 0.0),
+    "band_scan.dephasing": (_scan(noise.DephasingSpec(0.5, 0.5, 0.0), [0.0, 0.1]), 2e-15, 0.0),
+    "band_scan.loss": (_scan(LOSS_FORMS, [0.0, 0.2]), 2e-15, 0.0),
+    "band_scan.mixing": (
+        _scan(noise.MixingSpec(resources.fock_separable_diagonals(NU_FORMS, 3), 0.0), [0.0, 0.5]),
+        2e-15, 0.0),
+    "loss_fidelity_bounds": (
+        lambda rho: noise.loss_fidelity_bounds(rho, LOSS_FORMS, N_FORMS, n_times=5), 2e-15, 0.0),
+}
+
+
+@pytest.mark.parametrize("reader", list(FORM_READERS))
+@pytest.mark.parametrize("phases", [True, False], ids=["complex", "real"])
+def test_every_reader_takes_every_form_of_a_pure_resource(reader, phases):
+    read, amplitude_tol, diagonals_tol = FORM_READERS[reader]
+    x = fock.haar_amplitude_batch(NU_FORMS, 1, np.random.default_rng(43))[0]
+    x = x if phases else np.abs(x)
+    state = fock.ResourceState.from_amplitudes(x)
+    diagonals = fock.Diagonals(NU_FORMS, tuple(state.matrix.diagonal(d) for d in range(NU_FORMS + 1)))
+    want = _flat(read(state))
+    for form, tol in ((x, amplitude_tol), (diagonals, diagonals_tol)):
+        got = _flat(read(form))
+        if tol == 0.0:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)

@@ -271,13 +271,23 @@ def test_populations_of_amplitudes_and_states_agree_bitwise(gamma):
 
 
 @pytest.mark.parametrize("w", [
-    [0.1, 0.3, 0.3, 0.05, 0.2, 0.05],  # a tied top is no strict maximum
+    [0.1, 0.3, 0.3, 0.05, 0.2, 0.05],  # a tied top is one peak, between its two levels
     [0.5, 0.1, 0.02, 0.08, 0.03, 0.27],  # edge peaks; 0.08 is below a fifth of the top
-    [0.2, 0.2, 0.2, 0.2, 0.2],
+    [0.2, 0.2, 0.2, 0.2, 0.2],  # a flat density is one peak, at its middle
     [1.0, 0.0],
+    [0.1, 0.3, 0.3, 0.3, 0.05, 0.3],  # a tied top of three levels, and an edge peak
+    [0.3, 0.3, 0.1, 0.3],  # a tie at the edge
 ])
 def test_occupation_peaks_of_diagonals_match_the_reference(w):
     w = np.array(w)
     nu = w.size - 1
     z = 1.0 - 2.0 * np.arange(nu + 1) / nu
     assert resources.occupation_peaks(Diagonals(nu, (w,))) == reference_occupation_peaks(w, z)
+
+
+@pytest.mark.parametrize("nu", [41, 401, 4001])
+def test_repulsive_ground_state_at_odd_nu_has_one_central_peak(nu):
+    # the two central populations can tie exactly (nu = 41 and 401 at gamma = 7)
+    x = resources.double_well_ground_amplitudes(resources.BoseHubbardParams.from_gamma(nu, 7.0))
+    [z] = resources.occupation_peaks(x)
+    assert abs(z) <= 1.0 / nu
