@@ -237,26 +237,35 @@ def band(rho, N: int) -> Band:
     """The `Band` (width N) of a resource, read in one pass.
 
     An amplitude vector x (rho_{k,j} = x_k conj(x_j), weight 1, checked
-    normalized to `fock.NORM_TOL`) takes N shifted dot products of x and N
-    of |x|: O(nu N) time, O(nu) memory, real arithmetic for real
-    amplitudes.  A `Band` is cut to width N once it is checked to hold that
-    many diagonals.  A state, a raw coefficient matrix (Hermitian to
+    normalized to `fock.NORM_TOL`) takes N shifted dot products of x for the
+    sums and N of |x| for the moduli: O(nu N) time, O(nu) memory, real
+    arithmetic for real amplitudes.  When x is real and nonnegative, |x| is
+    x, so the moduli are the sums and the second N products are skipped.  A
+    `Band` is cut to width N once it is checked to hold that many
+    diagonals.  A state, a raw coefficient matrix (Hermitian to
     `fock.NORM_TOL`, checked where it enters) or `Diagonals` goes diagonal
     by diagonal through `band_of_diagonals`.
     """
     if isinstance(rho, Band):
-        nu = rho.n_particles
-        _check_regime(N, nu)
-        width = min(N, nu)
-        if len(rho.sums) < width:
-            raise StateValidationError(f"band holds {len(rho.sums)} diagonals, N={N} reads {width}")
-        return Band(nu, rho.weight, rho.sums[:width], rho.moduli[:width])
+        return _cut(rho, N)
     if _is_vector(rho):
         x = _check_normalized(rho)
-        return Band(x.shape[0] - 1, 1.0,
-                    np.array(_shifted_dots(x, N)), np.array(_shifted_dots(np.abs(x), N)))
+        sums = np.array(_shifted_dots(x, N))
+        nonnegative = np.isrealobj(x) and x.min() >= 0
+        moduli = sums if nonnegative else np.array(_shifted_dots(np.abs(x), N))
+        return Band(x.shape[0] - 1, 1.0, sums, moduli)
     nu, diagonals, _ = _reader(rho, N)
     return band_of_diagonals(nu, diagonals(), N)
+
+
+def _cut(b: Band, N: int) -> Band:
+    """b cut to width N, once it is checked to hold that many diagonals."""
+    nu = b.n_particles
+    _check_regime(N, nu)
+    width = min(N, nu)
+    if len(b.sums) < width:
+        raise StateValidationError(f"band holds {len(b.sums)} diagonals, N={N} reads {width}")
+    return Band(nu, b.weight, b.sums[:width], b.moduli[:width])
 
 
 def band_of_diagonals(nu: int, upper, N: int) -> Band:
@@ -346,13 +355,18 @@ def avg_entanglement_closed(rho: ResourceState | np.ndarray | Diagonals | Band, 
     return _avg_entanglement(band(rho, N).moduli, N)
 
 
-def fidelity_closed_pure(amplitudes: np.ndarray, N: int) -> float:
+def fidelity_closed_pure(amplitudes: np.ndarray | Band, N: int) -> float:
     """Fidelity of a pure resource directly from its amplitude vector.
 
     Same band formula as `fidelity_closed` with rho_{k,j} = x_k conj(x_j),
     evaluated as N shifted dot products: O(nu N) time, O(nu) memory, which
-    is what makes nu ~ 10^4 sweeps practical.
+    is what makes nu ~ 10^4 sweeps practical.  The vector's `Band` is taken
+    too, so a caller that has read the vector once (`performance_report`)
+    gets the same number from its sums.
     """
+    if isinstance(amplitudes, Band):
+        b = _cut(amplitudes, N)
+        return _fidelity(b.weight, b.sums, N)
     return _fidelity(1.0, _shifted_dots(_check_normalized(amplitudes), N), N)
 
 
@@ -393,10 +407,22 @@ class PerformanceReport:
             )
 
 
-def performance_report(rho: ResourceState | np.ndarray, N: int) -> PerformanceReport:
+def performance_report(rho: ResourceState | np.ndarray | Diagonals, N: int) -> PerformanceReport:
+    """Fidelity, averaged final entanglement and their baselines.
+
+    An amplitude vector is read once: its `band` goes to
+    `fidelity_closed_pure` and `avg_entanglement_closed`, which give bit for
+    bit what the two `_pure` functionals give on the vector.  Every other
+    form goes to `fidelity_closed` and `avg_entanglement_closed` as it is.
+    """
+    if _is_vector(rho):
+        rho = band(rho, N)
+        fidelity = fidelity_closed_pure(rho, N)
+    else:
+        fidelity = fidelity_closed(rho, N)
     return PerformanceReport(
         N=N,
-        fidelity=fidelity_closed(rho, N),
+        fidelity=fidelity,
         avg_entanglement=avg_entanglement_closed(rho, N),
         f_sep=separable_fidelity(N),
         e_max=max_avg_entanglement(N),

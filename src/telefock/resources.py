@@ -96,7 +96,8 @@ def su2_coherent_amplitudes(nu: int, theta: float, phi: float) -> np.ndarray:
     from scipy.special import gammaln
 
     k = np.arange(nu + 1, dtype=float)
-    log_binom = gammaln(nu + 1) - gammaln(k + 1) - gammaln(nu - k + 1)
+    log_factorial = gammaln(k + 1)  # reversed, it is gammaln(nu - k + 1)
+    log_binom = gammaln(nu + 1) - log_factorial - log_factorial[::-1]
     s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
     log_s = np.where(k > 0, k * np.log(s) if s > 0.0 else -np.inf, 0.0)
     log_c = np.where(nu - k > 0, (nu - k) * np.log(c) if c > 0.0 else -np.inf, 0.0)
@@ -130,30 +131,42 @@ class BoseHubbardParams:
 
 
 def double_well_ground_amplitudes(params: BoseHubbardParams) -> np.ndarray:
-    """Ground state of the two-well Hamiltonian by exact diagonalization.
+    """Ground state of the two-well Hamiltonian by exact diagonalization of
+    its even sector.
 
     In the Fock basis |k, nu-k> the Hamiltonian is tridiagonal with diagonal
-    U [k(k-1) + (nu-k)(nu-k-1)] and hopping -tau sqrt((k+1)(nu-k)).  The
-    global phase is fixed so the largest-magnitude amplitude is real
-    positive.
+    U [k(k-1) + (nu-k)(nu-k-1)] and hopping -tau sqrt((k+1)(nu-k)), and it
+    commutes with the mirror k -> nu-k.  Its hopping is negative, so its
+    ground state is unique, even and positive (Perron-Frobenius).  The solve
+    runs on the even states (|k> + |nu-k>)/sqrt(2), k < nu/2, and |nu/2> for
+    even nu: a tridiagonal matrix of size nu//2 + 1 whose last hop is sqrt(2)
+    times the full one (even nu), or whose last diagonal entry takes the
+    middle hop (odd nu).  The result is |v| mirrored, so x_k = x_{nu-k}
+    exactly and every x_k > 0.  For gamma < -1 the full solve would return
+    an arbitrary mix of this state and its odd partner, degenerate with it
+    to round-off, weighted toward one well.
     """
     nu = params.nu
     if nu < 1:
         raise StateValidationError("need at least one particle")
-    k = np.arange(nu + 1, dtype=float)
+    half = nu // 2
+    k = np.arange(half + 1, dtype=float)
     diag = params.U * (k * (k - 1.0) + (nu - k) * (nu - k - 1.0))
-    hop = -params.tau * np.sqrt((k[:-1] + 1.0) * (nu - k[:-1]))
+    hop = -params.tau * np.sqrt((k + 1.0) * (nu - k))  # hop[k] joins k and k+1
+    if nu % 2:
+        diag[-1] += hop[-1]  # k = half and k+1 = nu-half are mirror images
+    else:
+        hop[-2] *= np.sqrt(2.0)  # the pair next to the unpaired |nu/2>
     from scipy.linalg import eigh_tridiagonal
 
     try:
-        _, vec = eigh_tridiagonal(diag, hop, select="i", select_range=(0, 0))
+        _, vec = eigh_tridiagonal(diag, hop[:-1], select="i", select_range=(0, 0))
     except Exception as exc:  # pragma: no cover - backend failure path
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-    x = vec[:, 0]
-    pivot = int(np.argmax(np.abs(x)))
-    if x[pivot] < 0:
-        x = -x
-    return normalized_amplitudes(x)
+    v = np.abs(vec[:, 0])
+    if nu % 2 == 0:
+        v[-1] *= np.sqrt(2.0)  # |nu/2> against the paired entries' 1/sqrt(2)
+    return normalized_amplitudes(np.concatenate((v, v[nu - half - 1::-1])))
 
 
 def linear_phase(coeff: float, n: int) -> np.ndarray:
@@ -179,9 +192,15 @@ def _imbalance_populations(rho) -> tuple[np.ndarray, np.ndarray]:
 
 
 def imbalance_moments(rho) -> tuple[float, float]:
-    """(mean, variance) of the occupation imbalance z = 1 - 2k/nu."""
+    """(mean, variance) of the occupation imbalance z = 1 - 2k/nu.
+
+    The mean is summed over mirror pairs, sum_{k<nu/2} z_k (w_k - w_{nu-k})
+    (z_{nu-k} = -z_k, and z = 0 at k = nu/2), so it is exactly 0 for a
+    mirror-symmetric state.
+    """
     z, weights = _imbalance_populations(rho)
-    mean = float(np.dot(z, weights))
+    pairs = weights.size // 2
+    mean = float(np.dot(z[:pairs], weights[:pairs] - weights[::-1][:pairs]))
     var = float(np.dot(z ** 2, weights) - mean ** 2)
     return mean, var
 

@@ -601,6 +601,40 @@ def test_dephasing_scan_without_crossing_reports_null_threshold(tmp_path, capsys
     assert len(csv_out.read_text().strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize("resource", [
+    {"name": "su2_coherent", "theta": 1.1, "phi": 0.7},
+    {"name": "gaussian", "beta": 0.6, "phases": {"kind": "linear", "coefficient": 0.3}},
+    {"name": "double_well", "gamma": -2.0, "phases": {"kind": "alternating"}},
+])
+def test_sweep_fidelity_goes_through_the_pure_fidelity_attribute(tmp_path, capsys, monkeypatch,
+                                                                 resource):
+    # a shifted protocol.fidelity_closed_pure must shift every sweep row, as
+    # the benchmark's corrupted-fidelity gate assumes (phased resources: a
+    # nonnegative one has triangle slack 0, so the shift makes it exit 3)
+    cfg = write_config(tmp_path, sweep_config(N=2, nu_grid=[10, 200], resource=resource))
+
+    def fidelities():
+        assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+        return np.array([row["fidelity"] for row in json.loads(capsys.readouterr().out)])
+
+    clean = fidelities()
+    original = protocol.fidelity_closed_pure
+    monkeypatch.setattr(protocol, "fidelity_closed_pure", lambda x, N: original(x, N) + 1e-6)
+    assert np.allclose(fidelities() - clean, 1e-6, rtol=1e-6, atol=0.0)
+
+
+def test_attractive_ground_state_is_symmetric_with_both_peaks(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"schema_version": 1, "kind": "ground-state",
+                                  "N": 2, "nu": 1000, "gamma": -3.0})
+    assert main(["ground-state", "--config", cfg, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["imbalance_mean"] == 0.0
+    peaks, predicted = payload["peaks"], payload["predicted_peaks"]
+    assert len(peaks) == 2
+    for z, z0 in zip(peaks, predicted):
+        assert abs(z - z0) / abs(z0) < 0.05
+
+
 @pytest.mark.parametrize("kind, cfg", [
     ("sweep", sweep_config(nu_grid=[10])),
     ("teleport", teleport_config()),

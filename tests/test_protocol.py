@@ -547,6 +547,64 @@ def test_functionals_accept_amplitude_vectors():
         assert report.avg_entanglement == avg_entanglement_closed_pure(x, 2)
 
 
+def four_kinds_of_vector(nu, rng):
+    """Real nonnegative, real nonnegative with -0.0 entries, real with a
+    negative entry, and complex amplitudes, each normalized."""
+    x = rng.random(nu + 1)
+    x /= np.linalg.norm(x)
+    zeros = x.copy()
+    zeros[::3] = -0.0
+    zeros /= np.linalg.norm(zeros)
+    signed = x.copy()
+    signed[nu // 2] *= -1.0
+    phased = x * np.exp(1j * rng.uniform(0, 2 * np.pi, nu + 1))
+    return {"nonnegative": x, "negative zeros": zeros, "signed": signed, "complex": phased}
+
+
+@pytest.mark.parametrize("kind, dot_calls", [
+    ("nonnegative", 1), ("negative zeros", 1), ("signed", 2), ("complex", 2),
+])
+def test_performance_report_reads_a_vector_once(monkeypatch, kind, dot_calls):
+    x = four_kinds_of_vector(40, np.random.default_rng(48))[kind]
+    calls = {"_check_normalized": 0, "_shifted_dots": 0}
+
+    def spy(name):
+        original = getattr(protocol, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(protocol, name, counted)
+
+    spy("_check_normalized")
+    spy("_shifted_dots")
+    performance_report(x, 3)
+    assert calls == {"_check_normalized": 1, "_shifted_dots": dot_calls}
+
+
+def test_performance_report_of_every_vector_kind_equals_the_pure_functionals():
+    rng = np.random.default_rng(49)
+    for nu in (1, 4, 40, 1001):
+        for x in four_kinds_of_vector(nu, rng).values():
+            for N in (1, 2, 16):
+                if N > nu:
+                    continue
+                report = performance_report(x, N)
+                assert report.fidelity == fidelity_closed_pure(x, N)
+                assert report.avg_entanglement == avg_entanglement_closed_pure(x, N)
+                assert fidelity_closed_pure(band(x, N), N) == fidelity_closed_pure(x, N)
+
+
+def test_pure_fidelity_of_a_band_cuts_it_to_width_n():
+    x = resources.gaussian_amplitudes(resources.GaussianSpec.from_beta(60, 0.6))
+    wide = band(x, 8)
+    for N in (1, 3, 8):
+        assert fidelity_closed_pure(wide, N) == fidelity_closed_pure(x, N)
+    with pytest.raises(StateValidationError, match="band holds 8 diagonals"):
+        fidelity_closed_pure(wide, 9)
+
+
 def test_success_probability_matches_outcome_sum():
     rng = np.random.default_rng(36)
     for nu, N in [(1, 1), (3, 1), (5, 2), (8, 3), (12, 12), (30, 4)]:

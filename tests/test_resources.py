@@ -287,7 +287,103 @@ def test_occupation_peaks_of_diagonals_match_the_reference(w):
 
 @pytest.mark.parametrize("nu", [41, 401, 4001])
 def test_repulsive_ground_state_at_odd_nu_has_one_central_peak(nu):
-    # the two central populations can tie exactly (nu = 41 and 401 at gamma = 7)
+    # the mirrored solve ties the two central populations exactly
     x = resources.double_well_ground_amplitudes(resources.BoseHubbardParams.from_gamma(nu, 7.0))
     [z] = resources.occupation_peaks(x)
-    assert abs(z) <= 1.0 / nu
+    assert abs(z) <= 1e-15
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0, 5.0])
+@pytest.mark.parametrize("nu", [41, 401, 4001])
+def test_repulsive_odd_nu_peak_sits_at_zero(nu, gamma):
+    x = resources.double_well_ground_amplitudes(resources.BoseHubbardParams.from_gamma(nu, gamma))
+    [z] = resources.occupation_peaks(x)
+    assert abs(z) <= 1e-15
+
+
+def double_well_hamiltonian(params):
+    """(diagonal, hopping) of the full (nu+1)-level tridiagonal Hamiltonian."""
+    nu = params.nu
+    k = np.arange(nu + 1, dtype=float)
+    diag = params.U * (k * (k - 1.0) + (nu - k) * (nu - k - 1.0))
+    return diag, -params.tau * np.sqrt((k[:-1] + 1.0) * (nu - k[:-1]))
+
+
+def relative_residual(params, x) -> float:
+    """|H x - lam x| / |lam| with lam = x.H x, from the full Hamiltonian."""
+    diag, hop = double_well_hamiltonian(params)
+    hx = diag * x
+    hx[:-1] += hop * x[1:]
+    hx[1:] += hop * x[:-1]
+    lam = float(x @ hx)
+    return float(np.linalg.norm(hx - lam * x)) / abs(lam)
+
+
+MIRROR_CASES = [(g, nu) for g in (-1.1, -1.5, -2.0, -3.0, -10.0) for nu in (200, 1000, 10000)]
+
+
+@pytest.mark.parametrize("gamma, nu", MIRROR_CASES + [(-2.0, 10 ** 6)])
+def test_attractive_ground_state_is_even_positive_and_bimodal(gamma, nu):
+    # the even ground state and its odd partner are degenerate to round-off
+    # here; the ground state is the even one (Perron-Frobenius)
+    params = resources.BoseHubbardParams.from_gamma(nu, gamma)
+    x = resources.double_well_ground_amplitudes(params)
+    assert np.array_equal(x, x[::-1])
+    assert np.all(x > 0.0)
+    mean, _ = resources.imbalance_moments(x)
+    assert mean == 0.0
+    low, high = resources.occupation_peaks(x)
+    assert low < 0.0 < high and abs(low + high) <= 4 * np.finfo(float).eps
+    assert relative_residual(params, x) <= 4e-16
+
+
+@pytest.mark.parametrize("gamma", [-1.5, -2.0])
+@pytest.mark.parametrize("nu", [1, 2, 3, 8, 13, 20, 30, 40, 41])
+def test_ground_state_matches_dense_eigh_where_the_gap_is_resolved(gamma, nu):
+    params = resources.BoseHubbardParams.from_gamma(nu, gamma)
+    diag, hop = double_well_hamiltonian(params)
+    w, v = np.linalg.eigh(np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1))
+    assert w[1] - w[0] > 1e-7
+    want = v[:, 0] * np.sign(np.sum(v[:, 0]))
+    x = resources.double_well_ground_amplitudes(params)
+    assert np.max(np.abs(x - want)) <= 5e-8
+
+
+@pytest.mark.parametrize("gamma, nu", [
+    (0.0, 1000), (1.0, 401), (3.0, 10 ** 4), (5.0, 4001), (7.368062997280773, 400),
+    (3.0, 10 ** 6),
+])
+def test_repulsive_ground_state_is_mirrored_with_a_small_residual(gamma, nu):
+    params = resources.BoseHubbardParams.from_gamma(nu, gamma)
+    x = resources.double_well_ground_amplitudes(params)
+    assert np.array_equal(x, x[::-1]) and np.all(x > 0.0)
+    assert resources.imbalance_moments(x)[0] == 0.0
+    assert relative_residual(params, x) <= 1e-10
+
+
+def test_imbalance_mean_is_summed_over_mirror_pairs():
+    # exactly 0 on any mirror-symmetric population vector, and the plain
+    # mean to rounding on an asymmetric one
+    rng = np.random.default_rng(47)
+    for nu in (1, 2, 7, 40, 999):
+        half = rng.random(nu // 2 + 1)
+        w = np.concatenate((half, half[nu - nu // 2 - 1::-1]))
+        w /= w.sum()
+        assert resources.imbalance_moments(Diagonals(nu, (w,)))[0] == 0.0
+        w = rng.random(nu + 1)
+        w /= w.sum()
+        z = 1.0 - 2.0 * np.arange(nu + 1) / nu
+        mean, var = resources.imbalance_moments(Diagonals(nu, (w,)))
+        assert mean == pytest.approx(float(z @ w), abs=1e-15)
+        assert var == pytest.approx(float(z ** 2 @ w) - mean ** 2, abs=1e-15)
+
+
+def test_su2_amplitudes_match_the_three_gammaln_form():
+    for nu in (1, 7, 2 ** 12):
+        k = np.arange(nu + 1, dtype=float)
+        log_binom = gammaln(nu + 1) - gammaln(k + 1) - gammaln(nu - k + 1)
+        s, c = np.sin(0.55), np.cos(0.55)
+        moduli = np.exp(0.5 * log_binom + k * np.log(s) + (nu - k) * np.log(c))
+        want = moduli * resources.linear_phase(0.7, nu + 1)
+        want /= np.linalg.norm(want)
+        assert np.array_equal(resources.su2_coherent_amplitudes(nu, 1.1, 0.7), want)
