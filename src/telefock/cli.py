@@ -443,12 +443,13 @@ def cmd_ground_state(cfg: dict, args) -> int:
     params = resources.BoseHubbardParams.from_gamma(nu, gamma)
     x = resources.double_well_ground_amplitudes(params)
     mean, var = resources.imbalance_moments(x)
+    report = protocol.performance_report(x, N)
     payload = {
         "nu": nu, "gamma": gamma, "N": N,
         "imbalance_mean": mean,
         "imbalance_variance": var,
-        "fidelity": protocol.fidelity_closed(x, N),
-        "avg_entanglement": protocol.avg_entanglement_closed(x, N),
+        "fidelity": report.fidelity,
+        "avg_entanglement": report.avg_entanglement,
         "peaks": resources.occupation_peaks(x),
     }
     if gamma > -1.0:

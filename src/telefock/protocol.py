@@ -234,7 +234,7 @@ class Band:
 
 
 def band(rho, N: int) -> Band:
-    """The `Band` (width N) of a resource, read in one pass.
+    """The `Band` (width N) of a resource, read in one pass; all functionals read it.
 
     An amplitude vector x (rho_{k,j} = x_k conj(x_j), weight 1, checked
     normalized to `fock.NORM_TOL`) takes N shifted dot products of x for the
@@ -247,25 +247,20 @@ def band(rho, N: int) -> Band:
     by diagonal through `band_of_diagonals`.
     """
     if isinstance(rho, Band):
-        return _cut(rho, N)
-    if _is_vector(rho):
-        x = _check_normalized(rho)
-        sums = np.array(_shifted_dots(x, N))
-        nonnegative = np.isrealobj(x) and x.min() >= 0
-        moduli = sums if nonnegative else np.array(_shifted_dots(np.abs(x), N))
-        return Band(x.shape[0] - 1, 1.0, sums, moduli)
-    nu, diagonals, _ = _reader(rho, N)
-    return band_of_diagonals(nu, diagonals(), N)
-
-
-def _cut(b: Band, N: int) -> Band:
-    """b cut to width N, once it is checked to hold that many diagonals."""
-    nu = b.n_particles
-    _check_regime(N, nu)
-    width = min(N, nu)
-    if len(b.sums) < width:
-        raise StateValidationError(f"band holds {len(b.sums)} diagonals, N={N} reads {width}")
-    return Band(nu, b.weight, b.sums[:width], b.moduli[:width])
+        nu = rho.n_particles
+        _check_regime(N, nu)
+        width = min(N, nu)
+        if len(rho.sums) < width:
+            raise StateValidationError(f"band holds {len(rho.sums)} diagonals, N={N} reads {width}")
+        return Band(nu, rho.weight, rho.sums[:width], rho.moduli[:width])
+    if isinstance(rho, (Diagonals, TwoModeDensityMatrix)) or np.ndim(rho) != 1:
+        nu, diagonals, _ = _reader(rho, N)
+        return band_of_diagonals(nu, diagonals(), N)
+    x = _check_normalized(rho)
+    sums = np.array(_shifted_dots(x, N))
+    nonnegative = np.isrealobj(x) and x.min() >= 0
+    moduli = sums if nonnegative else np.array(_shifted_dots(np.abs(x), N))
+    return Band(x.shape[0] - 1, 1.0, sums, moduli)
 
 
 def band_of_diagonals(nu: int, upper, N: int) -> Band:
@@ -291,11 +286,6 @@ def band_of_diagonals(nu: int, upper, N: int) -> Band:
     return Band(nu, weight, sums, moduli)
 
 
-def _is_vector(rho) -> bool:
-    """True for an amplitude vector, decided without np.ndim for the other forms."""
-    return not isinstance(rho, (Band, Diagonals, TwoModeDensityMatrix)) and np.ndim(rho) == 1
-
-
 def _shifted_dots(x: np.ndarray, N: int) -> list[float]:
     """2 Re sum_k conj(x_k) x_{k+d} for d = 1..min(N, nu): the band sums of
     the pure state with amplitudes x (its moduli when x is |x|)."""
@@ -312,15 +302,15 @@ def _band_total(values, N: int) -> float:
     return float(total)
 
 
-def _fidelity(weight: float, sums, N: int) -> float:
-    f = 2.0 * weight / (N + 2) + _band_total(sums, N) / ((N + 1) * (N + 2))
-    if not -1e-10 <= f <= weight + 1e-10:
-        raise StateValidationError(f"fidelity {f!r} outside [0, {weight}]")
-    return float(min(max(f, 0.0), weight))
+def _fidelity(b: Band, N: int) -> float:
+    f = 2.0 * b.weight / (N + 2) + _band_total(b.sums, N) / ((N + 1) * (N + 2))
+    if not -1e-10 <= f <= b.weight + 1e-10:
+        raise StateValidationError(f"fidelity {f!r} outside [0, {b.weight}]")
+    return float(min(max(f, 0.0), b.weight))
 
 
-def _avg_entanglement(moduli, N: int) -> float:
-    e = (np.pi / 8.0) * _band_total(moduli, N) / (N + 1)
+def _avg_entanglement(b: Band, N: int) -> float:
+    e = (np.pi / 8.0) * _band_total(b.moduli, N) / (N + 1)
     upper = np.pi * N / 8.0
     if not -1e-10 <= e <= upper + 1e-8:
         raise StateValidationError(f"entanglement {e!r} outside [0, {upper}]")
@@ -334,45 +324,32 @@ def fidelity_closed(rho: ResourceState | np.ndarray | Diagonals | Band, N: int) 
     evaluated on the resource's `band` only, so the cost is O(nu N), plus
     the O(nu^2) Hermiticity check of a raw matrix.  A raw (possibly
     subnormalized, but Hermitian) coefficient matrix, `Diagonals` or a
-    `Band` weights the constant term by its trace.  An amplitude vector
-    goes to `fidelity_closed_pure`.
+    `Band` weights the constant term by its trace.
     """
-    if _is_vector(rho):
-        return fidelity_closed_pure(rho, N)
-    b = band(rho, N)
-    return _fidelity(b.weight, b.sums, N)
+    return _fidelity(band(rho, N), N)
 
 
 def avg_entanglement_closed(rho: ResourceState | np.ndarray | Diagonals | Band, N: int) -> float:
     """Haar- and outcome-averaged negativity of the teleported state.
 
     E = (pi/8) sum_{k != j} max(0, N+1-|k-j|) |rho_{k,j}| / (N+1),
-    bounded by pi N / 8.  An amplitude vector goes to
-    `avg_entanglement_closed_pure`.
+    bounded by pi N / 8, evaluated on the resource's `band`.
     """
-    if _is_vector(rho):
-        return avg_entanglement_closed_pure(rho, N)
-    return _avg_entanglement(band(rho, N).moduli, N)
+    return _avg_entanglement(band(rho, N), N)
 
 
-def fidelity_closed_pure(amplitudes: np.ndarray | Band, N: int) -> float:
-    """Fidelity of a pure resource directly from its amplitude vector.
-
-    Same band formula as `fidelity_closed` with rho_{k,j} = x_k conj(x_j),
-    evaluated as N shifted dot products: O(nu N) time, O(nu) memory, which
-    is what makes nu ~ 10^4 sweeps practical.  The vector's `Band` is taken
-    too, so a caller that has read the vector once (`performance_report`)
-    gets the same number from its sums.
-    """
-    if isinstance(amplitudes, Band):
-        b = _cut(amplitudes, N)
-        return _fidelity(b.weight, b.sums, N)
-    return _fidelity(1.0, _shifted_dots(_check_normalized(amplitudes), N), N)
+def fidelity_closed_pure(amplitudes: ResourceState | np.ndarray | Diagonals | Band,
+                         N: int) -> float:
+    """`fidelity_closed` of any form, under the name that sweep rows (through
+    `performance_report`) and the continuum profiles call; an amplitude
+    vector costs O(nu N) time and O(nu) memory in `band`."""
+    return _fidelity(band(amplitudes, N), N)
 
 
-def avg_entanglement_closed_pure(amplitudes: np.ndarray, N: int) -> float:
-    """Average final entanglement of a pure resource from its amplitudes."""
-    return _avg_entanglement(_shifted_dots(np.abs(_check_normalized(amplitudes)), N), N)
+def avg_entanglement_closed_pure(amplitudes: ResourceState | np.ndarray | Diagonals | Band,
+                                 N: int) -> float:
+    """`avg_entanglement_closed` of any form, read through the same `band`."""
+    return _avg_entanglement(band(amplitudes, N), N)
 
 
 def separable_fidelity(N: int) -> float:
@@ -410,20 +387,15 @@ class PerformanceReport:
 def performance_report(rho: ResourceState | np.ndarray | Diagonals, N: int) -> PerformanceReport:
     """Fidelity, averaged final entanglement and their baselines.
 
-    An amplitude vector is read once: its `band` goes to
-    `fidelity_closed_pure` and `avg_entanglement_closed`, which give bit for
-    bit what the two `_pure` functionals give on the vector.  Every other
-    form goes to `fidelity_closed` and `avg_entanglement_closed` as it is.
+    Every form is read once: its `band` goes to `fidelity_closed_pure` and
+    `avg_entanglement_closed`, which give bit for bit what each closed
+    functional gives on the form itself.
     """
-    if _is_vector(rho):
-        rho = band(rho, N)
-        fidelity = fidelity_closed_pure(rho, N)
-    else:
-        fidelity = fidelity_closed(rho, N)
+    b = band(rho, N)
     return PerformanceReport(
         N=N,
-        fidelity=fidelity,
-        avg_entanglement=avg_entanglement_closed(rho, N),
+        fidelity=fidelity_closed_pure(b, N),
+        avg_entanglement=avg_entanglement_closed(b, N),
         f_sep=separable_fidelity(N),
         e_max=max_avg_entanglement(N),
     )

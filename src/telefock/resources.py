@@ -15,6 +15,7 @@ coherent amplitudes are complex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,26 @@ class GaussianSpec:
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise StateValidationError("sigma must be positive")
+        # gaussian_amplitudes divides (k - center)^2, k = 0..nu, by 4 sigma^2;
+        # Python floats overflow to inf here without a numpy warning
+        sigma, center = float(self.sigma), float(self.center)
+        reach = max(abs(center), abs(float(self.nu) - center))
+        width = 4.0 * sigma * sigma
+        if not (0.0 < width < math.inf and reach * reach / width < math.inf):
+            raise StateValidationError(
+                f"sigma = {self.sigma!r} and center = {self.center!r} put the exponent "
+                f"(k - center)^2 / (4 sigma^2) beyond the floats for nu = {self.nu}")
 
     @classmethod
     def from_beta(cls, nu: int, beta: float, center: float | None = None) -> "GaussianSpec":
-        return cls(nu=nu, center=nu / 2.0 if center is None else center,
-                   sigma=float(nu) ** beta)
+        try:
+            sigma = float(nu) ** float(beta)
+        except (OverflowError, ZeroDivisionError):  # nu^beta beyond the floats, or 0^-|beta|
+            sigma = math.inf
+        try:
+            return cls(nu=nu, center=nu / 2.0 if center is None else center, sigma=sigma)
+        except StateValidationError as exc:
+            raise StateValidationError(f"beta = {beta!r}: {exc}") from exc
 
 
 def gaussian_amplitudes(spec: GaussianSpec) -> np.ndarray:
@@ -118,6 +134,12 @@ class BoseHubbardParams:
             raise StateValidationError("tunnelling amplitude tau must be positive")
         if not np.isfinite(self.gamma):
             raise StateValidationError("gamma = nu U / tau must be finite")
+        # the largest diagonal entry and twice the largest hop of the Hamiltonian
+        nu, U, tau = int(self.nu), float(self.U), float(self.tau)
+        if not math.isfinite(abs(U) * nu * (nu - 1) + tau * (nu + 1)):
+            raise StateValidationError(
+                f"gamma = {self.gamma!r} (U = {self.U!r}, tau = {self.tau!r}) puts the "
+                f"Hamiltonian's entries beyond the floats for nu = {self.nu}")
 
     @property
     def gamma(self) -> float:
@@ -179,6 +201,10 @@ def linear_phase(coeff: float, n: int) -> np.ndarray:
     so this is an order of magnitude faster than the direct form at large n.
     """
     n = int(n)
+    if not math.isfinite(float(coeff) * n):  # bounds coeff * k and coeff * B, as B <= max(n, 1)
+        raise StateValidationError(
+            f"linear phase coefficient {coeff!r} puts e^(i coefficient k) beyond the "
+            f"floats for k < {n}")
     B = 1 << ((max(n - 1, 0).bit_length() + 1) // 2)
     high = np.exp(1j * (coeff * B) * np.arange(-(-n // B)))
     low = np.exp(1j * coeff * np.arange(B))

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -988,3 +989,60 @@ def test_sweep_of_the_uniform_resource_at_ten_million(tmp_path):
     assert main(["sweep", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
     [row] = json.loads(out.read_text())
     assert abs(row["fidelity"] - (1.0 - 1.0 / (3.0 * (nu + 1)))) <= 1e-12
+
+
+def test_ground_state_reads_its_vector_once(tmp_path, capsys, monkeypatch):
+    calls = {"_check_normalized": 0, "_shifted_dots": 0}
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(protocol, name, counted(name, getattr(protocol, name)))
+    cfg = write_config(tmp_path, {"schema_version": 1, "kind": "ground-state",
+                                  "N": 2, "nu": 100, "gamma": 3.0})
+    assert main(["ground-state", "--config", cfg, "--format", "json"]) == 0
+    assert calls == {"_check_normalized": 1, "_shifted_dots": 1}
+    monkeypatch.undo()
+    payload = json.loads(capsys.readouterr().out)
+    x = resources.double_well_ground_amplitudes(resources.BoseHubbardParams.from_gamma(100, 3.0))
+    assert payload["fidelity"] == protocol.fidelity_closed(x, 2)
+    assert payload["avg_entanglement"] == protocol.avg_entanglement_closed(x, 2)
+
+
+def ground_state_config(gamma):
+    return {"schema_version": 1, "kind": "ground-state", "N": 1, "nu": 10, "gamma": gamma}
+
+
+def sweep_at_ten(resource):
+    return sweep_config(nu_grid=[10], resource=resource)
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (sweep_at_ten({"name": "gaussian", "sigma": 1e-300}), "sigma"),
+    (sweep_at_ten({"name": "gaussian", "sigma": 1e-160}), "sigma"),
+    (sweep_at_ten({"name": "gaussian", "sigma": 1e200}), "sigma"),
+    (sweep_at_ten({"name": "gaussian", "beta": 400.0}), "beta"),
+    (sweep_at_ten({"name": "gaussian", "sigma": 1.0, "center": 1e300}), "center"),
+    (sweep_at_ten({"name": "max_entangled",
+                   "phases": {"kind": "linear", "coefficient": 1e308}}), "coefficient"),
+    (sweep_at_ten({"name": "double_well", "gamma": 1e308}), "gamma"),
+    (ground_state_config(1e308), "gamma"),
+    (ground_state_config(-1.0), "gamma > -1"),
+], ids=["sigma-1e-300", "sigma-1e-160", "sigma-1e200", "beta-400", "center-1e300",
+        "phase-coefficient-1e308", "double-well-gamma-1e308", "ground-state-gamma-1e308",
+        "ground-state-gamma-minus-1"])
+def test_extreme_parameters_exit_2_under_any_warning_filter(tmp_path, capsys, cfg, key):
+    # the exit code must not depend on whether a numpy warning is an error
+    path = write_config(tmp_path, cfg)
+    for action in ("always", "error"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            rc = main([cfg["kind"], "--config", path, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (rc, out, [str(w.message) for w in caught]) == (2, "", []), (action, err)
+        assert err.startswith("config error:") and key in err, err
+        assert len(err.strip().splitlines()) == 1

@@ -50,3 +50,22 @@ def test_sample_config_output_matches_golden(path, capsys):
     got = json.loads(capsys.readouterr().out)
     want = json.loads((ROOT / "tests" / "golden" / f"{path.stem}.json").read_text())
     assert_matches(got, want)
+
+
+@pytest.mark.parametrize("path", [p for p in CONFIGS
+                                  if json.loads(p.read_text())["kind"] in ("sweep", "noise")],
+                         ids=lambda p: p.stem)
+def test_sample_config_csv_matches_golden(path, capsys):
+    # CSV, the default format, holds the rows of the JSON output (a noise
+    # config's threshold goes to stderr); %.17g writes 0.0 as "0", so each
+    # cell is parsed as the type of the golden value it stands for
+    kind = json.loads(path.read_text())["kind"]
+    assert main([kind, "--config", str(path)]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    golden = json.loads((ROOT / "tests" / "golden" / f"{path.stem}.json").read_text())
+    want = golden if kind == "sweep" else golden["rows"]
+    assert header.split(",") == list(want[0])
+    got = [{key: type(value)(cell)
+            for (key, value), cell in zip(row.items(), line.split(","), strict=True)}
+           for row, line in zip(want, lines, strict=True)]
+    assert_matches(got, want)

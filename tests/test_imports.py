@@ -2,7 +2,8 @@
 is imported only inside the functions that call it, and the scipy entry
 point an outside tracer rebinds (`noise.solve_ivp`) is looked up at call
 time.  Only the oracles and the dense channels read a dense state's
-matrix.  The lints are stdlib-only."""
+matrix, and only `protocol.band` takes a vector's band.  The lints are
+stdlib-only."""
 
 import ast
 import os
@@ -133,6 +134,60 @@ def test_matrix_checker_catches_a_load_outside_the_allowlist():
         "class C:\n    def oracle(self):\n        return self.matrix\n"
     )
     assert matrix_loads(source, {"oracle"}) == ["line 4", "line 6"]
+
+
+# Where the package may call a vector reader: `protocol.band` alone takes a
+# vector's shifted dot products, and the norm check runs where a vector
+# enters, in `band`, `fock._reader` and `PureTwoModeState`.
+VECTOR_READERS = {
+    "_shifted_dots": {"protocol.band"},
+    "_check_normalized": {"protocol.band", "fock._reader", "fock.PureTwoModeState.__post_init__"},
+}
+
+
+def callers(source: str, module: str, name: str) -> list[str]:
+    """Qualified names (module.Class.function) of the functions that call
+    `name`, by a bare name or as an attribute; calls in a nested function
+    count for the outermost one, calls outside any function for the module."""
+    found = []
+
+    def visit(node, scope: list[str], in_function: bool):
+        named = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        if isinstance(node, named) and not in_function:
+            scope = [*scope, node.name]
+        in_function = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.append(".".join([module, *scope]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, in_function)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_READERS))
+def test_only_the_entry_points_read_a_vector(name):
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= set(callers(path.read_text(), path.stem, name))
+    assert found <= VECTOR_READERS[name], sorted(found - VECTOR_READERS[name])
+    assert found, f"no call of {name} found: the lint reads nothing"
+
+
+def test_caller_checker_names_the_outermost_function():
+    source = (
+        "_check(x)\n"
+        "def band(rho):\n    return fock._check(rho)\n"
+        "def outer(rho):\n    def inner():\n        return _check(rho)\n"
+        "    return (lambda: _check(rho))()\n"
+        "class State:\n    def __post_init__(self):\n        _check(self)\n"
+        "    def other(self):\n        return _checked(self)\n"
+    )
+    assert callers(source, "m", "_check") == [
+        "m", "m.band", "m.outer", "m.outer", "m.State.__post_init__"]
 
 
 def run_python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -605,6 +605,44 @@ def test_pure_fidelity_of_a_band_cuts_it_to_width_n():
         fidelity_closed_pure(wide, 9)
 
 
+def every_form(nu, rng):
+    """The four kinds of vector, a dense state, its raw matrix, its
+    `Diagonals` and its `Band`, keyed by name."""
+    state = random_resource(nu, rng)
+    m = state.matrix
+    forms = four_kinds_of_vector(nu, rng)
+    forms.update({"state": state, "raw matrix": m,
+                  "Diagonals": fock.Diagonals(nu, tuple(m.diagonal(d) for d in range(nu + 1))),
+                  "Band": band(state, nu)})
+    return forms
+
+
+@pytest.mark.parametrize("form", ["state", "raw matrix", "Diagonals"])
+def test_performance_report_reads_every_form_once(monkeypatch, form):
+    rho = every_form(6, np.random.default_rng(53))[form]
+    calls = []
+    read = protocol.band_of_diagonals
+    monkeypatch.setattr(protocol, "band_of_diagonals",
+                        lambda *args: calls.append(args) or read(*args))
+    report = performance_report(rho, 3)
+    assert len(calls) == 1
+    assert report.fidelity == fidelity_closed(rho, 3)
+    assert report.avg_entanglement == avg_entanglement_closed(rho, 3)
+
+
+def test_pure_functionals_equal_their_twins_on_every_form():
+    rng = np.random.default_rng(54)
+    for nu in (1, 4, 9):
+        for name, rho in every_form(nu, rng).items():
+            for N in range(1, nu + 1):
+                f, e = _bits(fidelity_closed, rho, N), _bits(avg_entanglement_closed, rho, N)
+                assert _bits(fidelity_closed_pure, rho, N) == f, name
+                assert _bits(avg_entanglement_closed_pure, rho, N) == e, name
+                report = performance_report(rho, N)
+                assert (_bits(float, report.fidelity), _bits(float, report.avg_entanglement)) \
+                    == (f, e), name
+
+
 def test_success_probability_matches_outcome_sum():
     rng = np.random.default_rng(36)
     for nu, N in [(1, 1), (3, 1), (5, 2), (8, 3), (12, 12), (30, 4)]:
