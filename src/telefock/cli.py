@@ -208,11 +208,16 @@ def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
     if phase is not None:
         if isinstance(resource, fock.Diagonals):
             raise ConfigError(f"config key 'phases' does not apply to the {name!r} state")
+        # the constructors return vectors of their own, so the phases go on in place
         kind = _get(phase, "kind", str)
         if kind == "alternating":
-            resource = resource * (1.0 - 2.0 * (np.arange(nu + 1) % 2))
+            # times +1 too: a complex 0 - 0i times (1 + 0i) is 0 + 0i, as in a
+            # product with the sign vector
+            np.multiply(resource[::2], 1.0, out=resource[::2])
+            np.multiply(resource[1::2], -1.0, out=resource[1::2])
         elif kind == "linear":
-            resource = resource * resources.linear_phase(_get(phase, "coefficient", float), nu + 1)
+            factor = resources.linear_phase(_get(phase, "coefficient", float), nu + 1)
+            resource = np.multiply(resource, factor, out=factor)
         else:
             raise ConfigError(f"unknown phase kind {kind!r}")
     return resource
@@ -442,7 +447,10 @@ def cmd_ground_state(cfg: dict, args) -> int:
     gamma = _get(cfg, "gamma", float)
     params = resources.BoseHubbardParams.from_gamma(nu, gamma)
     x = resources.double_well_ground_amplitudes(params)
-    mean, var = resources.imbalance_moments(x)
+    # the populations, read once for the moments and the peaks
+    populations = fock.Diagonals(nu, tuple(fock._reader(x, 0)[1]()))
+    mean, var = resources.imbalance_moments(populations)
+    peaks = resources.occupation_peaks(populations)
     report = protocol.performance_report(x, N)
     payload = {
         "nu": nu, "gamma": gamma, "N": N,
@@ -450,7 +458,7 @@ def cmd_ground_state(cfg: dict, args) -> int:
         "imbalance_variance": var,
         "fidelity": report.fidelity,
         "avg_entanglement": report.avg_entanglement,
-        "peaks": resources.occupation_peaks(x),
+        "peaks": peaks,
     }
     if gamma > -1.0:
         payload["predicted_variance"] = 1.0 / (nu * np.sqrt(gamma + 1.0))

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisViolationError, QuadratureError, StateValidationError
-from .fock import normalized_amplitudes
+from .fock import _normalize, normalized_amplitudes
 from .protocol import fidelity_closed_pure
 from . import resources
 
@@ -101,9 +101,12 @@ class ContinuumProfile:
         """Discretized normalized amplitude vector x_k = chi(z_k) sqrt(2/nu)."""
         if self.amplitudes_of_nu is not None:
             return normalized_amplitudes(self.amplitudes_of_nu(nu))
-        z = 1.0 - 2.0 * np.arange(nu + 1) / nu
-        x = np.asarray(self.chi(nu)(z), dtype=complex) * np.sqrt(2.0 / nu)
-        return normalized_amplitudes(x)
+        z = np.arange(nu + 1, dtype=float)  # 1 - 2k/nu, formed in place
+        np.multiply(z, 2.0, out=z)
+        np.divide(z, nu, out=z)
+        x = np.array(self.chi(nu)(np.subtract(1.0, z, out=z)), dtype=complex)
+        np.multiply(x, np.sqrt(2.0 / nu), out=x)
+        return _normalize(x)
 
     def one_minus_fidelity(self, nu: int, N: int) -> float:
         """1 - f of the discrete counterpart, from its amplitudes."""

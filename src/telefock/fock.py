@@ -216,14 +216,21 @@ def normalized_amplitudes(x) -> np.ndarray:
     """Flatten an amplitude vector and normalize it to unit norm.
 
     A real input stays real (float64) and a complex one complex (complex128),
-    so real resource families keep real arithmetic downstream.
+    so real resource families keep real arithmetic downstream.  The input is
+    left as it is: the result is a new array.
     """
     x = np.asarray(x)
-    x = x.astype(complex if np.iscomplexobj(x) else float, copy=False).reshape(-1)
+    return _normalize(x.astype(complex if np.iscomplexobj(x) else float, order="C").reshape(-1))
+
+
+def _normalize(x: np.ndarray) -> np.ndarray:
+    """x divided by its norm in place, and returned: x must be a float64 or
+    complex128 vector that the caller owns."""
     nrm = float(np.linalg.norm(x))
     if not 0.0 < nrm < np.inf:
         raise StateValidationError(f"amplitude vector norm must be finite and nonzero, got {nrm!r}")
-    return x / nrm
+    x /= nrm
+    return x
 
 
 def _check_normalized(x) -> np.ndarray:
@@ -256,10 +263,10 @@ def _reader(resource, width: int):
     else:
         m = np.asarray(resource)
         if m.ndim == 1:
-            x = normalized_amplitudes(_check_normalized(m.astype(complex)))
+            x = _normalize(_check_normalized(m.astype(complex)))
             nu = x.shape[0] - 1
             return (nu,
-                    lambda: (x[d:].conj() * x[: nu + 1 - d] for d in range(min(width, nu) + 1)),
+                    lambda: (x[: nu + 1 - d] * x[d:].conj() for d in range(min(width, nu) + 1)),
                     lambda lo, hi: np.outer(x[lo : hi + 1], x[lo : hi + 1].conj()))
         if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
             raise UnsupportedRegimeError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, StateValidationError
-from .fock import Diagonals, ResourceState, _reader, normalized_amplitudes
+from .fock import Diagonals, ResourceState, _normalize, _reader
 
 
 def max_entangled_amplitudes(nu: int) -> np.ndarray:
@@ -92,11 +92,16 @@ def gaussian_amplitudes(spec: GaussianSpec) -> np.ndarray:
     Normalization is computed numerically so that sum x_k^2 = 1; sigma^2 is
     the variance of the occupation distribution x_k^2.
     """
-    k = np.arange(spec.nu + 1, dtype=float)
+    # -((k - center)^2) / (4 sigma^2), formed in one buffer in that order
+    x = np.arange(spec.nu + 1, dtype=float)
+    np.subtract(x, spec.center, out=x)
+    np.square(x, out=x)
+    np.negative(x, out=x)
+    np.divide(x, 4.0 * spec.sigma ** 2, out=x)
     # exponent shifted by its maximum before exponentiation so narrow
     # off-center profiles do not underflow to the zero vector
-    expo = -((k - spec.center) ** 2) / (4.0 * spec.sigma ** 2)
-    return normalized_amplitudes(np.exp(expo - np.max(expo)))
+    np.subtract(x, np.max(x), out=x)
+    return _normalize(np.exp(x, out=x))
 
 
 def su2_coherent_amplitudes(nu: int, theta: float, phi: float) -> np.ndarray:
@@ -109,16 +114,34 @@ def su2_coherent_amplitudes(nu: int, theta: float, phi: float) -> np.ndarray:
         raise StateValidationError("theta must lie in [0, pi]")
     if not 0.0 <= phi < 2.0 * np.pi:
         raise StateValidationError("phi must lie in [0, 2 pi)")
+    moduli = _su2_moduli(nu, theta)  # its float temporaries are freed here
+    phase = linear_phase(phi, nu + 1)
+    return _normalize(np.multiply(moduli, phase, out=phase))
+
+
+def _su2_moduli(nu: int, theta: float) -> np.ndarray:
+    """sqrt(binom(nu, k)) sin^k(theta/2) cos^(nu-k)(theta/2) from its log,
+    0.5 log binom(nu, k) + log_s + log_c added in that order, in three
+    float buffers."""
     from scipy.special import gammaln
 
     k = np.arange(nu + 1, dtype=float)
-    log_factorial = gammaln(k + 1)  # reversed, it is gammaln(nu - k + 1)
-    log_binom = gammaln(nu + 1) - log_factorial - log_factorial[::-1]
+    term = np.add(k, 1.0)
+    log_factorial = gammaln(term, out=term)  # reversed, it is gammaln(nu - k + 1)
+    log_moduli = np.subtract(gammaln(nu + 1), log_factorial)
+    np.subtract(log_moduli, log_factorial[::-1], out=log_moduli)
+    np.multiply(log_moduli, 0.5, out=log_moduli)
+    # log_s = k log s for k > 0 and 0 at k = 0 (also where s = 0); log_c the
+    # same in nu - k, which is k reversed
     s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
-    log_s = np.where(k > 0, k * np.log(s) if s > 0.0 else -np.inf, 0.0)
-    log_c = np.where(nu - k > 0, (nu - k) * np.log(c) if c > 0.0 else -np.inf, 0.0)
-    moduli = np.exp(0.5 * log_binom + log_s + log_c)
-    return normalized_amplitudes(moduli * linear_phase(phi, nu + 1))
+    for power, base, zero_at in ((k, s, 0), (k[::-1], c, nu)):
+        if base > 0.0:
+            np.multiply(power, np.log(base), out=term)
+        else:
+            term.fill(-np.inf)
+        term[zero_at] = 0.0
+        np.add(log_moduli, term, out=log_moduli)
+    return np.exp(log_moduli, out=log_moduli)
 
 
 @dataclass(frozen=True)
@@ -173,8 +196,10 @@ def double_well_ground_amplitudes(params: BoseHubbardParams) -> np.ndarray:
         raise StateValidationError("need at least one particle")
     half = nu // 2
     k = np.arange(half + 1, dtype=float)
-    diag = params.U * (k * (k - 1.0) + (nu - k) * (nu - k - 1.0))
-    hop = -params.tau * np.sqrt((k + 1.0) * (nu - k))  # hop[k] joins k and k+1
+    # H / tau: its entries depend on gamma alone, so a large tau or U cannot
+    # overflow the eigensolver, which squares the hops
+    diag = (params.U / params.tau) * (k * (k - 1.0) + (nu - k) * (nu - k - 1.0))
+    hop = -np.sqrt((k + 1.0) * (nu - k))  # hop[k] joins k and k+1
     if nu % 2:
         diag[-1] += hop[-1]  # k = half and k+1 = nu-half are mirror images
     else:
@@ -188,7 +213,7 @@ def double_well_ground_amplitudes(params: BoseHubbardParams) -> np.ndarray:
     v = np.abs(vec[:, 0])
     if nu % 2 == 0:
         v[-1] *= np.sqrt(2.0)  # |nu/2> against the paired entries' 1/sqrt(2)
-    return normalized_amplitudes(np.concatenate((v, v[nu - half - 1::-1])))
+    return _normalize(np.concatenate((v, v[nu - half - 1::-1])))
 
 
 def linear_phase(coeff: float, n: int) -> np.ndarray:

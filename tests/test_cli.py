@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -675,6 +676,39 @@ def test_ground_state_with_zero_particles_exits_2(tmp_path, capsys):
     assert main(["ground-state", "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:") and "particle" in err
+
+
+@pytest.mark.parametrize("resource", [
+    {"name": "double_well", "tau": 1e300, "U": 1.0},  # gamma = 1e-299
+    {"name": "double_well", "tau": 1e160, "U": 0.0},
+])
+def test_double_well_with_a_huge_tau_solves_in_gamma(tmp_path, capsys, resource):
+    # the hops of H itself overflow when the eigensolver squares them; those
+    # of H / tau do not, and the ground state depends on gamma alone
+    rows = []
+    for spec in (resource, {"name": "double_well", "gamma": 0.0}):
+        cfg = write_config(tmp_path, sweep_config(N=2, nu_grid=[3, 10, 1000], resource=spec))
+        assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+        rows.append(json.loads(capsys.readouterr().out))
+    got, want = rows
+    assert [row["nu"] for row in got] == [3, 10, 1000]
+    for g, w in zip(got, want):
+        assert all(math.isfinite(g[c]) for c in ("fidelity", "avg_entanglement"))
+        assert g["fidelity"] == pytest.approx(w["fidelity"], abs=1e-12)
+        assert g["avg_entanglement"] == pytest.approx(w["avg_entanglement"], abs=1e-12)
+
+
+def test_ground_state_reads_the_populations_once(capsys, monkeypatch):
+    # one norm check in `band` for f and E, one in the reader of the
+    # populations that the moments and the peaks share
+    counted = mock.Mock(wraps=fock._check_normalized)
+    monkeypatch.setattr(fock, "_check_normalized", counted)
+    monkeypatch.setattr(protocol, "_check_normalized", counted)
+    config = next(p for p in SAMPLE_CONFIGS if p.stem == "ground_state_attractive")
+    assert main(["ground-state", "--config", str(config), "--format", "json"]) == 0
+    assert counted.call_count == 2
+    golden = config.parent.parent / "tests" / "golden" / f"{config.stem}.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 CONVERGE_OVERFLOW = {

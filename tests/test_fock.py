@@ -252,6 +252,34 @@ def test_normalized_amplitudes_keeps_real_and_complex_dtypes():
                           ResourceState.from_amplitudes(x.astype(complex)).matrix)
 
 
+@pytest.mark.parametrize("x", [
+    np.array([3.0, 4.0]), np.array([3.0, 4.0j]), np.array([[1.0, 2.0], [3.0, 4.0]]),
+    np.arange(12.0)[::-3], np.array([1, 2, 2]),
+])
+def test_normalized_amplitudes_returns_a_new_flat_vector(x):
+    before = x.copy()
+    got = normalized_amplitudes(x)
+    assert np.array_equal(x, before)  # the input is left as it is
+    assert not np.shares_memory(got, x)
+    flat = x.reshape(-1).astype(complex if np.iscomplexobj(x) else float)
+    assert got.tobytes() == (flat / float(np.linalg.norm(flat))).tobytes()
+
+
+@pytest.mark.parametrize("x", [
+    resources.su2_coherent_amplitudes(600, 0.3, 2.0),  # signed zeros in its tail
+    resources.gaussian_amplitudes(resources.GaussianSpec.from_beta(600, 0.7)),
+    (1.0 + 1e-13) * resources.max_entangled_amplitudes(600),
+], ids=["su2_coherent", "gaussian", "uniform_off_by_1e-13"])
+def test_reader_entries_of_amplitudes_equal_the_dense_state_bitwise(x):
+    before = x.copy()
+    nu, diagonals, block = fock._reader(x, 3)
+    assert np.array_equal(x, before)  # the reader renormalizes its own copy
+    m = ResourceState.from_amplitudes(x).matrix
+    for d, u in enumerate(diagonals()):
+        assert u.tobytes() == np.ascontiguousarray(m.diagonal(d)).tobytes()
+    assert block(5, 9).tobytes() == np.ascontiguousarray(m[5:10, 5:10]).tobytes()
+
+
 @pytest.mark.parametrize("bad", [
     [0.0, 0.0], [1.0, np.nan], [np.inf, 0.0], [0j, 0j],
 ])

@@ -1,10 +1,12 @@
 """Resource-state constructors and their closed-form performance anchors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from telefock import resources
+from telefock import cli, resources
 from telefock.errors import StateValidationError
 from telefock.fock import Diagonals, ResourceState, negativity
 from telefock.protocol import (
@@ -387,3 +389,112 @@ def test_su2_amplitudes_match_the_three_gammaln_form():
         want = moduli * resources.linear_phase(0.7, nu + 1)
         want /= np.linalg.norm(want)
         assert np.array_equal(resources.su2_coherent_amplitudes(nu, 1.1, 0.7), want)
+
+
+# The constructors' expressions before they built each vector in one buffer,
+# kept verbatim as the oracle: the in-place forms must give the same bytes,
+# signed zeros included.
+
+def oracle_normalized(x):
+    x = np.asarray(x)
+    x = x.astype(complex if np.iscomplexobj(x) else float, copy=False).reshape(-1)
+    nrm = float(np.linalg.norm(x))
+    return x / nrm
+
+
+def oracle_gaussian(spec):
+    k = np.arange(spec.nu + 1, dtype=float)
+    expo = -((k - spec.center) ** 2) / (4.0 * spec.sigma ** 2)
+    return oracle_normalized(np.exp(expo - np.max(expo)))
+
+
+def oracle_su2(nu, theta, phi):
+    k = np.arange(nu + 1, dtype=float)
+    log_factorial = gammaln(k + 1)
+    log_binom = gammaln(nu + 1) - log_factorial - log_factorial[::-1]
+    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    log_s = np.where(k > 0, k * np.log(s) if s > 0.0 else -np.inf, 0.0)
+    log_c = np.where(nu - k > 0, (nu - k) * np.log(c) if c > 0.0 else -np.inf, 0.0)
+    moduli = np.exp(0.5 * log_binom + log_s + log_c)
+    return oracle_normalized(moduli * resources.linear_phase(phi, nu + 1))
+
+
+def oracle_phases(resource, nu, phase):
+    if phase["kind"] == "alternating":
+        return resource * (1.0 - 2.0 * (np.arange(nu + 1) % 2))
+    return resource * resources.linear_phase(phase["coefficient"], nu + 1)
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nu", [1, 2, 10, 1001, 2 ** 16 + 3])
+@pytest.mark.parametrize("beta", [0.3, 0.75, 1.3])
+@pytest.mark.parametrize("center", [None, 0.0, 1.0 / 3.0, 1.5])  # a fraction of nu
+def test_gaussian_amplitudes_keep_the_bytes_of_the_oracle(nu, beta, center):
+    spec = resources.GaussianSpec.from_beta(nu, beta, None if center is None else center * nu)
+    assert same_bytes(resources.gaussian_amplitudes(spec), oracle_gaussian(spec))
+
+
+SU2_THETAS = [0.0, np.pi, *np.random.default_rng(19).uniform(0.0, np.pi, 4)]
+SU2_PHIS = [0.0, *np.random.default_rng(20).uniform(0.0, 2.0 * np.pi, 3)]
+
+
+@pytest.mark.parametrize("nu", [0, 1, 7, 1000, 5000])
+@pytest.mark.parametrize("theta", SU2_THETAS)
+@pytest.mark.parametrize("phi", SU2_PHIS)
+def test_su2_amplitudes_keep_the_bytes_of_the_oracle(nu, theta, phi):
+    assert same_bytes(resources.su2_coherent_amplitudes(nu, theta, phi),
+                      oracle_su2(nu, theta, phi))
+
+
+def test_su2_oracle_cases_hold_signed_zeros():
+    # the byte comparison above sees the signs of underflowed entries
+    x = resources.su2_coherent_amplitudes(5000, 0.3, 2.0).view(float)
+    assert np.any((x == 0.0) & np.signbit(x)) and np.any((x == 0.0) & ~np.signbit(x))
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "max_entangled"},
+    {"name": "gaussian", "beta": 0.8},
+    {"name": "su2_coherent", "theta": 0.4, "phi": 2.0},
+    {"name": "su2_coherent", "theta": 0.3, "phi": 5.5},
+    {"name": "double_well", "gamma": -2.0},
+], ids=lambda spec: spec["name"])
+@pytest.mark.parametrize("phase", [
+    {"kind": "alternating"},
+    {"kind": "linear", "coefficient": 0.3},
+    {"kind": "linear", "coefficient": -2.5},
+], ids=lambda phase: "-".join(str(v) for v in phase.values()))
+@pytest.mark.parametrize("nu", [1, 2, 1000, 4097])
+def test_phased_resources_keep_the_bytes_of_the_oracle(spec, phase, nu):
+    want = oracle_phases(cli.resolve_resource(spec, nu), nu, phase)
+    assert same_bytes(cli.resolve_resource({**spec, "phases": phase}, nu), want)
+
+
+def peak_over_output(build) -> float:
+    """Peak traced allocation of build() over the bytes of what it returns."""
+    build()  # imports and first-call set-up stay out of the count
+    tracemalloc.start()
+    try:
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda nu: resources.gaussian_amplitudes(resources.GaussianSpec.from_beta(nu, 0.75)), 1.25),
+    (lambda nu: cli.resolve_resource(
+        {"name": "max_entangled", "phases": {"kind": "linear", "coefficient": 0.01}}, nu), 1.6),
+    (lambda nu: cli.resolve_resource(
+        {"name": "max_entangled", "phases": {"kind": "alternating"}}, nu), 1.25),
+    (lambda nu: resources.su2_coherent_amplitudes(nu, 1.0, 0.3), 2.5),
+], ids=["gaussian", "linear_phase", "alternating_phase", "su2_coherent"])
+def test_constructors_build_in_bounded_memory(build, bound):
+    # each vector is built in the buffer it is returned in: a complex result
+    # also holds its float moduli (SU(2)) or the real vector it multiplies
+    # (a linear phase) while it is formed
+    assert peak_over_output(lambda: build(2 ** 20)) <= bound
