@@ -158,6 +158,13 @@ def _nu_grid(cfg: dict) -> list[int]:
 
 def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
     """The amplitude vector of a pure family, or the diagonals of a mixed one."""
+    return _phased(*_unphased_resource(spec, nu))
+
+
+def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals, str | None,
+                                                     float]:
+    """(resource without its `phases`, their kind or None, their slope c):
+    the phases are e^{i c k}, c = pi for `alternating`."""
     if not isinstance(spec, dict):
         raise ConfigError("resource spec must be an object")
     name = _get(spec, "name", str)
@@ -205,22 +212,42 @@ def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
     else:
         raise ConfigError(f"unknown resource name {name!r}")
     phase = spec.get("phases")
-    if phase is not None:
-        if isinstance(resource, fock.Diagonals):
-            raise ConfigError(f"config key 'phases' does not apply to the {name!r} state")
-        # the constructors return vectors of their own, so the phases go on in place
-        kind = _get(phase, "kind", str)
-        if kind == "alternating":
-            # times +1 too: a complex 0 - 0i times (1 + 0i) is 0 + 0i, as in a
-            # product with the sign vector
-            np.multiply(resource[::2], 1.0, out=resource[::2])
-            np.multiply(resource[1::2], -1.0, out=resource[1::2])
-        elif kind == "linear":
-            factor = resources.linear_phase(_get(phase, "coefficient", float), nu + 1)
-            resource = np.multiply(resource, factor, out=factor)
-        else:
-            raise ConfigError(f"unknown phase kind {kind!r}")
+    if phase is None:
+        return resource, None, 0.0
+    if isinstance(resource, fock.Diagonals):
+        raise ConfigError(f"config key 'phases' does not apply to the {name!r} state")
+    kind = _get(phase, "kind", str)
+    if kind == "alternating":
+        return resource, kind, math.pi
+    if kind == "linear":
+        coefficient = _get(phase, "coefficient", float)
+        resources._check_linear_phase(coefficient, nu + 1)
+        return resource, kind, coefficient
+    raise ConfigError(f"unknown phase kind {kind!r}")
+
+
+def _phased(resource, kind: str | None, slope: float):
+    """The resource times its phases.  The constructors return vectors of
+    their own, so the phases go on in place."""
+    if kind == "alternating":
+        # times +1 too: a complex 0 - 0i times (1 + 0i) is 0 + 0i, as in a
+        # product with the sign vector
+        np.multiply(resource[::2], 1.0, out=resource[::2])
+        np.multiply(resource[1::2], -1.0, out=resource[1::2])
+    elif kind == "linear":
+        factor = resources.linear_phase(slope, resource.shape[0])
+        resource = np.multiply(resource, factor, out=factor)
     return resource
+
+
+def _report_form(resource, kind: str | None, slope: float, N: int):
+    """What `performance_report` reads of a resolved resource: a real vector
+    with phases as its `protocol.phased_band`, with no phased vector formed;
+    any other resource (SU(2) amplitudes are complex before their phases)
+    as `resolve_resource` returns it."""
+    if kind is not None and not np.iscomplexobj(resource):
+        return protocol.phased_band(resource, slope, N)
+    return _phased(resource, kind, slope)
 
 
 def resolve_noise(spec: dict, nu: int | None = None):
@@ -295,12 +322,16 @@ def cmd_teleport(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     nu = _get(cfg, "nu", int)
     resource_spec = _get(cfg, "resource", dict)
-    rho = resolve_resource(resource_spec, nu)
+    resource, kind, slope = _unphased_resource(resource_spec, nu)
     psi_cfg = cfg.get("psi")
     if psi_cfg is not None:
         psi = fock.PureTwoModeState(N, _psi_amplitudes(psi_cfg, N))
     else:
         psi = fock.sample_haar(N, args.seed)
+    # the report reads what a sweep row reads, taken before `alternating`
+    # signs go on the vector in place
+    form = _report_form(resource, kind, slope, N)
+    rho = _phased(resource, kind, slope) if isinstance(form, protocol.Band) else form
 
     rows = []
     for outcome in protocol.iter_outcomes(psi, rho):
@@ -310,7 +341,7 @@ def cmd_teleport(cfg: dict, args) -> int:
             "l": outcome.l, "lam": outcome.lam,
             "probability": outcome.probability, "negativity": neg,
         })
-    report = protocol.performance_report(rho, N)
+    report = protocol.performance_report(form, N)
     payload = {
         "N": N, "nu": nu, "resource": resource_spec["name"],
         "fidelity": report.fidelity,
@@ -338,7 +369,8 @@ def cmd_teleport(cfg: dict, args) -> int:
 
 def _sweep_row(nu: int, N: int, resource_spec: dict, timings: bool) -> dict:
     start = time.perf_counter()
-    report = protocol.performance_report(resolve_resource(resource_spec, nu), N)
+    form = _report_form(*_unphased_resource(resource_spec, nu), N)
+    report = protocol.performance_report(form, N)
     elapsed = time.perf_counter() - start if timings else 0.0
     return {
         "nu": nu, "N": N, "fidelity": report.fidelity,

@@ -410,7 +410,11 @@ def band_scan(
       with e = exp(-t eta), as `particle_loss_analytic` does the matrix;
     - mixing combines the diagonals d <= N of both states.
     What does not depend on t (or s) is done once per scan: the band that
-    dephasing rescales, the loss rates eta, the diagonals of amplitudes.
+    dephasing rescales and the loss rates eta.  The diagonals d <= N are
+    read again at every point (one `diagonals()` pass per point for loss,
+    one per state for mixing: 6 for a 3-point scan), so an amplitude
+    vector's x_k conj(x_{k+d}) are recomputed each time; holding them
+    would take (N+1) 16 nu bytes, 1 GB at nu = 1e6, N = 64.
     Each channel keeps a positive resource positive (a Schur product with a
     positive-definite Gaussian kernel, a congruence E rho E, a convex
     combination), so no result needs a certificate.

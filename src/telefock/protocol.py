@@ -14,7 +14,8 @@ selftest suites; the closed forms are the fast production path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,6 +33,7 @@ from .fock import (
 )
 
 PROBABILITY_SUM_TOL = 1e-10
+_DOT_BLOCK = 1 << 16  # pairs per BLAS dot in `_shifted_dots`
 
 
 def multiplicity(N: int, nu: int, l: int) -> int:
@@ -286,12 +288,44 @@ def band_of_diagonals(nu: int, upper, N: int) -> Band:
     return Band(nu, weight, sums, moduli)
 
 
+def phased_band(x, c: float, N: int) -> Band:
+    """The `Band` (width N) of the amplitudes x_k e^{i c k}, read from the
+    real vector x without forming them.
+
+    The phase is a local unitary on one mode: it multiplies rho_{k,k+d} by
+    e^{-i c d}, so it scales the band sum of diagonal d by cos(c d) and
+    leaves the moduli as they are.  This is `band(x, N)` with its sums
+    replaced by a new array (for a nonnegative x the sums are the moduli).
+    c = pi, the alternating sign (-1)^k, scales by exactly +-1.  A complex
+    x would need the imaginary parts of its sums, which `Band` does not
+    hold, so it is rejected: form its phased vector and read that instead.
+    """
+    if np.iscomplexobj(x) or np.ndim(x) != 1:
+        raise StateValidationError("a phase goes on the band of a real amplitude vector only")
+    b = band(x, N)
+    return replace(b, sums=b.sums * np.cos(c * np.arange(1, b.sums.size + 1)))
+
+
 def _shifted_dots(x: np.ndarray, N: int) -> list[float]:
     """2 Re sum_k conj(x_k) x_{k+d} for d = 1..min(N, nu): the band sums of
-    the pure state with amplitudes x (its moduli when x is |x|)."""
+    the pure state with amplitudes x (its moduli when x is |x|).
+
+    A lag of at most _DOT_BLOCK pairs is one BLAS dot; a longer one is one
+    dot per block of _DOT_BLOCK pairs, the block sums added exactly
+    (`math.fsum`), so its rounding error does not grow with nu.
+    """
     nu = x.shape[0] - 1
     _check_regime(N, nu)
-    return [2.0 * float(np.vdot(x[:-d], x[d:]).real) for d in range(1, min(N, nu) + 1)]
+    dots = []
+    for d in range(1, min(N, nu) + 1):
+        head, tail = x[:-d], x[d:]
+        if head.shape[0] <= _DOT_BLOCK:
+            dots.append(2.0 * float(np.vdot(head, tail).real))
+        else:
+            dots.append(2.0 * math.fsum(
+                np.vdot(head[i : i + _DOT_BLOCK], tail[i : i + _DOT_BLOCK]).real
+                for i in range(0, head.shape[0], _DOT_BLOCK)))
+    return dots
 
 
 def _band_total(values, N: int) -> float:

@@ -189,7 +189,8 @@ def double_well_ground_amplitudes(params: BoseHubbardParams) -> np.ndarray:
     middle hop (odd nu).  The result is |v| mirrored, so x_k = x_{nu-k}
     exactly and every x_k > 0.  For gamma < -1 the full solve would return
     an arbitrary mix of this state and its odd partner, degenerate with it
-    to round-off, weighted toward one well.
+    to round-off, weighted toward one well.  At nu = 2, where gamma^2
+    overflows, the 2 x 2 sector is solved in closed form.
     """
     nu = params.nu
     if nu < 1:
@@ -204,16 +205,33 @@ def double_well_ground_amplitudes(params: BoseHubbardParams) -> np.ndarray:
         diag[-1] += hop[-1]  # k = half and k+1 = nu-half are mirror images
     else:
         hop[-2] *= np.sqrt(2.0)  # the pair next to the unpaired |nu/2>
-    from scipy.linalg import eigh_tridiagonal
+    if nu == 2 and not math.isfinite(float(diag[0]) * float(diag[0])):
+        v = _even_pair_ground(float(diag[0]))
+    else:
+        from scipy.linalg import eigh_tridiagonal
 
-    try:
-        _, vec = eigh_tridiagonal(diag, hop[:-1], select="i", select_range=(0, 0))
-    except Exception as exc:  # pragma: no cover - backend failure path
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-    v = np.abs(vec[:, 0])
+        try:
+            _, vec = eigh_tridiagonal(diag, hop[:-1], select="i", select_range=(0, 0))
+        except Exception as exc:  # pragma: no cover - backend failure path
+            raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+        v = np.abs(vec[:, 0])
     if nu % 2 == 0:
         v[-1] *= np.sqrt(2.0)  # |nu/2> against the paired entries' 1/sqrt(2)
     return _normalize(np.concatenate((v, v[nu - half - 1::-1])))
+
+
+def _even_pair_ground(gamma: float) -> np.ndarray:
+    """Ground state of the nu = 2 even sector [[gamma, -2], [-2, 0]] in closed
+    form, scaled to a largest entry of 1; `eigh_tridiagonal` returns NaN there
+    once gamma^2 overflows.
+
+    With a = gamma/2 and h = hypot(a, 2), the ground energy is a - h and the
+    state is (2, a + h), or (h - a, 2): the form without cancellation.
+    """
+    a = gamma / 2.0
+    h = math.hypot(a, 2.0)
+    v = np.array([2.0, a + h] if a >= 0.0 else [h - a, 2.0])
+    return v / v.max()
 
 
 def linear_phase(coeff: float, n: int) -> np.ndarray:
@@ -226,14 +244,19 @@ def linear_phase(coeff: float, n: int) -> np.ndarray:
     so this is an order of magnitude faster than the direct form at large n.
     """
     n = int(n)
-    if not math.isfinite(float(coeff) * n):  # bounds coeff * k and coeff * B, as B <= max(n, 1)
-        raise StateValidationError(
-            f"linear phase coefficient {coeff!r} puts e^(i coefficient k) beyond the "
-            f"floats for k < {n}")
+    _check_linear_phase(coeff, n)
     B = 1 << ((max(n - 1, 0).bit_length() + 1) // 2)
     high = np.exp(1j * (coeff * B) * np.arange(-(-n // B)))
     low = np.exp(1j * coeff * np.arange(B))
     return np.multiply.outer(high, low).reshape(-1)[:n]
+
+
+def _check_linear_phase(coeff: float, n: int) -> None:
+    """Raise unless coeff * k, k < n, stays within the floats."""
+    if not math.isfinite(float(coeff) * n):  # bounds coeff * k and coeff * B, as B <= max(n, 1)
+        raise StateValidationError(
+            f"linear phase coefficient {coeff!r} puts e^(i coefficient k) beyond the "
+            f"floats for k < {n}")
 
 
 def _imbalance_populations(rho) -> tuple[np.ndarray, np.ndarray]:

@@ -244,6 +244,36 @@ def test_sweep_phases_match_closed_form(tmp_path, capsys, phases, c):
             assert abs(row["avg_entanglement"] - ref["avg_entanglement"]) < 1e-12
 
 
+LINEAR = {"kind": "linear", "coefficient": 0.3}
+PHASED_ROWS = [
+    ({"name": "max_entangled", "phases": LINEAR}, []),
+    ({"name": "gaussian", "beta": 0.6, "phases": {"kind": "linear", "coefficient": -1.7}}, []),
+    ({"name": "double_well", "gamma": 3.0, "phases": {"kind": "linear", "coefficient": 2.5}}, []),
+    ({"name": "noon", "phases": {"kind": "alternating"}}, []),
+    # SU(2) amplitudes are complex before their phases: the band cannot hold them
+    ({"name": "su2_coherent", "theta": 1.1, "phi": 0.4, "phases": LINEAR},
+     [(0.4, 11), (0.3, 11), (0.4, 301), (0.3, 301)]),
+]
+
+
+@pytest.mark.parametrize("resource, phase_vectors", PHASED_ROWS,
+                         ids=[resource_id(r) for r, _ in PHASED_ROWS])
+def test_sweep_forms_a_phase_vector_for_complex_resources_only(tmp_path, capsys, monkeypatch,
+                                                               resource, phase_vectors):
+    # a real vector's phases act on its band (protocol.phased_band)
+    grid, N = [10, 300], 3
+    want = [protocol.performance_report(cli.resolve_resource(resource, nu), N) for nu in grid]
+    calls = []
+    original = resources.linear_phase
+    monkeypatch.setattr(resources, "linear_phase", lambda *a: calls.append(a) or original(*a))
+    cfg = write_config(tmp_path, sweep_config(N=N, nu_grid=grid, resource=resource))
+    assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+    assert calls == phase_vectors
+    for row, ref in zip(json.loads(capsys.readouterr().out), want):
+        assert row["fidelity"] == pytest.approx(ref.fidelity, rel=0.0, abs=1e-14)
+        assert row["avg_entanglement"] == pytest.approx(ref.avg_entanglement, rel=0.0, abs=1e-14)
+
+
 @pytest.mark.parametrize("times", [
     {"start": 0.0, "stop": 0.4, "num": -2},
     {"start": 0.0, "stop": 0.4, "num": 0},

@@ -2,6 +2,8 @@
 performance functionals vs Monte-Carlo estimates."""
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from telefock.protocol import (
     iter_outcomes,
     multiplicity,
     performance_report,
+    phased_band,
     pure_negativity_monte_carlo,
     sector_component_range,
     success_probability_perfect,
@@ -594,6 +597,90 @@ def test_performance_report_of_every_vector_kind_equals_the_pure_functionals():
                 assert report.fidelity == fidelity_closed_pure(x, N)
                 assert report.avg_entanglement == avg_entanglement_closed_pure(x, N)
                 assert fidelity_closed_pure(band(x, N), N) == fidelity_closed_pure(x, N)
+
+
+@pytest.mark.parametrize("nu", [2 ** 20, 10 ** 7])
+@pytest.mark.parametrize("N", [1, 64])
+def test_uniform_fidelity_at_large_nu_matches_the_exact_rational(nu, N):
+    # one BLAS dot over a whole lag drifted by up to 1.3e-12 at 1e7; blocked
+    # dots with exact block sums keep f at the rounding of its own terms
+    f = fidelity_closed_pure(resources.max_entangled_amplitudes(nu), N)
+    exact = 1 - Fraction(N, 3 * (nu + 1))
+    assert abs(Fraction(f) - exact) <= (1e-15 if nu == 2 ** 20 else 2e-14)
+
+
+def test_shifted_dots_keep_one_dot_per_lag_up_to_the_block():
+    # a lag of at most 2^16 pairs is one plain dot, so smaller rows keep their
+    # bits; a longer one adds its blocks' dots exactly
+    block = protocol._DOT_BLOCK
+    x = np.random.default_rng(50).standard_normal(block + 2)
+    long_lag, short_lag = protocol._shifted_dots(x, 2)
+    assert short_lag == 2.0 * float(np.vdot(x[:-2], x[2:]))  # 2^16 pairs
+    assert long_lag == 2.0 * math.fsum([np.vdot(x[:block], x[1 : block + 1]),
+                                        x[block] * x[block + 1]])
+
+
+def uniform_phased_fidelity(N: int, nu: int, c: float) -> Fraction:
+    """f of the uniform resource with phases e^{i c k}, exact but for cos(c d)."""
+    band = sum(2 * (N + 1 - d) * (nu + 1 - d) * Fraction(math.cos(c * d))
+               for d in range(1, N + 1))
+    return Fraction(2, N + 2) + band / ((nu + 1) * (N + 1) * (N + 2))
+
+
+@pytest.mark.parametrize("c", [-0.05, 0.03, math.pi])
+@pytest.mark.parametrize("N", [1, 64])
+def test_phased_uniform_band_at_2_20_matches_the_closed_form(N, c):
+    nu = 2 ** 20
+    report = performance_report(phased_band(resources.max_entangled_amplitudes(nu), c, N), N)
+    assert abs(Fraction(report.fidelity) - uniform_phased_fidelity(N, nu, c)) <= 1e-15
+    e = math.pi * N * (3 * nu - N + 1) / (24.0 * (nu + 1))
+    assert abs(report.avg_entanglement - e) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nu=st.integers(1, 80),
+    N=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    signed=st.booleans(),
+    c=st.one_of(st.just(math.pi), st.floats(-10.0, 10.0)),
+)
+def test_phased_band_matches_the_phased_vector(nu, N, seed, signed, c):
+    N = min(N, nu)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(nu + 1) if signed else rng.uniform(0.0, 1.0, nu + 1)
+    x /= np.linalg.norm(x)
+    got = performance_report(phased_band(x, c, N), N)
+    if c == math.pi:
+        # e^{i pi k} = (-1)^k: the real vector `alternating` makes, read bit for bit
+        want = performance_report(x * (-1.0) ** np.arange(nu + 1), N)
+        assert (got.fidelity, got.avg_entanglement) == (want.fidelity, want.avg_entanglement)
+    else:
+        want = performance_report(x * np.exp(1j * c * np.arange(nu + 1)), N)
+        assert abs(got.fidelity - want.fidelity) <= 1e-13
+        assert abs(got.avg_entanglement - want.avg_entanglement) <= 1e-13
+
+
+def test_phased_band_scales_a_new_array_of_sums():
+    x = resources.max_entangled_amplitudes(20)
+    plain = band(x, 4)
+    assert plain.sums is plain.moduli  # nonnegative: one array for both
+    kept = plain.sums.copy()
+    phased = phased_band(x, 0.3, 4)
+    assert phased.sums is not plain.sums and np.array_equal(plain.sums, kept)
+    np.testing.assert_array_equal(phased.moduli, kept)
+    np.testing.assert_array_equal(phased.sums, kept * np.cos(0.3 * np.arange(1, 5)))
+    assert (phased.n_particles, phased.weight) == (20, 1.0)
+
+
+@pytest.mark.parametrize("rho", [
+    resources.max_entangled_amplitudes(6).astype(complex),
+    resources.max_entangled(6),
+    resources.fock_separable_diagonals(6, 2),
+], ids=["complex", "state", "diagonals"])
+def test_phased_band_rejects_all_but_a_real_vector(rho):
+    with pytest.raises(StateValidationError, match="real amplitude vector"):
+        phased_band(rho, 0.3, 2)
 
 
 def test_pure_fidelity_of_a_band_cuts_it_to_width_n():

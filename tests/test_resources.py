@@ -339,6 +339,27 @@ def test_attractive_ground_state_is_even_positive_and_bimodal(gamma, nu):
     assert relative_residual(params, x) <= 4e-16
 
 
+@pytest.mark.parametrize("gamma", [1e170, 1e300, -1e170, -1e300, 1.7e308, -1.7e308])
+def test_double_well_at_nu_2_takes_a_gamma_whose_square_overflows(gamma):
+    # the even sector [[gamma, -2], [-2, 0]] once made eigh_tridiagonal return NaN
+    x = resources.double_well_ground_amplitudes(resources.BoseHubbardParams.from_gamma(2, gamma))
+    assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+    assert abs(float(np.dot(x, x)) - 1.0) <= 1e-15
+    assert np.array_equal(x, x[::-1])
+    if gamma > 0.0:
+        assert x[1] > x[0]  # the middle level |1, 1>
+    else:
+        assert x[0] > x[1]  # the edge pair |2, 0>, |0, 2>
+
+
+@pytest.mark.parametrize("gamma", [-1e3, -3.0, -1.0, 0.0, 0.5, 7.0, 1e3])
+def test_closed_form_of_the_nu_2_sector_matches_dense_eigh(gamma):
+    _, vecs = np.linalg.eigh(np.array([[gamma, -2.0], [-2.0, 0.0]]))
+    want = np.abs(vecs[:, 0])
+    np.testing.assert_allclose(resources._even_pair_ground(gamma), want / want.max(),
+                               rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("gamma", [-1.5, -2.0])
 @pytest.mark.parametrize("nu", [1, 2, 3, 8, 13, 20, 30, 40, 41])
 def test_ground_state_matches_dense_eigh_where_the_gap_is_resolved(gamma, nu):
