@@ -123,6 +123,65 @@ def four_coherence_diagonals(
     return Diagonals(nu, tuple(upper))
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of f in [a, b], step for step as scipy's `brentq` (Zeros/brentq.c).
+
+    Brent's method keeps a sign-changing bracket [xcur, xblk] and steps by
+    inverse quadratic or secant interpolation while the step stays short,
+    by bisection otherwise; it stops once half the bracket is below
+    delta = (xtol + rtol |xcur|) / 2.  No sign change, a NaN value of f and
+    no convergence in scipy's default 100 steps raise `NumericalError`.
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"root finder: f({x!r}) is NaN; it cannot continue")
+        return fx
+
+    def negative(v: float) -> bool:  # C's signbit
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = a, b
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise NumericalError(f"root finder: f({a!r}) and f({b!r}) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # no interpolation step: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is then inf or NaN: bisect
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise NumericalError(f"root finder failed to converge after 100 iterations, value is {xcur!r}")
+
+
 @dataclass
 class ThresholdReport:
     """Dephasing time beyond which the state stops beating the baseline."""
@@ -147,8 +206,8 @@ def dephasing_threshold_demo(
     The state beats the separable baseline iff y > -x exp(4 t (l3+l4)) N/(N-2),
     so the fidelity crosses f_sep at
     t* = ln(y (N-2) / (-x N)) / (4 (l3 + l4)), computed here in log space and
-    confirmed by bisection on the closed-form fidelity of the dephased band
-    (`band_scan`, 2N numbers per step, no dense state).  Requires
+    confirmed by Brent's method (`_brentq`) on the closed-form fidelity of the
+    dephased band (`band_scan`, 2N numbers per step, no dense state).  Requires
     N > 2 (below that the y-coherence sits outside the fidelity band), x < 0
     and y > 0 as in the crossing scenario.
     """
@@ -175,10 +234,8 @@ def dephasing_threshold_demo(
         [(evolved, _)] = band_scan(band0, dephasing, N, [t])
         return fidelity_closed(evolved, N) - f_sep
 
-    from scipy.optimize import brentq
-
     hi = 4.0 * t_star + 1.0
-    t_bisect = float(brentq(gap, 0.0, hi, xtol=1e-13, rtol=1e-14))
+    t_bisect = _brentq(gap, 0.0, hi, xtol=1e-13, rtol=1e-14)
     return ThresholdReport(
         N=N, rate_sum=rate_sum, f_sep=f_sep, t_star=t_star, t_star_bisect=t_bisect
     )

@@ -6,6 +6,7 @@ matrix, and only `protocol.band` takes a vector's band.  The lints are
 stdlib-only."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -289,3 +290,41 @@ def test_commands_without_scipy_run_or_exit_3_cleanly():
     assert teleport.stderr.startswith("environment error: No module named 'scipy")
     assert "Traceback" not in teleport.stderr
     assert len(teleport.stderr.strip().splitlines()) == 1
+
+
+NOISY_CONVERGE = {
+    "schema_version": 1, "kind": "converge", "N": 2, "nu_grid": [100, 200, 400, 800],
+    "family": {"name": "gaussian", "beta": 0.75},
+    "noise": {"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5},
+    "time_rule": {"exponent": -2.5},
+}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("noise", "configs/noise_dephasing_threshold.json"),
+    ("noise", "configs/noise_loss_bounds.json"),
+    ("converge", None),
+], ids=["noise-threshold", "noise-loss", "converge-noisy"])
+def test_noise_commands_load_no_scipy_optimize(command, config, tmp_path):
+    # the dephasing threshold is found by the Brent port `noise._brentq`
+    if config is None:
+        config = tmp_path / "noisy_converge.json"
+        config.write_text(json.dumps(NOISY_CONVERGE))
+    code = (
+        "import contextlib, io, sys\n"
+        "from telefock.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    rc = main(sys.argv[1:])\n"
+        "assert rc == 0, rc\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'\n"
+    )
+    proc = run_python(code, command, "--config", str(config))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_threshold_sample_without_scipy_writes_its_golden_output():
+    proc = run_python(WITHOUT_SCIPY, "noise", "--config", "configs/noise_dephasing_threshold.json",
+                      "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == (ROOT / "tests" / "golden" / "noise_dephasing_threshold.json").read_text()

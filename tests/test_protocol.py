@@ -609,6 +609,25 @@ def test_uniform_fidelity_at_large_nu_matches_the_exact_rational(nu, N):
     assert abs(Fraction(f) - exact) <= (1e-15 if nu == 2 ** 20 else 2e-14)
 
 
+VECTORS = {
+    "gaussian": lambda nu: resources.gaussian_amplitudes(resources.GaussianSpec.from_beta(nu, 0.75)),
+    "noon": resources.noon_amplitudes,
+    "uniform": resources.max_entangled_amplitudes,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTORS))
+def test_vectors_at_2_24_enter_both_readers(name):
+    # the norm checks of `band` and `fock._reader` add exact block sums, so
+    # they admit these vectors at 16.8 million levels
+    nu, N = 2 ** 24, 4
+    x = VECTORS[name](nu)
+    f = fidelity_closed(band(x, N), N)
+    assert fock._reader(x, N)[0] == nu
+    if name == "uniform":
+        assert abs(Fraction(f) - (1 - Fraction(N, 3 * (nu + 1)))) <= 1e-14
+
+
 def test_shifted_dots_keep_one_dot_per_lag_up_to_the_block():
     # a lag of at most 2^16 pairs is one plain dot, so smaller rows keep their
     # bits; a longer one adds its blocks' dots exactly
