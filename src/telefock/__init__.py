@@ -7,7 +7,6 @@ from .errors import (
     ConfigError,
     HypothesisViolationError,
     NumericalError,
-    QuadratureError,
     StateValidationError,
     TelefockError,
     UnsupportedRegimeError,
@@ -42,7 +41,6 @@ __all__ = [
     "ConfigError",
     "HypothesisViolationError",
     "NumericalError",
-    "QuadratureError",
     "StateValidationError",
     "TelefockError",
     "UnsupportedRegimeError",

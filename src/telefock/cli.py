@@ -25,7 +25,6 @@ from . import continuum, fock, noise, protocol, resources, selftest
 from .errors import (
     ConfigError,
     NumericalError,
-    QuadratureError,
     StateValidationError,
     TelefockError,
 )
@@ -443,7 +442,7 @@ def cmd_noise(cfg: dict, args) -> int:
                            ["fidelity", "f_sep", "lower_bound"], NOISE_COLUMNS)
         if extra is not None:
             print(f"threshold t_star = {extra['t_star']:.12f} "
-                  f"(bisection {extra['t_star_bisect']:.12f})", file=sys.stderr)
+                  f"(Brent {extra['t_star_bisect']:.12f})", file=sys.stderr)
     return 0
 
 
@@ -560,7 +559,7 @@ def main(argv=None) -> int:
                               f"the subcommand {args.command!r}")
         return args.handler(cfg, args)
     except TelefockError as exc:
-        if isinstance(exc, (NumericalError, QuadratureError)):
+        if isinstance(exc, NumericalError):
             print(f"numerical error: {exc}", file=sys.stderr)
             return 3
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,101 +1,110 @@
 """Continuum-limit evaluation of the teleportation performance integrals and
 numerical verification of the asymptotic-convergence statements.
 
-The discrete resource matrix is replaced by a density omega(z, y) in the
-imbalance variables z = 1 - 2k/nu, y = 1 - 2j/nu, with
+The discrete resource matrix is replaced by a density omega(z, y) =
+chi(z) chi(y) in the imbalance variables z = 1 - 2k/nu, y = 1 - 2j/nu, with
 rho_{k,j} ~ omega(z, y) * 2/nu.  The performance functionals become narrow
-band integrals around the diagonal z = y, evaluated here in rotated
-coordinates so the band is resolved at any nu.
+band integrals around the diagonal z = y.  Every continuum shape is flat or
+a mixture of equal-width Gaussians, whose band integrals are closed forms
+except on two thin edge strips (see `_band_integral`).
 
-A `ContinuumProfile` is a nu-indexed *family*: a per-nu amplitude chi or
-density omega plus the width scaling alpha(nu) the convergence fits read, so
-that one object supports both fixed-nu quadrature and convergence sweeps.
+A `ContinuumProfile` is a nu-indexed *family*: a per-nu mixture plus the
+width scaling alpha(nu) the convergence fits read, so that one object
+supports both fixed-nu evaluation and convergence sweeps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisViolationError, QuadratureError, StateValidationError
+from .errors import HypothesisViolationError, NumericalError, StateValidationError
 from .fock import _normalize, normalized_amplitudes
 from .protocol import fidelity_closed_pure
 from . import resources
 
-QUAD_EPSABS = 1e-12
-QUAD_EPSREL = 1e-10
-QUAD_LIMIT = 400
 # profiles whose diagonal mass deviates from 1 by more than this are rejected;
 # smaller deviations (compact-interval truncation of wide shapes) renormalize
 RENORM_LIMIT = 0.5
 
 SMOOTHNESS_CLASSES = ("twice", "once", "continuous", "none")
 
+# the fixed rule of the band integral: Gauss-Legendre nodes per panel, and
+# how many widths s from a pair's center the edge strips' panels reach
+_GL_NODES = 16
+_EDGE_REACH = 40.0
+
 
 @dataclass(frozen=True)
 class ContinuumProfile:
     """A family of two-mode profiles over the imbalance square [-1, 1]^2.
 
-    A profile that sets `omega_of_nu` is a density (`kind` "density"): omega
-    is given per nu by `omega_of_nu`.  Any other is pure (`kind` "pure"):
-    omega(z, y) = conj(chi(z)) chi(y), with the amplitude chi given per nu by
-    `chi_of_nu` (see `scaled_chi`), which is None for families with no
-    continuum shape.
+    `mixture_of_nu(nu)` returns the amplitude at each nu as a mixture
+    `(weights, centers, width)` of equal-width Gaussians,
+
+        chi(z) = sum_i a_i exp(-(z - c_i)^2 / (4 s^2)),
+
+    with weights a_i >= 0 and one width s > 0; width inf is the flat
+    chi = sum_i a_i.  The density omega(z, y) = chi(z) chi(y) is then real
+    and nonnegative, and `diagonal_norm`, `fidelity_continuum` and
+    `entanglement_continuum` evaluate it in closed form.  `mixture_of_nu` is
+    None for families with no continuum shape.
 
     `alpha(nu)` is the width scaling the convergence fits read.
     `smoothness` declares the regularity class of the shape function
     ("twice", "once", "continuous", or "none"); it is asserted by the
     convergence checks, never inferred.  `amplitudes_of_nu` optionally
     supplies the discrete amplitudes used for closed-form sweeps (defaulting
-    to discretizing chi for pure profiles), which stay O(nu) in memory.
-    `features_of_nu` lists interior z-points (bump centers) handed to the
-    quadrature as breakpoints.
-
-    The `chi` and `omega` callables must accept numpy arrays of any shape
-    and broadcast over them (every stock profile does; a constant omega is
-    fine): the band integral evaluates omega once per batch of outer nodes,
-    on an array that holds QUADPACK's first GK21 step across the strip at
-    every node, and once per bisection step of a node whose step fails its
-    error test.
+    to discretizing chi), which stay O(nu) in memory.
     """
 
     smoothness: str
     alpha: Callable[[float], float] = lambda nu: 1.0
-    chi_of_nu: Callable[[float], Callable] | None = None
-    omega_of_nu: Callable[[float], Callable] | None = None
+    mixture_of_nu: Callable[[float], tuple] | None = None
     amplitudes_of_nu: Callable[[int], np.ndarray] | None = None
-    features_of_nu: Callable[[float], tuple] = lambda nu: ()
 
     def __post_init__(self):
         if self.smoothness not in SMOOTHNESS_CLASSES:
             raise StateValidationError(f"unknown smoothness class {self.smoothness!r}")
 
-    @property
-    def kind(self) -> str:
-        """The profile kind: "density" if it sets `omega_of_nu`, else "pure"."""
-        return "pure" if self.omega_of_nu is None else "density"
+    def mixture(self, nu: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """The checked (weights, centers, width) at the given particle number."""
+        if self.mixture_of_nu is None:
+            raise StateValidationError("profile has no continuum amplitude chi")
+        weights, centers, width = self.mixture_of_nu(nu)
+        a, c, s = np.asarray(weights, dtype=float), np.asarray(centers, dtype=float), float(width)
+        if a.ndim != 1 or a.size == 0 or a.shape != c.shape:
+            raise StateValidationError("a mixture needs one weight per center, and a center")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(c)) and s > 0.0):
+            raise StateValidationError(
+                f"a mixture needs finite weights and centers and a width > 0, not {width!r}")
+        if np.any(a < 0.0):
+            raise StateValidationError("mixture weights must be nonnegative")
+        return a, c, s
 
     def chi(self, nu: float) -> Callable:
-        if self.kind != "pure" or self.chi_of_nu is None:
-            raise StateValidationError("profile has no continuum amplitude chi")
-        return self.chi_of_nu(nu)
+        """The continuum amplitude at the given particle number."""
+        a, c, s = self.mixture(nu)
 
-    def omega(self, nu: float) -> Callable:
-        """Two-point density at the given particle number."""
-        if self.kind == "pure":
-            chi = self.chi(nu)
-            return lambda z, y: np.conj(chi(z)) * chi(y)
-        return self.omega_of_nu(nu)
+        def chi(z):
+            z = np.asarray(z, dtype=float)
+            if s == math.inf:
+                return np.full(z.shape, a.sum())
+            return sum(ai * np.exp((z - ci) ** 2 / (-4.0 * s * s)) for ai, ci in zip(a, c))
+
+        return chi
 
     def diagonal_norm(self, nu: float) -> float:
         """Integral of omega(z, z) over [-1, 1]; must be 1 for a valid profile."""
-        om = self.omega(nu)
-        # a constant omega gives a scalar
-        val, _ = _qagp(lambda z: np.broadcast_to(np.real(om(z, z)), z.shape), -1.0, 1.0,
-                       self._features(nu))
-        return val
+        a, c, s = self.mixture(nu)
+        if s == math.inf:
+            return 2.0 * float(a.sum()) ** 2
+        # chi(z)^2 pairs to exp(-(z-m)^2/(2s^2)) exp(-d^2/(8s^2))
+        return sum(weight * math.exp(d * d / (-8.0 * s * s)) * _gauss_mass(-1.0, 1.0, m, s)
+                   for weight, m, d in _pairs(a, c))
 
     def amplitudes(self, nu: int) -> np.ndarray:
         """Discretized normalized amplitude vector x_k = chi(z_k) sqrt(2/nu)."""
@@ -112,481 +121,153 @@ class ContinuumProfile:
         """1 - f of the discrete counterpart, from its amplitudes."""
         return 1.0 - fidelity_closed_pure(self.amplitudes(nu), N)
 
-    def _features(self, nu: float) -> list[float]:
-        return [float(p) for p in self.features_of_nu(nu) if -1.0 < p < 1.0]
 
+def _pairs(a: np.ndarray, c: np.ndarray):
+    """(a_i a_j, m, d) with m = (c_i+c_j)/2 and d = c_i-c_j, over i <= j.
 
-# QUADPACK dqk21 (Piessens et al., 1983): Kronrod abscissae on [0, 1], center
-# last, with their Kronrod and Gauss weights; the 10-point Gauss nodes are the
-# odd-indexed abscissae, so the Gauss weights are zero at the others.
-_GK21_X = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-])
-_GK21_WK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_GK21_WG = np.array([
-    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
-    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
-    0.0, 0.295524224714752870173892994651338, 0.0,
-])
-# the 21 nodes of one panel, from its left end to its right end
-_GK21_T = np.concatenate((-_GK21_X, _GK21_X[-2::-1]))
-# dqk21's sums run over the center, then over the pairs f(c - h x_j) +
-# f(c + h x_j): for resk, resg and resabs those of the Gauss abscissae
-# j = 1, 3, .., 9 first, for resasc in the order j = 0..9.  Gathering the
-# node rows by `_GK21_PAIRS` (or `_GK21_PAIRS_ASC`) puts the left nodes in
-# order in rows 0..10 and their right partners in rows 11..21: the center
-# comes twice, as f(c) + f(c), whose halved weight makes the same product.
-_GK21_LEFT = np.array([10, 1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
-_GK21_LEFT_ASC = np.array([10, *range(10)])
-_GK21_PAIRS, _GK21_PAIRS_ASC = (np.concatenate((j, np.where(j == 10, 10, 20 - j)))
-                                for j in (_GK21_LEFT, _GK21_LEFT_ASC))
-_GK21_HALVED = np.array([1.0] * 10 + [0.5])
-_GK21_W3 = (np.stack((_GK21_WK, _GK21_WG, _GK21_WK)) * _GK21_HALVED)[:, _GK21_LEFT]
-_GK21_WK_ASC = (_GK21_WK * _GK21_HALVED)[_GK21_LEFT_ASC]
-_EPMACH = float(np.finfo(float).eps)
-_UFLOW = float(np.finfo(float).tiny)
-_OFLOW = float(np.finfo(float).max)
-
-
-def _gk21(node: np.ndarray, hlgth) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """QUADPACK dqk21 on a batch of panels.
-
-    `node[k]` holds f at `center + hlgth * _GK21_T[k]` for every panel, its
-    trailing shape the batch's, which `hlgth` broadcasts against.  Returns
-    dqk21's (result, abserr, resabs, resasc) per panel, each sum added in
-    dqk21's order (`np.add.accumulate` adds in order).
+    A pair i < j stands for (j, i) too, whose terms are the same: they
+    depend on d only through d^2 or through a strip moment even in d.
     """
-    batch = (..., *[None] * (node.ndim - 1))  # weights broadcast over the batch
-    with np.errstate(all="ignore"):  # IEEE arithmetic, as QUADPACK's: inf - inf is NaN
-        paired = node[_GK21_PAIRS]
-        absp = np.abs(paired)
-        terms = np.concatenate((paired[:11] + paired[11:],) * 2 + (absp[:11] + absp[11:],))
-        terms = terms.reshape((3, 11) + node.shape[1:]) * _GK21_W3[batch]
-        resk, resg, resabs = np.add.accumulate(terms, axis=1)[:, -1]
-        dev = np.abs(node[_GK21_PAIRS_ASC] - 0.5 * resk)
-        resasc = np.add.accumulate((dev[:11] + dev[11:]) * _GK21_WK_ASC[batch])[-1]
-        dh = np.abs(hlgth)
-        resabs, resasc = resabs * dh, resasc * dh
-        abserr = np.abs((resk - resg) * hlgth)
-        # resasc min(1, r**1.5) as min(1, r)**1.5, which cannot overflow;
-        # fmin and fmax drop a NaN argument, as QUADPACK's C translation does
-        scaled = resasc * np.fmin(200.0 * abserr / resasc, 1.0) ** 1.5
-        abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
-        abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
-                          np.fmax(50.0 * _EPMACH * resabs, abserr), abserr)
-        return resk * hlgth, abserr, resabs, resasc
+    for i in range(len(a)):
+        for j in range(i, len(a)):
+            weight = float(a[i] * a[j]) * (1.0 if i == j else 2.0)
+            yield weight, 0.5 * float(c[i] + c[j]), float(c[i] - c[j])
 
 
-def _panels(f, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """dqk21's (result, abserr, resabs, resasc) on the panels [lo, hi], of
-    any broadcast shape, from one call of f on all their nodes (shape
-    `(21,) + ` the panels' shape)."""
-    centr = 0.5 * (lo + hi)
-    hlgth = 0.5 * (hi - lo)
-    return _gk21(f(centr + np.multiply.outer(_GK21_T, hlgth)), hlgth)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
+    Newton's method on the Legendre recurrence from Tricomi's estimates."""
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)  # P_n'(x)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
-def _dqpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int):
-    """QUADPACK dqpsrt: keep `iord` (interval indices, position p at iord[p-1])
-    in descending order of `elist` after interval `maxerr` was bisected into
-    itself and interval `last - 1`.  Returns the next (maxerr, errmax, nrmax)."""
-    if last <= 2:
-        iord[0], iord[1] = 0, 1
-    else:
-        errmax = elist[maxerr]
-        # only after subdivision increased the error: move maxerr up
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 2]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax - 1] = isucc
-            nrmax -= 1
-        # the number of entries kept ordered shrinks as the limit nears
-        jupbn = limit + 3 - last if last > limit // 2 + 2 else last
-        errmin = elist[last - 1]
-        jbnd = jupbn - 1
-        for i in range(nrmax + 1, jbnd + 1):  # insert errmax top-down
-            isucc = iord[i - 1]
-            if errmax >= elist[isucc]:
-                iord[i - 2] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):  # insert errmin bottom-up
-                    isucc = iord[k - 1]
-                    if errmin < elist[isucc]:
-                        iord[k] = last - 1
-                        break
-                    iord[k] = isucc
-                    k -= 1
-                else:
-                    iord[i - 1] = last - 1
-                break
-            iord[i - 2] = isucc
-        else:
-            iord[jbnd - 1] = maxerr
-            iord[jupbn - 1] = last - 1
-    maxerr = iord[nrmax - 1]
-    return maxerr, elist[maxerr], nrmax
+_GL_X, _GL_W = _gauss_legendre(_GL_NODES)
 
 
-def _dqelg(n: int, epstab: list, res3la: list, nres: int):
-    """QUADPACK dqelg: the epsilon algorithm on epstab[1..n].
-
-    Both lists are 1-based and updated in place: epstab (with room to index
-    52) and res3la[1..3], the last three results.  Returns (n, result,
-    abserr, nres)."""
-    nres += 1
-    abserr = _OFLOW
-    result = epstab[n]
-    if n >= 3:
-        limexp = 50
-        epstab[n + 2] = epstab[n]
-        newelm = (n - 1) // 2
-        epstab[n] = _OFLOW
-        num = k1 = n
-        for i in range(1, newelm + 1):
-            k2, k3 = k1 - 1, k1 - 2
-            res = epstab[k1 + 2]
-            e0, e1, e2 = epstab[k3], epstab[k2], res
-            e1abs = abs(e1)
-            delta2 = e2 - e1
-            err2 = abs(delta2)
-            tol2 = max(abs(e2), e1abs) * _EPMACH
-            delta3 = e1 - e0
-            err3 = abs(delta3)
-            tol3 = max(e1abs, abs(e0)) * _EPMACH
-            if not (err2 > tol2 or err3 > tol3):
-                # e0, e1 and e2 equal to machine accuracy: converged
-                return n, res, max(err2 + err3, 5.0 * _EPMACH * abs(res)), nres
-            e3 = epstab[k1]
-            epstab[k1] = e1
-            delta1 = e1 - e3
-            err1 = abs(delta1)
-            tol1 = max(e1abs, abs(e3)) * _EPMACH
-            # two close elements, or irregular behaviour: drop part of the table
-            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                n = i + i - 1
-                break
-            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-            if not abs(ss * e1) > 1e-4:
-                n = i + i - 1
-                break
-            res = e1 + 1.0 / ss
-            epstab[k1] = res
-            k1 -= 2
-            error = err2 + abs(res - e2) + err3
-            if not error > abserr:
-                abserr, result = error, res
-        if n == limexp:
-            n = 2 * (limexp // 2) - 1
-        ib = 2 if num % 2 == 0 else 1
-        for _ in range(newelm + 1):  # shift the table
-            epstab[ib] = epstab[ib + 2]
-            ib += 2
-        if num != n:
-            epstab[1 : n + 1] = epstab[num - n + 1 : num + 1]
-        if nres < 4:
-            res3la[nres] = result
-            abserr = _OFLOW
-        else:
-            abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
-                      + abs(result - res3la[1]))
-            res3la[1:4] = [res3la[2], res3la[3], result]
-    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+def _erf_diff(x: float, y: float) -> float:
+    """erf(y) - erf(x) for x <= y, without cancellation: reflected so that
+    x + y >= 0, then taken as a difference of erfc where both arguments
+    exceed 1/2 (erf there is within 0.48 of 1)."""
+    if x + y < 0.0:
+        x, y = -y, -x
+    if x > 0.5:
+        return math.erfc(x) - math.erfc(y)
+    return math.erf(y) - math.erf(x)
 
 
-def _qagpe(f, a: float, b: float, points) -> tuple[float, float, dict]:
-    """QUADPACK dqagpe (Piessens et al., 1983) for a < b, with f evaluated
-    on arrays: one call on the 21 nodes of every panel between the
-    breakpoints, then one call on the 42 nodes of each bisection step.
+_erf_diffs = np.frompyfunc(_erf_diff, 2, 1)
 
-    The breakpoints are `points` strictly inside (a, b), deduplicated, as
-    `scipy.integrate.quad` passes them.  It keeps qagp's GK21 panels, its
-    error ordering (dqpsrt), epsilon extrapolation (dqelg), roundoff, limit
-    and divergence flags, with `QUAD_EPSABS`, `QUAD_EPSREL` and
-    `QUAD_LIMIT`.  Returns (result, abserr, info): info holds `ier` (0 on
-    success, else QUADPACK's code), `neval`, `last` and the first `last`
-    entries of alist, blist, rlist, elist and level.
+
+def _gauss_mass(lo: float, hi: float, m: float, s: float) -> float:
+    """Int_lo^hi exp(-(u-m)^2/(2s^2)) du."""
+    r = s * math.sqrt(2.0)
+    return r * math.sqrt(math.pi) / 2.0 * _erf_diff((lo - m) / r, (hi - m) / r)
+
+
+def _half_moment(b, d: float, s: float, nu: float, N: int) -> np.ndarray:
+    """Int_0^b (N+1 - v nu/2) exp(-(v-d)^2/(8s^2)) dv, elementwise in b >= 0.
+
+    Where b is at most the Gaussian's spread 2s the integrand is smooth on
+    [0, b], and the Gauss-Legendre rule integrates it to rounding.  Wider b
+    take the closed form: with r = 2s sqrt(2) the Gaussian is
+    exp(-((v-d)/r)^2), and the integral is (N+1 - d nu/2) times its erf
+    mass, minus nu/2 times its first moment about d,
+    4s^2 (exp(-p) - exp(-q)) with p = (d/r)^2 and q = ((b-d)/r)^2.  That
+    difference is formed with expm1 from the smaller exponent, so a far
+    pair cannot form 0 * inf.  (The closed form would lose digits to
+    cancellation on narrow b away from d, the rule on wide b.)
     """
-    epsabs, epsrel, limit = QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT
-    inner = np.unique(np.asarray(points, dtype=float))
-    edges = np.concatenate(([a], inner[(a < inner) & (inner < b)], [b]))
-    nint = len(edges) - 1
-    rlist, elist, defabs, resa = (r.tolist() for r in _panels(f, edges[:-1], edges[1:]))
-    ier = 0
-    result = abserr = resabs = 0.0
-    for i in range(nint):
-        abserr += elist[i]
-        result += rlist[i]
-        resabs += defabs[i]
-    errsum = 0.0
-    for i in range(nint):
-        if elist[i] == resa[i] and elist[i] != 0.0:
-            elist[i] = abserr
-        errsum += elist[i]
-    pad = [0.0] * (limit - nint)
-    alist, blist = edges[:-1].tolist() + pad, edges[1:].tolist() + pad
-    rlist, elist = rlist + pad, elist + pad
-    level = [0] * limit
-    iord = list(range(nint)) + [0] * (limit - nint)
-    last, neval = nint, 21 * nint
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd:
-        ier = 2
-    for i in range(nint - 1):  # order iord by decreasing error
-        ind1, k = iord[i], i
-        for j in range(i + 1, nint):
-            ind2 = iord[j]
-            if not elist[ind1] > elist[ind2]:
-                ind1, k = ind2, j
-        if ind1 != iord[i]:
-            iord[k], iord[i] = iord[i], ind1
-    if limit < nint + 1:
-        ier = 1
-
-    if ier == 0 and not abserr <= errbnd:
-        rlist2 = [0.0] * 53  # dqelg's 1-based table
-        rlist2[1] = result
-        res3la = [0.0] * 4
-        maxerr = iord[0]
-        errmax = elist[maxerr]
-        area = result
-        nrmax, nres, numrl2, ktmin = 1, 0, 1, 0
-        extrap = noext = False
-        erlarg, ertest, correc = errsum, errbnd, 0.0
-        levmax = 1
-        iroff1 = iroff2 = iroff3 = ierro = 0
-        abserr = _OFLOW
-        ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * resabs else -1
-        converged = False
-        for last in range(nint + 1, limit + 1):
-            # bisect the interval with the nrmax-th largest error estimate
-            levcur = level[maxerr] + 1
-            a1, b2 = alist[maxerr], blist[maxerr]
-            a2 = b1 = 0.5 * (a1 + b2)
-            erlast = errmax
-            (area1, area2), (error1, error2), _, (defab1, defab2) = (
-                r.tolist() for r in _panels(f, np.array([a1, a2]), np.array([b1, b2])))
-            neval += 42
-            area12 = area1 + area2
-            erro12 = error1 + error2
-            errsum = errsum + erro12 - errmax
-            area = area + area12 - rlist[maxerr]
-            if defab1 != error1 and defab2 != error2:
-                if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
-                        or erro12 < 0.99 * errmax):
-                    if extrap:
-                        iroff2 += 1
-                    else:
-                        iroff1 += 1
-                if last > 10 and erro12 > errmax:
-                    iroff3 += 1
-            level[maxerr] = level[last - 1] = levcur
-            rlist[maxerr], rlist[last - 1] = area1, area2
-            errbnd = max(epsabs, epsrel * abs(area))
-            if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-                ier = 2
-            if iroff2 >= 5:
-                ierro = 3
-            if last == limit:
-                ier = 1
-            # bad integrand behaviour at a point of the range
-            if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
-                ier = 4
-            if error2 > error1:
-                alist[maxerr], alist[last - 1], blist[last - 1] = a2, a1, b1
-                rlist[maxerr], rlist[last - 1] = area2, area1
-                elist[maxerr], elist[last - 1] = error2, error1
-            else:
-                alist[last - 1], blist[maxerr], blist[last - 1] = a2, b1, b2
-                elist[maxerr], elist[last - 1] = error1, error2
-            maxerr, errmax, nrmax = _dqpsrt(limit, last, maxerr, elist, iord, nrmax)
-            if errsum <= errbnd:
-                converged = True
-                break
-            if ier != 0:
-                break
-            if noext:
-                continue
-            erlarg -= erlast
-            if levcur + 1 <= levmax:
-                erlarg += erro12
-            if not extrap:
-                # extrapolate only once the next interval is a smallest one
-                if level[maxerr] + 1 <= levmax:
-                    continue
-                extrap = True
-                nrmax = 2
-            if ierro != 3 and erlarg > ertest:
-                # the smallest interval has the largest error: bisect the
-                # larger intervals first, while erlarg exceeds ertest
-                jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
-                larger = False
-                for _ in range(nrmax, jupbnd + 1):
-                    maxerr = iord[nrmax - 1]
-                    errmax = elist[maxerr]
-                    larger = level[maxerr] + 1 <= levmax
-                    if larger:
-                        break
-                    nrmax += 1
-                if larger:
-                    continue
-            numrl2 += 1
-            rlist2[numrl2] = area
-            if numrl2 > 2:
-                numrl2, reseps, abseps, nres = _dqelg(numrl2, rlist2, res3la, nres)
-                ktmin += 1
-                if ktmin > 5 and abserr < 1e-3 * errsum:
-                    ier = 5
-                if abseps < abserr:
-                    ktmin = 0
-                    abserr, result, correc = abseps, reseps, erlarg
-                    ertest = max(epsabs, epsrel * abs(reseps))
-                    if abserr < ertest:
-                        break
-                if numrl2 == 1:
-                    noext = True
-                if ier >= 5:
-                    break
-            # prepare bisection of the smallest interval
-            maxerr = iord[0]
-            errmax = elist[maxerr]
-            nrmax = 1
-            extrap = False
-            levmax += 1
-            erlarg = errsum
-
-        # the result: the extrapolated one, unless the sum over the intervals
-        # is better, then the divergence test
-        summed = converged or abserr == _OFLOW
-        tested = not summed
-        if tested and ier + ierro != 0:
-            if ierro == 3:
-                abserr += correc
-            if ier == 0:
-                ier = 3
-            if result != 0.0 and area != 0.0:
-                summed = abserr / abs(result) > errsum / abs(area)
-            else:
-                summed = abserr > errsum
-            tested = not summed and area != 0.0
-        if tested and not (ksgn == -1 and max(abs(result), abs(area)) <= resabs * 0.01):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = float(np.float64(result) / area)
-            if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
-                ier = 6
-        if summed:
-            result = 0.0
-            for r in rlist[:last]:
-                result += r
-            abserr = errsum
-    if ier > 2:
-        ier -= 1
-    info = dict(ier=ier, neval=neval, last=last, alist=alist[:last], blist=blist[:last],
-                rlist=rlist[:last], elist=elist[:last], level=level[:last])
-    return result, abserr, info
+    b = np.asarray(b, dtype=float)
+    out = np.empty(b.shape)
+    r = 2.0 * s * math.sqrt(2.0)
+    near = b <= 2.0 * s
+    h = b[near] / 2.0
+    v = np.multiply.outer(h, 1.0 + _GL_X)
+    out[near] = h * (((N + 1.0 - v * nu / 2.0) * np.exp(-((v - d) / r) ** 2)) @ _GL_W)
+    wide = b[~near]
+    x, y = -d / r, (wide - d) / r
+    mass = r * math.sqrt(math.pi) / 2.0 * np.asarray(_erf_diffs(x, y), dtype=float)
+    p, q = x * x, y * y
+    # q - p = (y - x)(y + x), without the cancellation of the squares
+    step = -np.abs(wide * (wide - 2.0 * d)) / (r * r)
+    gap = -np.exp(-np.minimum(p, q)) * np.expm1(step)
+    out[~near] = ((N + 1.0 - d * nu / 2.0) * mass
+                  - (nu / 2.0) * 4.0 * s * s * np.where(p <= q, gap, -gap))
+    return out
 
 
-_IER_MESSAGES = {
-    1: f"the maximum number of subdivisions ({QUAD_LIMIT}) has been achieved",
-    2: "the occurrence of roundoff error is detected",
-    3: "extremely bad integrand behavior occurs at some points of the integration interval",
-    4: "the algorithm does not converge: roundoff error in the extrapolation table",
-    5: "the integral is probably divergent, or slowly convergent",
-}
+def _strip_moment(b, d: float, s: float, nu: float, N: int) -> np.ndarray:
+    """Int_{-b}^{b} (N+1 - |v| nu/2) exp(-(v-d)^2/(8s^2)) dv, elementwise in b >= 0."""
+    return _half_moment(b, d, s, nu, N) + _half_moment(b, -d, s, nu, N)
 
 
-def _qagp(f, a: float, b: float, points) -> tuple[float, float]:
-    """(value, error estimate) of `_qagpe`, or the QuadratureError it stands for.
-
-    A flagged result (roundoff, say) with a tiny error estimate is accepted;
-    one with a substantial residual error raises, and so does a non-finite
-    value or estimate.
-    """
-    val, err, info = _qagpe(f, a, b, points)
-    if not (np.isfinite(val) and np.isfinite(err)):
-        raise QuadratureError(f"quadrature gave a non-finite result: {val!r} +/- {err!r}")
-    if info["ier"] != 0 and err > max(1e-9, 1e-7 * abs(val)):
-        raise QuadratureError(f"quadrature failed to converge: {_IER_MESSAGES[info['ier']]}")
-    return val, err
-
-
-def triangle_kernel_moment(a: float, b: float, j: int, method: str = "quad") -> float:
-    """Moment integral of (a - |x|) x^j over [-b, b], for a >= b >= 0.
-
-    method "quad" uses the same machinery as the band integrals; method
-    "closed" returns b (b^j + (-b)^j)(2a - b + a j - b j) / (j^2 + 3 j + 2).
-    The agreement of the two is a standing property test of the integrator.
-    """
-    if not a >= b >= 0.0:
-        raise StateValidationError("require a >= b >= 0")
-    if method == "closed":
-        return b * (b ** j + (-b) ** j) * (2 * a - b + a * j - b * j) / (j * j + 3 * j + 2)
-    if method != "quad":
-        raise ValueError(f"unknown method {method!r}")
-    if b == 0.0:
+def _edge_strip(t0: float, d: float, s: float, half: float, nu: float, N: int) -> float:
+    """Int_0^half exp(-(t-t0)^2/(2s^2)) M(2t) dt, where M is the pair's
+    strip moment: one edge strip of the band, at distance t from the edge
+    of the square, with the pair's u-Gaussian centered at t0."""
+    lo, hi = max(0.0, t0 - _EDGE_REACH * s), min(half, t0 + _EDGE_REACH * s)
+    if not lo < hi:
         return 0.0
-    val, _ = _qagp(lambda x: (a - np.abs(x)) * x ** j, -b, b, [0.0])
-    return val
+    panels = math.ceil((hi - lo) / s)
+    h = (hi - lo) / (2.0 * panels)
+    t = np.add.outer(lo + h * (2.0 * np.arange(panels) + 1.0), h * _GL_X)
+    f = np.exp(((t - t0) / s) ** 2 / -2.0) * _strip_moment(2.0 * t, d, s, nu, N)
+    return h * float(np.sum(f @ _GL_W))
 
 
-def _band_integral(omega, nu: float, N: int, features) -> float:
-    """Integral of max(0, N+1 - |z-y| nu/2) g(z, y) over the square.
+def _band_integral(a: np.ndarray, c: np.ndarray, s: float, nu: float, N: int) -> float:
+    """Int max(0, N+1 - |z-y| nu/2) chi(z) chi(y) over the square [-1, 1]^2.
 
-    Rotated coordinates u = (z+y)/2, v = z - y confine the kernel to
-    |v| <= w = 2(N+1)/nu, which the inner integral resolves explicitly; a
-    naive quadrature over (z, y) misses the band entirely once nu is large.
-    The outer integral is `_qagp`; each batch of its u-nodes gets its inner
-    integrals from one vectorized first qagp step (`_panels` on [-b, 0] and
-    [0, b]: one omega call on every u and v), and a u whose step fails its
-    error test falls back to `_qagp` on its strip.
+    In u = (z+y)/2, v = z-y the square is |u| <= 1 - |v|/2, the kernel
+    confines v to |v| <= w = min(2(N+1)/nu, 2), and the pair (i, j) of the
+    mixture contributes a_i a_j exp(-(u-m)^2/(2s^2)) exp(-(v-d)^2/(8s^2)).
+    On |u| <= 1 - w/2 the whole band lies in the square, so that part is
+    the product of an erf mass in u and a closed strip moment in v.  On the
+    two edge strips 1 - w/2 < |u| <= 1 the band narrows to
+    |v| <= 2(1 - |u|); there a fixed Gauss-Legendre rule integrates over u,
+    on panels no wider than s and within `_EDGE_REACH` widths of m (the
+    u-Gaussian is below exp(-800) beyond).  The flat profile's band is a
+    cubic in w.
     """
-    w = 2.0 * (N + 1.0) / nu
-
-    def g(u, v):
-        return np.real((N + 1.0 - np.abs(v) * nu / 2.0) * omega(u + v / 2.0, u - v / 2.0))
-
-    def inner(u: np.ndarray) -> np.ndarray:
-        b = np.minimum(w, 2.0 - 2.0 * np.abs(u))
-        out = np.zeros(u.shape)
-        live = b > 0.0
-        u, b = u[live], b[live]
-        edges = np.multiply.outer([-1.0, 0.0, 1.0], b)
-        val, err, _, _ = _panels(lambda v: g(u, v), edges[:-1], edges[1:])
-        val, err = val[0] + val[1], err[0] + err[1]
-        # NaN fails the test too
-        for i in np.flatnonzero(~(err <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(val)))):
-            ui, bi = float(u[i]), float(b[i])
-            val[i], _ = _qagp(lambda v: g(ui, v), -bi, bi, [0.0])
-        out[live] = val
-        return out
-
-    val, _ = _qagp(inner, -1.0, 1.0, (-1.0 + w / 2.0, 1.0 - w / 2.0, *features))
-    return val
+    w = min(2.0 * (N + 1.0) / nu, 2.0)
+    if s == math.inf:
+        # (sum a)^2 Int_{-w}^{w} (N+1 - |v| nu/2) (2 - |v|) dv
+        return float(a.sum()) ** 2 * w * (4.0 * (N + 1.0) - (N + 1.0 + nu) * w + nu * w * w / 3.0)
+    # the strips reach 1 - inner exactly, so they tile [-1, 1] with the
+    # interior even where a rounded boundary would cut a steep Gaussian
+    inner = 1.0 - w / 2.0
+    edge = 1.0 - inner
+    total = 0.0
+    for weight, m, d in _pairs(a, c):
+        core = _gauss_mass(-inner, inner, m, s) * float(_strip_moment(w, d, s, nu, N))
+        edges = (_edge_strip(1.0 - m, d, s, edge, nu, N)
+                 + _edge_strip(1.0 + m, d, s, edge, nu, N))
+        total += weight * (core + edges)
+    return total
 
 
-def _checked_omega(profile: ContinuumProfile, nu: float):
+def _normalized_band(profile: ContinuumProfile, N: int, nu: float) -> float:
+    """The band integral of the profile, divided by its diagonal norm."""
     norm = profile.diagonal_norm(nu)
     if not np.isfinite(norm) or abs(norm - 1.0) > RENORM_LIMIT:
         raise StateValidationError(
             f"profile diagonal integrates to {norm!r}, expected 1"
         )
-    om = profile.omega(nu)
-    if abs(norm - 1.0) < 1e-14:
-        return om
-    return lambda z, y: om(z, y) / norm
+    with np.errstate(all="ignore"):  # IEEE arithmetic: `_finite` rejects what is not finite
+        band = _band_integral(*profile.mixture(nu), nu, N)
+    return band if abs(norm - 1.0) < 1e-14 else band / norm
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise NumericalError(f"continuum functional gave a non-finite result: {value!r}")
+    return value
 
 
 def fidelity_continuum(profile: ContinuumProfile, N: int, nu: float) -> float:
@@ -594,20 +275,18 @@ def fidelity_continuum(profile: ContinuumProfile, N: int, nu: float) -> float:
 
     f ~ 1/(N+2) + (nu/2) Int max(0, N+1 - |z-y| nu/2) omega(z, y) / ((N+1)(N+2)).
     """
-    om = _checked_omega(profile, nu)
-    band = _band_integral(om, nu, N, profile._features(nu))
-    return 1.0 / (N + 2.0) + (nu / 2.0) * band / ((N + 1.0) * (N + 2.0))
+    band = _normalized_band(profile, N, nu)
+    return _finite(1.0 / (N + 2.0) + (nu / 2.0) * band / ((N + 1.0) * (N + 2.0)))
 
 
 def entanglement_continuum(profile: ContinuumProfile, N: int, nu: float) -> float:
     """Continuum approximation of the average final entanglement.
 
     E ~ -pi/8 + (pi nu / 16) Int max(0, N+1 - |z-y| nu/2) |omega(z, y)| / (N+1).
+    A mixture's omega is nonnegative, so this reads the fidelity's band integral.
     """
-    om = _checked_omega(profile, nu)
-    abs_om = lambda z, y: np.abs(om(z, y))
-    band = _band_integral(abs_om, nu, N, profile._features(nu))
-    return -np.pi / 8.0 + (np.pi * nu / 16.0) * band / (N + 1.0)
+    band = _normalized_band(profile, N, nu)
+    return _finite(-np.pi / 8.0 + (np.pi * nu / 16.0) * band / (N + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -758,40 +437,18 @@ def check_proposition3(
 # Stock profile families
 # ---------------------------------------------------------------------------
 
-def scaled_chi(
-    zeta: Callable[[np.ndarray], np.ndarray],
-    alpha: Callable[[float], float],
-    delta: Callable[[float], float] = lambda nu: 0.0,
-) -> Callable[[float], Callable]:
-    """The `chi_of_nu` of a nu-independent shape zeta, rescaled per nu:
-
-    chi(z) = sqrt(alpha(nu)) zeta((z + delta(nu)) alpha(nu)),
-
-    so alpha sets the width and delta the center.
-    """
-    def chi_of_nu(nu: float) -> Callable:
-        a, d = alpha(nu), delta(nu)
-        return lambda z: np.sqrt(a) * zeta((np.asarray(z) + d) * a)
-
-    return chi_of_nu
+def _bump(center: float, s: float) -> tuple:
+    """The mixture of one Gaussian of width s at `center`, unit-normalized
+    on the line: (2 pi s^2)^(-1/4) exp(-(z - center)^2 / (4 s^2))."""
+    return ((2.0 * math.pi * s * s) ** -0.25,), (center,), s
 
 
 def flat_family() -> ContinuumProfile:
     """Uniform amplitude chi = 1/sqrt(2); the maximally entangled family."""
     return ContinuumProfile(
         smoothness="twice",
-        chi_of_nu=scaled_chi(
-            lambda u: np.full_like(np.asarray(u, dtype=float), 1.0 / np.sqrt(2.0)),
-            lambda nu: 1.0,
-        ),
+        mixture_of_nu=lambda nu: ((math.sqrt(0.5),), (0.0,), math.inf),
         amplitudes_of_nu=resources.max_entangled_amplitudes,
-    )
-
-
-def _gaussian_zeta(scale: float) -> Callable:
-    """Unit-normalized Gaussian amplitude with chi^2-variance `scale`^2."""
-    return lambda u: (2.0 * np.pi * scale ** 2) ** (-0.25) * np.exp(
-        -np.asarray(u, dtype=float) ** 2 / (4.0 * scale ** 2)
     )
 
 
@@ -805,7 +462,7 @@ def gaussian_beta_family(beta: float) -> ContinuumProfile:
     return ContinuumProfile(
         smoothness="twice",
         alpha=alpha,
-        chi_of_nu=scaled_chi(_gaussian_zeta(2.0), alpha),
+        mixture_of_nu=lambda nu: _bump(0.0, 2.0 / alpha(nu)),
         amplitudes_of_nu=lambda nu: resources.gaussian_amplitudes(
             resources.GaussianSpec.from_beta(nu, beta)
         ),
@@ -817,13 +474,11 @@ def gaussian_bump_family(
     amplitudes_of_nu: Callable[[int], np.ndarray] | None = None,
 ) -> ContinuumProfile:
     """Single Gaussian bump at imbalance `center` with width sigma_of_nu(nu)."""
-    alpha = lambda nu: 1.0 / sigma_of_nu(nu)
     return ContinuumProfile(
         smoothness="twice",
-        alpha=alpha,
-        chi_of_nu=scaled_chi(_gaussian_zeta(1.0), alpha, lambda nu: -center),
+        alpha=lambda nu: 1.0 / sigma_of_nu(nu),
+        mixture_of_nu=lambda nu: _bump(center, sigma_of_nu(nu)),
         amplitudes_of_nu=amplitudes_of_nu,
-        features_of_nu=lambda nu: (center,),
     )
 
 
@@ -857,22 +512,17 @@ def double_well_bimodal_profile(gamma: float) -> ContinuumProfile:
     """
     if gamma >= -1.0:
         raise HypothesisViolationError("bimodal ground-state shape requires gamma < -1")
-    z0 = np.sqrt(1.0 - 1.0 / gamma ** 2)
+    z0 = math.sqrt(1.0 - 1.0 / gamma ** 2)
 
     def sigma(nu: float) -> float:
         return (nu * abs(gamma) * np.sqrt(gamma ** 2 - 1.0)) ** -0.5
 
-    def chi_of_nu(nu: float):
+    def mixture_of_nu(nu: float) -> tuple:
         s = sigma(nu)
-        overlap = np.exp(-z0 ** 2 / (2.0 * s ** 2))
-        norm = np.sqrt(2.0 * (1.0 + overlap))
-        bump = _gaussian_zeta(s)
-
-        def chi(z):
-            z = np.asarray(z, dtype=float)
-            return (bump(z - z0) + bump(z + z0)) / norm
-
-        return chi
+        (weight,), _, _ = _bump(0.0, s)
+        # the bumps' overlap is exp(-z0^2 / (2 s^2))
+        norm = math.sqrt(2.0 * (1.0 + math.exp(z0 * z0 / (-2.0 * s * s))))
+        return (weight / norm,) * 2, (-z0, z0), s
 
     def amps(nu: int) -> np.ndarray:
         return resources.double_well_ground_amplitudes(
@@ -882,9 +532,8 @@ def double_well_bimodal_profile(gamma: float) -> ContinuumProfile:
     return ContinuumProfile(
         smoothness="twice",
         alpha=lambda nu: 1.0 / sigma(nu),
-        chi_of_nu=chi_of_nu,
+        mixture_of_nu=mixture_of_nu,
         amplitudes_of_nu=amps,
-        features_of_nu=lambda nu: (-z0, z0),
     )
 
 
@@ -898,24 +547,6 @@ def double_well_family(gamma: float) -> ContinuumProfile:
     if gamma < -1.0:
         return double_well_bimodal_profile(gamma)
     return double_well_profile(lambda nu: gamma)
-
-
-def factorized_gaussian_profile(sigma_z: float) -> ContinuumProfile:
-    """Gaussian density omega(z, y) = plus(z + y) minus((z - y) a).
-
-    Identical to the pure Gaussian bump of width sigma_z, written as a
-    product over the sum and difference coordinates; exercises the density
-    evaluation path.
-    """
-    a = 1.0 / (np.sqrt(8.0) * sigma_z)
-    norm = (2.0 * np.pi * sigma_z ** 2) ** -0.5
-    plus = lambda s: norm * np.exp(-np.asarray(s, dtype=float) ** 2 / (8.0 * sigma_z ** 2))
-    minus = lambda v: np.exp(-np.asarray(v, dtype=float) ** 2)
-    return ContinuumProfile(
-        smoothness="twice",
-        alpha=lambda nu: a,
-        omega_of_nu=lambda nu: lambda z, y: plus(z + y) * minus((z - y) * a),
-    )
 
 
 def discrete_only_family(
@@ -932,12 +563,5 @@ def spike_profile(width: float, center: float = 0.0) -> ContinuumProfile:
     """Near-singular diagonal profile; outside every proposition hypothesis."""
     return ContinuumProfile(
         smoothness="none",
-        chi_of_nu=lambda nu: _shifted_gaussian(center, width),
-        # bracket the spike so the adaptive grid cannot step over it
-        features_of_nu=lambda nu: (center - 5 * width, center, center + 5 * width),
+        mixture_of_nu=lambda nu: _bump(center, width),
     )
-
-
-def _shifted_gaussian(center: float, width: float) -> Callable:
-    g = _gaussian_zeta(width)
-    return lambda z: g(np.asarray(z, dtype=float) - center)

@@ -17,10 +17,6 @@ class HypothesisViolationError(TelefockError, ValueError):
     """Inputs violate the hypotheses of an asymptotic statement."""
 
 
-class QuadratureError(TelefockError, RuntimeError):
-    """Numerical integration failed to converge to the requested tolerance."""
-
-
 class NumericalError(TelefockError, RuntimeError):
     """A numerical backend (eigensolver, ODE integrator) failed."""
 

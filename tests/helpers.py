@@ -1,10 +1,8 @@
 """Shared test utilities: random state generators and small oracles."""
 
 import numpy as np
-from scipy import integrate
 
-from telefock import continuum
-from telefock.errors import QuadratureError, StateValidationError
+from telefock.errors import StateValidationError
 from telefock.fock import (
     Diagonals, PureTwoModeState, ResourceState, TwoModeDensityMatrix, haar_amplitude_batch,
 )
@@ -250,54 +248,3 @@ def reference_entanglement(rho, N: int) -> float:
     if not -1e-10 <= e <= upper + 1e-8:
         raise StateValidationError(f"entanglement {e!r} outside [0, {upper}]")
     return float(min(max(e, 0.0), upper))
-
-
-def reference_accept(out) -> tuple[float, float]:
-    """(value, error estimate) of `scipy.integrate.quad(..., full_output=1)`'s
-    output `out`, or the QuadratureError it stands for under the continuum
-    layer's acceptance rule: a non-finite value or estimate raises, and so
-    does a failure message with an estimate above max(1e-9, 1e-7 |value|)."""
-    val, err = out[:2]
-    if not (np.isfinite(val) and np.isfinite(err)):
-        raise QuadratureError(f"quadrature gave a non-finite result: {val!r} +/- {err!r}")
-    if len(out) > 3 and err > max(1e-9, 1e-7 * abs(val)):
-        raise QuadratureError(f"quadrature failed to converge: {out[3]}")
-    return val, err
-
-
-def reference_band_integral(omega, nu: float, N: int, features, fallbacks: list) -> float:
-    """`continuum._band_integral` with its strips composed the older way:
-    each batch of outer u-nodes gets QUADPACK's first qagp step on [-b, 0]
-    and [0, b] from one call on a (42, U) array, and a u whose step fails
-    its error test falls back to scalar `scipy.integrate.quad` on its strip
-    [-b, b], which is appended to `fallbacks`."""
-    w = 2.0 * (N + 1.0) / nu
-    sides = np.array([[-1.0], [1.0]])
-
-    def g(u, v):
-        return np.real((N + 1.0 - np.abs(v) * nu / 2.0) * omega(u + v / 2.0, u - v / 2.0))
-
-    def inner(nodes: np.ndarray) -> np.ndarray:
-        u = nodes.ravel()
-        b = np.minimum(w, 2.0 - 2.0 * np.abs(u))
-        out = np.zeros(u.shape)
-        live = np.flatnonzero(b > 0.0)
-        u, b = u[live], b[live]
-        h = 0.5 * b  # also the panel centers' distance from 0
-        v = (sides * h[:, None, None] + h[:, None, None] * continuum._GK21_T).T  # (21, 2, U)
-        fv = np.reshape(g(u, v.reshape((42,) + h.shape)), v.shape)
-        val, err, _, _ = continuum._gk21(fv, h)
-        val, err = val[0] + val[1], err[0] + err[1]
-        out[live] = val
-        for i in np.flatnonzero(~(err <= np.maximum(continuum.QUAD_EPSABS,
-                                                     continuum.QUAD_EPSREL * np.abs(val)))):
-            ui, bi = float(u[i]), float(b[i])
-            fallbacks.append((-bi, bi))
-            out[live[i]], _ = reference_accept(integrate.quad(
-                lambda x: float(g(ui, x)), -bi, bi, points=[0.0],
-                epsabs=continuum.QUAD_EPSABS, epsrel=continuum.QUAD_EPSREL,
-                limit=continuum.QUAD_LIMIT, full_output=1))
-        return out.reshape(nodes.shape)
-
-    val, _ = continuum._qagp(inner, -1.0, 1.0, (-1.0 + w / 2.0, 1.0 - w / 2.0, *features))
-    return val

@@ -17,6 +17,7 @@ import pytest
 from telefock import cli, continuum, fock, noise, protocol, resources
 from telefock.cli import main
 
+import reference
 from helpers import CLI_RESOURCES, resource_id
 
 
@@ -1075,6 +1076,20 @@ def test_ground_state_reads_its_vector_once(tmp_path, capsys, monkeypatch):
     x = resources.double_well_ground_amplitudes(resources.BoseHubbardParams.from_gamma(100, 3.0))
     assert payload["fidelity"] == protocol.fidelity_closed(x, 2)
     assert payload["avg_entanglement"] == protocol.avg_entanglement_closed(x, 2)
+
+
+@pytest.mark.parametrize("gamma", [-50.0, -70.0, -100.0, -1e4])
+def test_ground_state_continuum_fidelity_of_bumps_at_the_edge(tmp_path, capsys, gamma):
+    # at nu = 1000 these bumps sit within about one width of the edge of the
+    # square, which cuts each in half; the continuum fidelity still matches
+    # the 40-digit reference
+    nu, N = 1000, 2
+    cfg = write_config(tmp_path, {"schema_version": 1, "kind": "ground-state",
+                                  "N": N, "nu": nu, "gamma": gamma})
+    assert main(["ground-state", "--config", cfg, "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)["fidelity_continuum"]
+    want, _ = reference.functionals(continuum.double_well_family(gamma).mixture_of_nu(nu), nu, N)
+    assert abs(got - want) <= 1e-13 * want
 
 
 def ground_state_config(gamma):

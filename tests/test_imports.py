@@ -92,6 +92,48 @@ def test_scipy_checker_catches_module_level_imports():
         "scipy (line 3)", "scipy.linalg (line 1)", "scipy.special (line 7)"]
 
 
+# Modules only the tests may import: the package computes in float64, and
+# `tests/reference.py`'s mpmath values stay an independent check of it.
+TEST_ONLY = ("mpmath", "reference")
+
+
+def imports_of_test_only_modules(source: str) -> list[str]:
+    """Imports anywhere in `source`, function bodies included, of a module
+    in TEST_ONLY, absolute or relative (`from . import reference` too)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + ([alias.name for alias in node.names]
+                                            if node.module is None else [])
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] in TEST_ONLY]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_package_imports_no_test_only_module(path):
+    assert imports_of_test_only_modules(path.read_text()) == []
+
+
+def test_test_only_checker_catches_each_form():
+    source = (
+        "import mpmath\n"
+        "from mpmath import mp\n"
+        "def f():\n    import mpmath.libmp\n"
+        "from . import reference\n"
+        "from .reference import band_integral\n"
+        "import referenced\n"
+        "from .fock import _reader\n"
+    )
+    assert imports_of_test_only_modules(source) == [
+        "mpmath (line 1)", "mpmath (line 2)", "reference (line 5)", "reference (line 6)",
+        "mpmath.libmp (line 4)"]
+
+
 # Where a layer module may read a dense state's `.matrix`: the four-mode
 # oracle's factors, the conditional states `average_teleported` sums, and the
 # dense noise channels.  Every other reader goes through `fock._reader`.
@@ -212,14 +254,12 @@ def test_cli_and_a_pure_sweep_load_no_scipy():
 
 
 def test_continuum_functionals_on_stock_profiles_load_no_scipy():
-    # the band integrals run on the array qagp port, the fallback of a strip
-    # that fails its first step's error test (the spike's) included
+    # the band integrals are closed forms plus a fixed rule on the edge strips
     code = (
         "import sys\n"
         "from telefock import continuum\n"
         "for prof in (continuum.flat_family(), continuum.gaussian_beta_family(0.8),\n"
         "             continuum.double_well_family(10.0), continuum.double_well_family(-2.0),\n"
-        "             continuum.factorized_gaussian_profile(0.05),\n"
         "             continuum.spike_profile(width=1e-4)):\n"
         "    for nu in (100, 10000):\n"
         "        continuum.fidelity_continuum(prof, 2, nu)\n"
