@@ -162,11 +162,13 @@ def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
 
 def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals, str | None,
                                                      float]:
-    """(resource without its `phases`, their kind or None, their slope c):
-    the phases are e^{i c k}, c = pi for `alternating`."""
+    """(resource without its phases, their kind or None, their slope c): the
+    phases are e^{i c k}, c = pi for `alternating`.  SU(2) is its real moduli
+    with the slope phi, plus the slope of its `phases`."""
     if not isinstance(spec, dict):
         raise ConfigError("resource spec must be an object")
     name = _get(spec, "name", str)
+    kind, slope = None, 0.0
     if name == "max_entangled":
         resource = resources.max_entangled_amplitudes(nu)
     elif name == "noon":
@@ -188,9 +190,10 @@ def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals
             )
         resource = resources.gaussian_amplitudes(gspec)
     elif name == "su2_coherent":
-        resource = resources.su2_coherent_amplitudes(
-            nu, _get(spec, "theta", float), _get(spec, "phi", float, required=False, default=0.0)
-        )
+        theta = _get(spec, "theta", float)
+        kind, slope = "linear", _get(spec, "phi", float, required=False, default=0.0)
+        resources._check_su2_angles(theta, slope)
+        resource = resources.su2_coherent_moduli(nu, theta)
     elif name == "double_well":
         gamma = _get(spec, "gamma", float, required=False)
         if gamma is not None:
@@ -212,26 +215,29 @@ def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals
         raise ConfigError(f"unknown resource name {name!r}")
     phase = spec.get("phases")
     if phase is None:
-        return resource, None, 0.0
+        return resource, kind, slope
     if isinstance(resource, fock.Diagonals):
         raise ConfigError(f"config key 'phases' does not apply to the {name!r} state")
-    kind = _get(phase, "kind", str)
-    if kind == "alternating":
-        return resource, kind, math.pi
+    phase_kind = _get(phase, "kind", str)
+    if phase_kind == "alternating":
+        c = math.pi
+    elif phase_kind == "linear":
+        c = _get(phase, "coefficient", float)
+    else:
+        raise ConfigError(f"unknown phase kind {phase_kind!r}")
+    if kind is None:
+        kind, slope = phase_kind, c
+    else:  # SU(2): one linear slope
+        slope += c
     if kind == "linear":
-        coefficient = _get(phase, "coefficient", float)
-        resources._check_linear_phase(coefficient, nu + 1)
-        return resource, kind, coefficient
-    raise ConfigError(f"unknown phase kind {kind!r}")
+        resources._check_linear_phase(slope, nu + 1)
+    return resource, kind, slope
 
 
 def _phased(resource, kind: str | None, slope: float):
     """The resource times its phases.  The constructors return vectors of
     their own, so the phases go on in place."""
-    if kind == "alternating":
-        # times +1 too: a complex 0 - 0i times (1 + 0i) is 0 + 0i, as in a
-        # product with the sign vector
-        np.multiply(resource[::2], 1.0, out=resource[::2])
+    if kind == "alternating":  # a real vector: times +1 leaves its bytes
         np.multiply(resource[1::2], -1.0, out=resource[1::2])
     elif kind == "linear":
         factor = resources.linear_phase(slope, resource.shape[0])
@@ -242,11 +248,10 @@ def _phased(resource, kind: str | None, slope: float):
 def _report_form(resource, kind: str | None, slope: float, N: int):
     """What `performance_report` reads of a resolved resource: a real vector
     with phases as its `protocol.phased_band`, with no phased vector formed;
-    any other resource (SU(2) amplitudes are complex before their phases)
-    as `resolve_resource` returns it."""
-    if kind is not None and not np.iscomplexobj(resource):
+    any other resource as `resolve_resource` returns it."""
+    if kind is not None:
         return protocol.phased_band(resource, slope, N)
-    return _phased(resource, kind, slope)
+    return resource
 
 
 def resolve_noise(spec: dict, nu: int | None = None):
@@ -330,7 +335,7 @@ def cmd_teleport(cfg: dict, args) -> int:
     # the report reads what a sweep row reads, taken before `alternating`
     # signs go on the vector in place
     form = _report_form(resource, kind, slope, N)
-    rho = _phased(resource, kind, slope) if isinstance(form, protocol.Band) else form
+    rho = _phased(resource, kind, slope)
 
     rows = []
     for outcome in protocol.iter_outcomes(psi, rho):

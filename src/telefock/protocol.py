@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import NumericalError, StateValidationError, UnsupportedRegimeError
 from .fock import (
@@ -33,7 +33,11 @@ from .fock import (
 )
 
 PROBABILITY_SUM_TOL = 1e-10
-_DOT_BLOCK = 1 << 16  # pairs per BLAS dot in `_shifted_dots`
+_DOT_BLOCK = 1 << 16  # pairs per BLAS dot in `_shifted_dots`, entries per Gram chunk
+# Widths W = min(N, nu) whose lags of a float64 vector `_gram_lags` reads: from
+# the measured crossover with the per-lag dots up to the cap that keeps its
+# W x 2W block at 1 MB
+_GRAM_WIDTHS = range(32, 257)
 
 
 def multiplicity(N: int, nu: int, l: int) -> int:
@@ -310,14 +314,20 @@ def _shifted_dots(x: np.ndarray, N: int) -> list[float]:
     """2 Re sum_k conj(x_k) x_{k+d} for d = 1..min(N, nu): the band sums of
     the pure state with amplitudes x (its moduli when x is |x|).
 
-    A lag of at most _DOT_BLOCK pairs is one BLAS dot; a longer one is one
-    dot per block of _DOT_BLOCK pairs, the block sums added exactly
-    (`math.fsum`), so its rounding error does not grow with nu.
+    A float64 x whose width min(N, nu) lies in _GRAM_WIDTHS reads all lags
+    at once (`_gram_lags`).  Otherwise a lag of at most _DOT_BLOCK pairs is
+    one BLAS dot, and a longer one is one dot per block of _DOT_BLOCK pairs.
+    Either way a lag's block sums are added exactly (`math.fsum`), so its
+    rounding error does not grow with nu.  The path depends on (nu, N) and
+    the dtype alone.
     """
     nu = x.shape[0] - 1
     _check_regime(N, nu)
+    width = min(N, nu)
+    if x.dtype == np.float64 and width in _GRAM_WIDTHS:
+        return _gram_lags(x, width)
     dots = []
-    for d in range(1, min(N, nu) + 1):
+    for d in range(1, width + 1):
         head, tail = x[:-d], x[d:]
         if head.shape[0] <= _DOT_BLOCK:
             dots.append(2.0 * float(np.vdot(head, tail).real))
@@ -326,6 +336,41 @@ def _shifted_dots(x: np.ndarray, N: int) -> list[float]:
                 np.vdot(head[i : i + _DOT_BLOCK], tail[i : i + _DOT_BLOCK]).real
                 for i in range(0, head.shape[0], _DOT_BLOCK)))
     return dots
+
+
+def _gram_lags(x: np.ndarray, L: int) -> list[float]:
+    """2 sum_k x_k x_{k+d} for d = 1..L of a real vector x, from two Gram
+    products per block: BLAS-3, reading x once.
+
+    Viewed as rows of L entries, a chunk of C = _DOT_BLOCK // L rows A and
+    the same rows one later, B, give H = [A^T A | A^T B] (L x 2L), and the
+    chunk's lag d is sum_a H[a, a+d]: a pair (k, k+d) lies in one row or in
+    a row and the next.  Chunks are views of x; only the ragged tail (fewer
+    than C L + L entries) is copied, zero-padded so that pairs past the end
+    add 0.  The chunks of a lag are added exactly (`math.fsum`), as the
+    per-lag dots add their blocks.
+    """
+    C = _DOT_BLOCK // L
+    rows = x.shape[0] // L
+    grid = x[: rows * L].reshape(rows, L)
+    h = np.empty((L, 2 * L))
+    # lag d of the chunk: the diagonal H[a, a+d], a = 0..L-1, as row d-1
+    lags = as_strided(h[0, 1:], shape=(L, L), strides=(h.itemsize, (2 * L + 1) * h.itemsize),
+                      writeable=False)
+
+    def chunk(a: np.ndarray, b: np.ndarray) -> list[float]:
+        np.matmul(a.T, a, out=h[:, :L])
+        np.matmul(a.T, b, out=h[:, L:])
+        return np.add.reduce(lags, axis=1).tolist()
+
+    full = (rows - 1) // C  # chunks whose rows and the row after them are in x
+    parts = [chunk(grid[i : i + C], grid[i + 1 : i + C + 1]) for i in range(0, full * C, C)]
+    start = full * C * L
+    tail_rows = -(-(x.shape[0] - start) // L)
+    tail = np.zeros((tail_rows + 1, L))
+    tail.reshape(-1)[: x.shape[0] - start] = x[start:]
+    parts.append(chunk(tail[:-1], tail[1:]))
+    return [2.0 * math.fsum(lag) for lag in zip(*parts)]
 
 
 def _band_total(values, N: int) -> float:

@@ -10,7 +10,8 @@ normalized coefficient vector; the separable Fock state is its one diagonal
 forms directly; an oracle that needs the dense state builds it with
 `ResourceState.from_amplitudes` or `Diagonals.state`.  Real families
 (uniform, N00N, Gaussian, double well) return float64 vectors; SU(2)
-coherent amplitudes are complex.
+coherent amplitudes are complex, and their moduli (`su2_coherent_moduli`)
+are the real vector that the CLI reads with a phase slope.
 """
 
 from __future__ import annotations
@@ -110,13 +111,24 @@ def su2_coherent_amplitudes(nu: int, theta: float, phi: float) -> np.ndarray:
     x_k = sqrt(binom(nu, k)) sin^k(theta/2) cos^(nu-k)(theta/2) e^(i k phi),
     so theta = 0 gives |0> (x) |nu> and theta = pi gives |nu> (x) |0>.
     """
+    _check_su2_angles(theta, phi)
+    moduli = _su2_moduli(nu, theta)  # its float temporaries are freed here
+    phase = linear_phase(phi, nu + 1)
+    return _normalize(np.multiply(moduli, phase, out=phase))
+
+
+def su2_coherent_moduli(nu: int, theta: float) -> np.ndarray:
+    """The normalized moduli |x_k| of `su2_coherent_amplitudes`: a real vector
+    whose phases e^(i k phi) act on its band (`protocol.phased_band`)."""
+    _check_su2_angles(theta)
+    return _normalize(_su2_moduli(nu, theta))
+
+
+def _check_su2_angles(theta: float, phi: float = 0.0) -> None:
     if not 0.0 <= theta <= np.pi:
         raise StateValidationError("theta must lie in [0, pi]")
     if not 0.0 <= phi < 2.0 * np.pi:
         raise StateValidationError("phi must lie in [0, 2 pi)")
-    moduli = _su2_moduli(nu, theta)  # its float temporaries are freed here
-    phase = linear_phase(phi, nu + 1)
-    return _normalize(np.multiply(moduli, phase, out=phase))
 
 
 def _su2_moduli(nu: int, theta: float) -> np.ndarray:

@@ -13,6 +13,8 @@ kernel's kink and around the Gaussian's center and the erfs' transitions,
 between which the integrand is analytic.
 
 The flat profile (width inf) has exact rational functionals, for nu >= N+1.
+The discrete SU(2) coherent state's functionals come from its exact binomial
+moduli (`su2_functionals`).
 """
 
 from fractions import Fraction
@@ -99,3 +101,34 @@ def erf_difference(x, y):
     """erf(y) - erf(x) at `DPS` digits."""
     with mp.workdps(DPS):
         return mp.erf(mp.mpf(y)) - mp.erf(mp.mpf(x))
+
+
+def su2_functionals(nu, theta, phi, N):
+    """(f, E) of the SU(2) coherent state, each an mpf at `DPS` digits.
+
+    Its moduli are the exact sqrt(binom(nu, k)) s^k c^(nu-k), s = sin(theta/2)
+    and c = cos(theta/2) of the float theta in (0, pi), by their ratios from
+    the largest one; moduli below 10^-(2 DPS) of it are dropped, as their
+    products move no digit of a lag.  The phase e^(i phi k) scales the band
+    sum of lag d by cos(phi d)."""
+    with mp.workdps(DPS):
+        s, c = mp.sin(mp.mpf(theta) / 2), mp.cos(mp.mpf(theta) / 2)
+        top = min(int(round(nu * float(s) ** 2)), nu)
+        floor = mp.mpf(10) ** (-2 * DPS)
+        moduli = {top: mp.one}
+        for step in (1, -1):
+            k, m = top, mp.one
+            while 0 <= k + step <= nu and m >= floor:
+                j = max(k, k + step)  # x_j / x_{j-1} = sqrt((nu - j + 1) / j) s / c
+                ratio = mp.sqrt(mp.mpf(nu - j + 1) / j) * s / c
+                m = m * ratio if step == 1 else m / ratio
+                k += step
+                moduli[k] = m
+        x = [moduli[k] for k in range(min(moduli), max(moduli) + 1)]
+        norm = mp.fdot(x, x)
+        lags = [mp.fdot(x[:-d], x[d:]) / norm for d in range(1, N + 1)]
+        f = 2 / mp.mpf(N + 2) + mp.fsum(
+            2 * (N + 1 - d) * mp.cos(mp.mpf(phi) * d) * lag
+            for d, lag in enumerate(lags, 1)) / ((N + 1) * (N + 2))
+        e = mp.pi / 8 * mp.fsum(2 * (N + 1 - d) * lag for d, lag in enumerate(lags, 1)) / (N + 1)
+        return f, e

@@ -251,9 +251,8 @@ PHASED_ROWS = [
     ({"name": "gaussian", "beta": 0.6, "phases": {"kind": "linear", "coefficient": -1.7}}, []),
     ({"name": "double_well", "gamma": 3.0, "phases": {"kind": "linear", "coefficient": 2.5}}, []),
     ({"name": "noon", "phases": {"kind": "alternating"}}, []),
-    # SU(2) amplitudes are complex before their phases: the band cannot hold them
-    ({"name": "su2_coherent", "theta": 1.1, "phi": 0.4, "phases": LINEAR},
-     [(0.4, 11), (0.3, 11), (0.4, 301), (0.3, 301)]),
+    # SU(2) is its real moduli with the one slope phi + 0.3 on their band
+    ({"name": "su2_coherent", "theta": 1.1, "phi": 0.4, "phases": LINEAR}, []),
 ]
 
 
@@ -273,6 +272,32 @@ def test_sweep_forms_a_phase_vector_for_complex_resources_only(tmp_path, capsys,
     for row, ref in zip(json.loads(capsys.readouterr().out), want):
         assert row["fidelity"] == pytest.approx(ref.fidelity, rel=0.0, abs=1e-14)
         assert row["avg_entanglement"] == pytest.approx(ref.avg_entanglement, rel=0.0, abs=1e-14)
+
+
+def test_an_su2_sweep_row_reads_one_real_vector(tmp_path, capsys, monkeypatch):
+    # its real moduli take one pass of lag sums, and phi acts on their band:
+    # no phase table, no complex vector and no second pass over |x|
+    calls = {"_shifted_dots": 0, "linear_phase": 0}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(protocol, "_shifted_dots")
+    spy(resources, "linear_phase")
+    resource = {"name": "su2_coherent", "theta": 1.1, "phi": 0.4}
+    cfg = write_config(tmp_path, sweep_config(N=64, nu_grid=[2 ** 12], resource=resource))
+    assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+    assert calls == {"_shifted_dots": 1, "linear_phase": 0}
+    [row] = json.loads(capsys.readouterr().out)
+    want = protocol.performance_report(resources.su2_coherent_amplitudes(2 ** 12, 1.1, 0.4), 64)
+    assert row["fidelity"] == pytest.approx(want.fidelity, rel=0.0, abs=1e-14)
+    assert row["avg_entanglement"] == pytest.approx(want.avg_entanglement, rel=0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("times", [
@@ -896,9 +921,9 @@ def _library_fidelities(amplitudes_of_nu, grid):
      lambda nu: resources.gaussian_amplitudes(
          resources.GaussianSpec(nu=nu, center=nu / 2.0, sigma=3.0))),
     ({"name": "su2_coherent", "theta": 1.1, "phi": 0.4},
-     lambda nu: resources.su2_coherent_amplitudes(nu, 1.1, 0.4)),
+     lambda nu: protocol.phased_band(resources.su2_coherent_moduli(nu, 1.1), 0.4, 2)),
     ({"name": "su2_coherent", "theta": 1.1},
-     lambda nu: resources.su2_coherent_amplitudes(nu, 1.1, 0.0)),
+     lambda nu: protocol.phased_band(resources.su2_coherent_moduli(nu, 1.1), 0.0, 2)),
     ({"name": "double_well", "gamma": 3.0, "tau": 0.5},
      lambda nu: resources.double_well_ground_amplitudes(
          resources.BoseHubbardParams.from_gamma(nu, 3.0, 0.5))),

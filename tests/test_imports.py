@@ -180,10 +180,12 @@ def test_matrix_checker_catches_a_load_outside_the_allowlist():
 
 
 # Where the package may call a vector reader: `protocol.band` alone takes a
-# vector's shifted dot products, and the norm check runs where a vector
-# enters, in `band`, `fock._reader` and `PureTwoModeState`.
+# vector's shifted dot products, `_shifted_dots` alone picks their Gram-block
+# path, and the norm check runs where a vector enters, in `band`,
+# `fock._reader` and `PureTwoModeState`.
 VECTOR_READERS = {
     "_shifted_dots": {"protocol.band"},
+    "_gram_lags": {"protocol._shifted_dots"},
     "_check_normalized": {"protocol.band", "fock._reader", "fock.PureTwoModeState.__post_init__"},
 }
 

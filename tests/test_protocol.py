@@ -4,6 +4,7 @@ performance functionals vs Monte-Carlo estimates."""
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -600,10 +601,11 @@ def test_performance_report_of_every_vector_kind_equals_the_pure_functionals():
 
 
 @pytest.mark.parametrize("nu", [2 ** 20, 10 ** 7])
-@pytest.mark.parametrize("N", [1, 64])
+@pytest.mark.parametrize("N", [1, 32, 64, 256])
 def test_uniform_fidelity_at_large_nu_matches_the_exact_rational(nu, N):
     # one BLAS dot over a whole lag drifted by up to 1.3e-12 at 1e7; blocked
-    # dots with exact block sums keep f at the rounding of its own terms
+    # dots (N = 1) and Gram blocks (N >= 32) with exact block sums keep f at
+    # the rounding of its own terms
     f = fidelity_closed_pure(resources.max_entangled_amplitudes(nu), N)
     exact = 1 - Fraction(N, 3 * (nu + 1))
     assert abs(Fraction(f) - exact) <= (1e-15 if nu == 2 ** 20 else 2e-14)
@@ -637,6 +639,40 @@ def test_shifted_dots_keep_one_dot_per_lag_up_to_the_block():
     assert short_lag == 2.0 * float(np.vdot(x[:-2], x[2:]))  # 2^16 pairs
     assert long_lag == 2.0 * math.fsum([np.vdot(x[:block], x[1 : block + 1]),
                                         x[block] * x[block + 1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(32, 256),
+    unit=st.sampled_from(["row", "chunk", "block"]),
+    multiple=st.integers(1, 3),
+    offset=st.integers(-2, 2),
+    seed=st.integers(0, 2**32 - 1),
+    signed=st.booleans(),
+)
+def test_gram_lags_match_the_dots(L, unit, multiple, offset, seed, signed):
+    # lengths straddle a multiple of a row (L), of a chunk (C L) or of 2^16
+    size = {"row": L, "chunk": protocol._DOT_BLOCK // L * L, "block": protocol._DOT_BLOCK}[unit]
+    n = max(multiple * size + offset, L + 1)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) if signed else rng.uniform(0.0, 1.0, n)
+    got = protocol._shifted_dots(x, L)
+    with mock.patch.object(protocol, "_GRAM_WIDTHS", range(0)):
+        want = protocol._shifted_dots(x, L)
+    for d, (g, w) in enumerate(zip(got, want), 1):
+        assert abs(g - w) <= 1e-13 * 2.0 * float(np.abs(x[:-d] * x[d:]).sum())
+    assert len(got) == len(want) == L
+
+
+def test_gram_lags_serve_real_vectors_from_the_crossover_to_the_cap():
+    x = resources.max_entangled_amplitudes(600)
+    calls = []
+    original = protocol._gram_lags
+    with mock.patch.object(protocol, "_gram_lags", lambda *a: calls.append(a[1]) or original(*a)):
+        for N in (16, 31, 32, 64, 256, 257, 600):
+            protocol._shifted_dots(x, N)
+        protocol._shifted_dots(x.astype(complex), 64)
+    assert calls == [32, 64, 256]
 
 
 def uniform_phased_fidelity(N: int, nu: int, c: float) -> Fraction:

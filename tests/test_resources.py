@@ -1,5 +1,6 @@
 """Resource-state constructors and their closed-form performance anchors."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,11 @@ from telefock.protocol import (
     avg_entanglement_closed,
     fidelity_closed,
     fidelity_closed_pure,
+    performance_report,
+    phased_band,
 )
 
+import reference
 from helpers import reference_occupation_peaks
 
 
@@ -412,6 +416,29 @@ def test_su2_amplitudes_match_the_three_gammaln_form():
         assert np.array_equal(resources.su2_coherent_amplitudes(nu, 1.1, 0.7), want)
 
 
+@pytest.mark.parametrize("nu", [1024, 4096])
+@pytest.mark.parametrize("N", [16, 64])
+def test_su2_moduli_with_a_phase_slope_are_as_accurate_as_the_amplitudes(nu, N):
+    # against the 40-digit band of the exact binomial moduli, the real moduli
+    # read with the slope phi (what `sweep` reads) err as the complex vector does
+    f, e = reference.su2_functionals(nu, 1.1, 0.4, N)
+    amplitudes = performance_report(resources.su2_coherent_amplitudes(nu, 1.1, 0.4), N)
+    moduli = performance_report(phased_band(resources.su2_coherent_moduli(nu, 1.1), 0.4, N), N)
+    assert abs(abs(moduli.fidelity - f) - abs(amplitudes.fidelity - f)) <= 2e-16
+    assert abs(abs(moduli.avg_entanglement - e) - abs(amplitudes.avg_entanglement - e)) <= 1e-14
+
+
+def test_su2_moduli_are_the_normalized_moduli_of_the_amplitudes():
+    for nu, theta in ((0, 0.3), (7, 0.0), (7, np.pi), (1000, 1.1)):
+        x = resources.su2_coherent_moduli(nu, theta)
+        assert x.dtype == np.float64 and x.shape == (nu + 1,)
+        np.testing.assert_allclose(x, np.abs(resources.su2_coherent_amplitudes(nu, theta, 0.7)),
+                                   rtol=1e-14, atol=1e-300)
+    for theta in (-0.1, np.pi + 1e-9, np.nan):
+        with pytest.raises(StateValidationError, match="theta"):
+            resources.su2_coherent_moduli(5, theta)
+
+
 # The constructors' expressions before they built each vector in one buffer,
 # kept verbatim as the oracle: the in-place forms must give the same bytes,
 # signed zeros included.
@@ -490,7 +517,13 @@ def test_su2_oracle_cases_hold_signed_zeros():
 ], ids=lambda phase: "-".join(str(v) for v in phase.values()))
 @pytest.mark.parametrize("nu", [1, 2, 1000, 4097])
 def test_phased_resources_keep_the_bytes_of_the_oracle(spec, phase, nu):
-    want = oracle_phases(cli.resolve_resource(spec, nu), nu, phase)
+    if spec["name"] == "su2_coherent":
+        # one phase table of the slope phi + c on the real moduli
+        c = math.pi if phase["kind"] == "alternating" else phase["coefficient"]
+        want = (resources.su2_coherent_moduli(nu, spec["theta"])
+                * resources.linear_phase(spec["phi"] + c, nu + 1))
+    else:
+        want = oracle_phases(cli.resolve_resource(spec, nu), nu, phase)
     assert same_bytes(cli.resolve_resource({**spec, "phases": phase}, nu), want)
 
 
