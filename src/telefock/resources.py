@@ -11,7 +11,12 @@ forms directly; an oracle that needs the dense state builds it with
 `ResourceState.from_amplitudes` or `Diagonals.state`.  Real families
 (uniform, N00N, Gaussian, double well) return float64 vectors; SU(2)
 coherent amplitudes are complex, and their moduli (`su2_coherent_moduli`)
-are the real vector that the CLI reads with a phase slope.
+are the real vector that the CLI reads with a phase slope.  Those moduli are
+ratio products outward from the binomial mode, in numpy alone (no log-gamma),
+and hold no subnormal entry: a modulus below 1e-300 of the peak is 0 (the
+complex vector's parts can still be subnormal where a component of its phase
+is ~1e-16, as at phi = pi/2).  Only the double well's eigensolver loads
+scipy (`scipy.linalg`), inside its constructor.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ import numpy as np
 
 from .errors import NumericalError, StateValidationError
 from .fock import Diagonals, ResourceState, _normalize, _reader
+
+_SU2_BLOCK = 4096  # levels per cumulative product in `_su2_moduli`
+_SU2_FLOOR = 1e-300  # moduli below this fraction of the peak are 0
 
 
 def max_entangled_amplitudes(nu: int) -> np.ndarray:
@@ -112,7 +120,7 @@ def su2_coherent_amplitudes(nu: int, theta: float, phi: float) -> np.ndarray:
     so theta = 0 gives |0> (x) |nu> and theta = pi gives |nu> (x) |0>.
     """
     _check_su2_angles(theta, phi)
-    moduli = _su2_moduli(nu, theta)  # its float temporaries are freed here
+    moduli = _su2_moduli(nu, theta)
     phase = linear_phase(phi, nu + 1)
     return _normalize(np.multiply(moduli, phase, out=phase))
 
@@ -132,28 +140,46 @@ def _check_su2_angles(theta: float, phi: float = 0.0) -> None:
 
 
 def _su2_moduli(nu: int, theta: float) -> np.ndarray:
-    """sqrt(binom(nu, k)) sin^k(theta/2) cos^(nu-k)(theta/2) from its log,
-    0.5 log binom(nu, k) + log_s + log_c added in that order, in three
-    float buffers."""
-    from scipy.special import gammaln
+    """sqrt(binom(nu, k)) sin^k(theta/2) cos^(nu-k)(theta/2) over its value at
+    the binomial mode, by ratio products outward from the mode.
 
-    k = np.arange(nu + 1, dtype=float)
-    term = np.add(k, 1.0)
-    log_factorial = gammaln(term, out=term)  # reversed, it is gammaln(nu - k + 1)
-    log_moduli = np.subtract(gammaln(nu + 1), log_factorial)
-    np.subtract(log_moduli, log_factorial[::-1], out=log_moduli)
-    np.multiply(log_moduli, 0.5, out=log_moduli)
-    # log_s = k log s for k > 0 and 0 at k = 0 (also where s = 0); log_c the
-    # same in nu - k, which is k reversed
-    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
-    for power, base, zero_at in ((k, s, 0), (k[::-1], c, nu)):
-        if base > 0.0:
-            np.multiply(power, np.log(base), out=term)
-        else:
-            term.fill(-np.inf)
-        term[zero_at] = 0.0
-        np.add(log_moduli, term, out=log_moduli)
-    return np.exp(log_moduli, out=log_moduli)
+    x_top = 1 at top = min(int((nu+1) s^2), nu), s = sin(theta/2), and
+    x_j / x_{j-1} = sqrt((nu-j+1)/j) q with q = tan(theta/2) = s/c: each side
+    is one cumulative product, run in blocks of `_SU2_BLOCK` levels.  Past
+    the mode the ratios are below 1, so a side stops at the first block that
+    ends below `_SU2_FLOOR` (of the peak), and moduli below it stay 0: they
+    move no digit of any lag sum.  Run to the end, the product would stick
+    at 2^-1074 once the ratios pass 1/2 and fill the tail with subnormals,
+    which slow every later pass over the vector.  theta = 0 gives q = 0 and
+    top = 0, so one Fock level.  A modulus m levels from the mode carries m
+    roundings, ~6e-14 relative at nu = 4096 (tests/test_resources.py checks
+    it against exact binomials).
+    """
+    s, q = np.sin(theta / 2.0), np.tan(theta / 2.0)
+    top = min(int((nu + 1) * s * s), nu)
+    x = np.zeros(nu + 1)
+    x[top] = 1.0
+    for side in (1, -1):
+        k = top
+        while 0 <= k + side <= nu and x[k] >= _SU2_FLOOR:
+            # ratios from x_k to the next block of levels outward: j runs over
+            # the new levels (right) or the levels above them (left)
+            if side > 0:
+                j = np.arange(k + 1, min(k + _SU2_BLOCK, nu) + 1, dtype=float)
+                r = np.sqrt((nu + 1 - j) / j) * q
+            else:
+                j = np.arange(k, max(k - _SU2_BLOCK, 0), -1, dtype=float)
+                r = np.sqrt(j / (nu + 1 - j)) / q
+            r[0] *= x[k]
+            np.multiply.accumulate(r, out=r)
+            if r[-1] < _SU2_FLOOR:  # the side's last block
+                r[r < _SU2_FLOOR] = 0.0
+            if side > 0:
+                x[k + 1:k + 1 + r.size] = r
+            else:
+                x[k - r.size:k] = r[::-1]
+            k += side * r.size
+    return x
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ between which the integrand is analytic.
 
 The flat profile (width inf) has exact rational functionals, for nu >= N+1.
 The discrete SU(2) coherent state's functionals come from its exact binomial
-moduli (`su2_functionals`).
+moduli (`su2_functionals`); `su2_moduli` gives those moduli themselves, from
+binomials and powers rather than ratios.
 """
 
 from fractions import Fraction
@@ -101,6 +102,17 @@ def erf_difference(x, y):
     """erf(y) - erf(x) at `DPS` digits."""
     with mp.workdps(DPS):
         return mp.erf(mp.mpf(y)) - mp.erf(mp.mpf(x))
+
+
+def su2_moduli(nu, theta):
+    """The exact moduli sqrt(binom(nu, k)) s^k c^(nu-k), k = 0..nu, of the SU(2)
+    coherent state at the float theta, s = sin(theta/2) and c = cos(theta/2),
+    each an mpf at `DPS` digits.  Each one is `mp.binomial` times two powers,
+    with no ratio between levels, so it shares no recurrence with the
+    package.  Their squares sum to (s^2 + c^2)^nu = 1."""
+    with mp.workdps(DPS):
+        s, c = mp.sin(mp.mpf(theta) / 2), mp.cos(mp.mpf(theta) / 2)
+        return [mp.sqrt(mp.binomial(nu, k)) * s ** k * c ** (nu - k) for k in range(nu + 1)]
 
 
 def su2_functionals(nu, theta, phi, N):

@@ -255,6 +255,31 @@ def test_cli_and_a_pure_sweep_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+SU2 = {"name": "su2_coherent", "theta": 1.1, "phi": 0.4}
+
+
+@pytest.mark.parametrize("config", [
+    {"schema_version": 1, "kind": "noise", "N": 4, "nu": 1024, "resource": SU2,
+     "noise": {"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5},
+     "times": {"start": 0.0, "stop": 0.3, "num": 13}},
+    {"schema_version": 1, "kind": "sweep", "N": 4, "nu_grid": [1000, 4096], "resource": SU2},
+], ids=["noise-dephasing", "sweep"])
+def test_su2_commands_load_no_scipy(config, tmp_path):
+    # SU(2) moduli are ratio products in numpy, with no log-gamma
+    path = tmp_path / "su2.json"
+    path.write_text(json.dumps(config))
+    code = (
+        "import contextlib, io, sys\n"
+        "from telefock.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(sys.argv[1:])\n"
+        "assert rc == 0, rc\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy'\n"
+    )
+    proc = run_python(code, config["kind"], "--config", str(path))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_continuum_functionals_on_stock_profiles_load_no_scipy():
     # the band integrals are closed forms plus a fixed rule on the edge strips
     code = (

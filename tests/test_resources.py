@@ -405,15 +405,17 @@ def test_imbalance_mean_is_summed_over_mirror_pairs():
         assert var == pytest.approx(float(z ** 2 @ w) - mean ** 2, abs=1e-15)
 
 
-def test_su2_amplitudes_match_the_three_gammaln_form():
-    for nu in (1, 7, 2 ** 12):
-        k = np.arange(nu + 1, dtype=float)
-        log_binom = gammaln(nu + 1) - gammaln(k + 1) - gammaln(nu - k + 1)
-        s, c = np.sin(0.55), np.cos(0.55)
-        moduli = np.exp(0.5 * log_binom + k * np.log(s) + (nu - k) * np.log(c))
-        want = moduli * resources.linear_phase(0.7, nu + 1)
-        want /= np.linalg.norm(want)
-        assert np.array_equal(resources.su2_coherent_amplitudes(nu, 1.1, 0.7), want)
+@pytest.mark.parametrize("nu", [1000, 4096])
+@pytest.mark.parametrize("theta", [0.3, 1.1, 2.5])
+def test_su2_moduli_match_exact_binomials(nu, theta):
+    # every modulus above 1e-250 of the peak within 2e-13 of its exact value
+    # (the log-gamma form erred by 6e-13 to 5e-12 here); the rest, dropped
+    # below 1e-300 of the peak or not, within 1e-250 of the peak
+    x = resources.su2_coherent_moduli(nu, theta)
+    exact = reference.su2_moduli(nu, theta)
+    cut = max(exact) * 1e-250
+    for k, want in enumerate(exact):
+        assert abs(float(x[k]) - want) <= (2e-13 * want if want >= cut else cut), k
 
 
 @pytest.mark.parametrize("nu", [1024, 4096])
@@ -425,7 +427,8 @@ def test_su2_moduli_with_a_phase_slope_are_as_accurate_as_the_amplitudes(nu, N):
     amplitudes = performance_report(resources.su2_coherent_amplitudes(nu, 1.1, 0.4), N)
     moduli = performance_report(phased_band(resources.su2_coherent_moduli(nu, 1.1), 0.4, N), N)
     assert abs(abs(moduli.fidelity - f) - abs(amplitudes.fidelity - f)) <= 2e-16
-    assert abs(abs(moduli.avg_entanglement - e) - abs(amplitudes.avg_entanglement - e)) <= 1e-14
+    assert abs(moduli.avg_entanglement - e) <= 3e-14
+    assert abs(amplitudes.avg_entanglement - e) <= 3e-14
 
 
 def test_su2_moduli_are_the_normalized_moduli_of_the_amplitudes():
@@ -457,13 +460,16 @@ def oracle_gaussian(spec):
 
 
 def oracle_su2(nu, theta, phi):
-    k = np.arange(nu + 1, dtype=float)
-    log_factorial = gammaln(k + 1)
-    log_binom = gammaln(nu + 1) - log_factorial - log_factorial[::-1]
-    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
-    log_s = np.where(k > 0, k * np.log(s) if s > 0.0 else -np.inf, 0.0)
-    log_c = np.where(nu - k > 0, (nu - k) * np.log(c) if c > 0.0 else -np.inf, 0.0)
-    moduli = np.exp(0.5 * log_binom + log_s + log_c)
+    # one cumulative product of ratios from the mode to each end, then the
+    # moduli below 1e-300 of the peak set to 0
+    s, q = np.sin(theta / 2.0), np.tan(theta / 2.0)
+    top = min(int((nu + 1) * s * s), nu)
+    j = np.arange(top + 1, nu + 1, dtype=float)
+    right = np.cumprod(np.sqrt((nu + 1 - j) / j) * q)
+    j = np.arange(top, 0, -1, dtype=float)
+    left = np.cumprod(np.sqrt(j / (nu + 1 - j)) / q)
+    moduli = np.concatenate((left[::-1], [1.0], right))
+    moduli[moduli < 1e-300] = 0.0
     return oracle_normalized(moduli * resources.linear_phase(phi, nu + 1))
 
 
@@ -489,12 +495,23 @@ SU2_THETAS = [0.0, np.pi, *np.random.default_rng(19).uniform(0.0, np.pi, 4)]
 SU2_PHIS = [0.0, *np.random.default_rng(20).uniform(0.0, 2.0 * np.pi, 3)]
 
 
-@pytest.mark.parametrize("nu", [0, 1, 7, 1000, 5000])
+@pytest.mark.parametrize("nu", [0, 1, 7, 1000, 5000, 2 ** 17 + 1])  # the last: several blocks a side
 @pytest.mark.parametrize("theta", SU2_THETAS)
 @pytest.mark.parametrize("phi", SU2_PHIS)
 def test_su2_amplitudes_keep_the_bytes_of_the_oracle(nu, theta, phi):
     assert same_bytes(resources.su2_coherent_amplitudes(nu, theta, phi),
                       oracle_su2(nu, theta, phi))
+
+
+@pytest.mark.parametrize("nu", [2 ** 12, 2 ** 16])
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, np.pi])
+def test_su2_vectors_hold_no_subnormal_entry(nu, theta):
+    # the log-gamma form left its underflowing tail subnormal, which slows
+    # every later pass over the vector
+    tiny = np.finfo(float).tiny
+    for x in (resources.su2_coherent_moduli(nu, theta),
+              resources.su2_coherent_amplitudes(nu, theta, 0.4).view(float)):
+        assert not np.any((x != 0.0) & (np.abs(x) < tiny))
 
 
 def test_su2_oracle_cases_hold_signed_zeros():
