@@ -236,12 +236,14 @@ def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals
 
 def _phased(resource, kind: str | None, slope: float):
     """The resource times its phases.  The constructors return vectors of
-    their own, so the phases go on in place."""
+    their own, so the phases go on in place; a linear phase leaves no part
+    below 1e-300 of the peak (`resources._flush_tiny_parts`)."""
     if kind == "alternating":  # a real vector: times +1 leaves its bytes
         np.multiply(resource[1::2], -1.0, out=resource[1::2])
     elif kind == "linear":
+        peak = max(float(resource.max()), -float(resource.min()))
         factor = resources.linear_phase(slope, resource.shape[0])
-        resource = np.multiply(resource, factor, out=factor)
+        resource = resources._flush_tiny_parts(np.multiply(resource, factor, out=factor), peak)
     return resource
 
 

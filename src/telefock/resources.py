@@ -13,9 +13,10 @@ forms directly; an oracle that needs the dense state builds it with
 coherent amplitudes are complex, and their moduli (`su2_coherent_moduli`)
 are the real vector that the CLI reads with a phase slope.  Those moduli are
 ratio products outward from the binomial mode, in numpy alone (no log-gamma),
-and hold no subnormal entry: a modulus below 1e-300 of the peak is 0 (the
-complex vector's parts can still be subnormal where a component of its phase
-is ~1e-16, as at phi = pi/2).  Only the double well's eigensolver loads
+and hold no subnormal entry: a modulus below 1e-300 of the peak is 0, and so
+is a real or imaginary part of a phased vector below 1e-300 of its peak
+(`_flush_tiny_parts`), which a component of the phase near 1e-16 (phi = pi/2)
+would otherwise leave subnormal.  Only the double well's eigensolver loads
 scipy (`scipy.linalg`), inside its constructor.
 """
 
@@ -30,7 +31,12 @@ from .errors import NumericalError, StateValidationError
 from .fock import Diagonals, ResourceState, _normalize, _reader
 
 _SU2_BLOCK = 4096  # levels per cumulative product in `_su2_moduli`
-_SU2_FLOOR = 1e-300  # moduli below this fraction of the peak are 0
+_SU2_FLOOR = 1e-300  # moduli, and parts of phased vectors, below this fraction of the peak are 0
+_FLUSH_BLOCK = 1 << 16  # float parts per mask in `_flush_tiny_parts`
+_WINDOW_MIN = 1025  # double-well sectors up to this size are solved whole
+_WINDOW_PAD = 32  # rows a window reaches past the WKB estimate of its tail
+_TAIL = 1e-25  # a window's Perron vector must end below this fraction of its peak
+_TAIL_ACTION = math.log(1.0 / _TAIL)
 
 
 def max_entangled_amplitudes(nu: int) -> np.ndarray:
@@ -122,7 +128,7 @@ def su2_coherent_amplitudes(nu: int, theta: float, phi: float) -> np.ndarray:
     _check_su2_angles(theta, phi)
     moduli = _su2_moduli(nu, theta)
     phase = linear_phase(phi, nu + 1)
-    return _normalize(np.multiply(moduli, phase, out=phase))
+    return _normalize(_flush_tiny_parts(np.multiply(moduli, phase, out=phase), 1.0))
 
 
 def su2_coherent_moduli(nu: int, theta: float) -> np.ndarray:
@@ -130,6 +136,21 @@ def su2_coherent_moduli(nu: int, theta: float) -> np.ndarray:
     whose phases e^(i k phi) act on its band (`protocol.phased_band`)."""
     _check_su2_angles(theta)
     return _normalize(_su2_moduli(nu, theta))
+
+
+def _flush_tiny_parts(z: np.ndarray, peak: float) -> np.ndarray:
+    """z, a complex vector whose moduli peak at `peak`, with every real and
+    imaginary part below `_SU2_FLOOR` of the peak made a zero of its sign,
+    in place.  Where a component of a phase e^(i c k) is ~1e-16 (c = pi/2 or
+    pi), a modulus near the floor times it would be subnormal and slow every
+    later pass; such a part moves no digit of any sum.  Blocks of
+    `_FLUSH_BLOCK` parts keep the mask small."""
+    parts = z.view(np.float64)
+    tiny = _SU2_FLOOR * peak
+    for start in range(0, parts.size, _FLUSH_BLOCK):
+        block = parts[start:start + _FLUSH_BLOCK]
+        np.multiply(block, 0.0, out=block, where=np.abs(block) < tiny)
+    return z
 
 
 def _check_su2_angles(theta: float, phi: float = 0.0) -> None:
@@ -228,7 +249,9 @@ def double_well_ground_amplitudes(params: BoseHubbardParams) -> np.ndarray:
     exactly and every x_k > 0.  For gamma < -1 the full solve would return
     an arbitrary mix of this state and its odd partner, degenerate with it
     to round-off, weighted toward one well.  At nu = 2, where gamma^2
-    overflows, the 2 x 2 sector is solved in closed form.
+    overflows, the 2 x 2 sector is solved in closed form.  A sector of more
+    than `_WINDOW_MIN` levels takes its ground energy from a window around
+    its well (`_windowed_ground`).
     """
     nu = params.nu
     if nu < 1:
@@ -239,6 +262,13 @@ def double_well_ground_amplitudes(params: BoseHubbardParams) -> np.ndarray:
     # overflow the eigensolver, which squares the hops
     diag = (params.U / params.tau) * (k * (k - 1.0) + (nu - k) * (nu - k - 1.0))
     hop = -np.sqrt((k + 1.0) * (nu - k))  # hop[k] joins k and k+1
+    bound = None
+    if half + 1 > _WINDOW_MIN and math.isfinite(diag[0]):  # the largest |entry|
+        # Gershgorin bounds d_k - |h_{k-1}| - |h_k| of the full Hamiltonian's
+        # rows k <= nu/2, in the buffer of k: hop[half] is the hop past the
+        # centre, the mirror of hop[half-1] (even nu) or the middle hop (odd)
+        bound = np.add(diag, hop, out=k)
+        bound[1:] += hop[:-1]
     if nu % 2:
         diag[-1] += hop[-1]  # k = half and k+1 = nu-half are mirror images
     else:
@@ -248,14 +278,116 @@ def double_well_ground_amplitudes(params: BoseHubbardParams) -> np.ndarray:
     else:
         from scipy.linalg import eigh_tridiagonal
 
+        window = None if bound is None else _ground_window(diag, hop[:-1], bound)
+        del k, bound  # before the eigensolver's workspace
         try:
-            _, vec = eigh_tridiagonal(diag, hop[:-1], select="i", select_range=(0, 0))
+            v = None if window is None else _windowed_ground(diag, hop[:-1], *window)
+            if v is None:
+                _, vec = eigh_tridiagonal(diag, hop[:-1], select="i", select_range=(0, 0))
+                v = vec[:, 0]
         except Exception as exc:  # pragma: no cover - backend failure path
             raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-        v = np.abs(vec[:, 0])
+        v = np.abs(v, out=v)
     if nu % 2 == 0:
         v[-1] *= np.sqrt(2.0)  # |nu/2> against the paired entries' 1/sqrt(2)
     return _normalize(np.concatenate((v, v[nu - half - 1::-1])))
+
+
+def _ground_window(d: np.ndarray, e: np.ndarray, bound: np.ndarray):
+    """(lo, hi, floor, norm) for `_windowed_ground`, or None where the window
+    spans more than two thirds of the sector and saves too little.
+
+    The window [lo, hi] of sector rows is centred on the well, the row c of
+    least Gershgorin bound floor = bound[c], and reaches `_WINDOW_PAD` rows
+    past where the WKB action from c passes ln(1/_TAIL) on each side
+    (`_reach`).  norm is the sector's ||T||_inf, summed in the buffer of
+    bound.
+    """
+    n = bound.size
+    c = int(np.argmin(bound))
+    lo = max(_reach(bound, e, c, -1) - _WINDOW_PAD, 0)
+    hi = min(_reach(bound, e, c, 1) + _WINDOW_PAD, n - 1)
+    if 3 * (hi - lo + 1) > 2 * n:
+        return None
+    floor = float(bound[c])
+    rows = np.abs(d, out=bound)
+    hops = np.abs(e)
+    rows[:-1] += hops
+    rows[1:] += hops
+    return lo, hi, floor, float(rows.max())
+
+
+def _windowed_ground(d: np.ndarray, e: np.ndarray, lo: int, hi: int, floor: float,
+                     norm: float):
+    """The sector's ground vector from the window [lo, hi], or None where the
+    whole sector must be solved as `eigh_tridiagonal` does.
+
+    The ground energy theta is the window's lowest eigenvalue (`dstebz`).
+    It stands only if the window's Perron vector is below `_TAIL` of its
+    peak at each edge inside the sector, and if one Sturm count of the whole
+    sector (`dstebz` by value, with a tolerance so wide that it only counts)
+    finds no eigenvalue in (gl, theta - delta], delta = 64 eps ||T||_inf and
+    gl below floor, the full Hamiltonian's least Gershgorin bound, which is
+    below the sector's spectrum.  So theta is then its ground energy to
+    within delta (theta cannot be below it: the window's eigenvalues
+    interlace the sector's).  The vector is one `dstein` on the whole sector
+    at theta, in the block of the splitting that holds the window's peak:
+    the call that `eigh_tridiagonal` makes after its bisection of the whole
+    sector.
+    """
+    from scipy.linalg import lapack
+
+    n = d.size
+    dw, ew = d[lo:hi + 1], e[lo:hi]
+    m, w, iblock, isplit, info = lapack.dstebz(dw, ew, 2, 0.0, 0.0, 1, 1, 0.0, b"B")
+    if info or m != 1:
+        return None
+    z, info = lapack.dstein(dw, ew, w[:1], iblock, isplit)
+    z = np.abs(z[:, 0])
+    tail = _TAIL * float(z.max())
+    if info or (lo > 0 and z[0] > tail) or (hi < n - 1 and z[-1] > tail):
+        return None
+    theta, row = float(w[0]), lo + int(np.argmax(z))
+    delta = 64.0 * np.finfo(float).eps * norm
+    gl = min(floor, theta - delta) - delta  # below both: (gl, theta - delta] is not empty
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 1, gl, theta - delta, 0, 0, 4.0 * norm, b"B")
+    del w  # n floats that `dstein` does not read
+    if info or m:
+        return None
+    nsplit = int(np.argmax(isplit == n)) + 1  # isplit[:nsplit] ends the blocks
+    iblock[0] = np.searchsorted(isplit[:nsplit], row + 1) + 1
+    z, info = lapack.dstein(d, e, np.array([theta]), iblock, isplit)
+    return None if info else z[:, 0]
+
+
+def _reach(bound: np.ndarray, e: np.ndarray, c: int, step: int) -> int:
+    """The first row from c, stepping by +1 or -1, at which the WKB action
+    from c passes ln(1/_TAIL); the sector's end, or the row two thirds of
+    the sector away from c (too wide a window), if it never does.
+
+    With the ground energy taken as bound[c], the Perron vector decays by
+    e^(-kappa_j) over row j, cosh kappa_j = 1 + (bound[j] - bound[c]) / s_j,
+    s_j = |e_{j-1}| + |e_j| (one hop at a sector end).  For a harmonic well
+    this is the Gaussian's width sqrt(2 ln(1/_TAIL)) (2|e_c| / V'')^(1/4),
+    and it follows an anharmonic well and a barrier too.  It sums blocks of
+    rows, each four times the last, so it reads the window and not the
+    sector.
+    """
+    n = bound.size
+    end = min(c + 2 * n // 3, n - 1) if step > 0 else max(c - 2 * n // 3, 0)
+    action, k, size = 0.0, c, 1024
+    while k != end:
+        stop = min(k + size, end) if step > 0 else max(k - size, end)
+        j = np.arange(k + step, stop + step, step)
+        s = np.abs(e[np.maximum(j - 1, 0)]) + np.abs(e[np.minimum(j, n - 2)])
+        s[(j == 0) | (j == n - 1)] *= 0.5
+        kappa = np.arccosh(1.0 + (bound[j] - bound[c]) / s)
+        total = action + np.cumsum(kappa)
+        i = int(np.searchsorted(total, _TAIL_ACTION))
+        if i < j.size:
+            return int(j[i])
+        action, k, size = float(total[-1]), stop, 4 * size
+    return end
 
 
 def _even_pair_ground(gamma: float) -> np.ndarray:

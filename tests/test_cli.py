@@ -801,14 +801,20 @@ def test_phases_on_a_state_resource_exits_2(tmp_path, capsys, resource):
 
 
 # runs one CLI command and reports its own exit code, wall time and peak RSS
+# The child's own peak is VmHWM: its ru_maxrss can carry the peak of the
+# process that started it (the pytest process, across vfork and exec).
 MEASURED_RUN = """
 import json, resource, sys, time
 from telefock.cli import main
 start = time.perf_counter()
 rc = main(sys.argv[1:])
 wall = time.perf_counter() - start
-rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"rc": rc, "wall_s": wall, "rss_mb": rss_mb}), file=sys.stderr)
+try:
+    with open("/proc/self/status") as fh:
+        rss_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"rc": rc, "wall_s": wall, "rss_mb": rss_kb / 1024.0}), file=sys.stderr)
 """
 MILLION = 10 ** 6
 

@@ -388,6 +388,97 @@ def test_repulsive_ground_state_is_mirrored_with_a_small_residual(gamma, nu):
     assert relative_residual(params, x) <= 1e-10
 
 
+def whole_sector_ground(params):
+    """The ground state from one `eigh_tridiagonal(select="i")` call on the
+    whole even sector, mirrored and normalized as the constructor does."""
+    from scipy.linalg import eigh_tridiagonal
+
+    nu, half = params.nu, params.nu // 2
+    k = np.arange(half + 1, dtype=float)
+    diag = (params.U / params.tau) * (k * (k - 1.0) + (nu - k) * (nu - k - 1.0))
+    hop = -np.sqrt((k + 1.0) * (nu - k))
+    if nu % 2:
+        diag[-1] += hop[-1]
+    else:
+        hop[-2] *= np.sqrt(2.0)
+    _, vec = eigh_tridiagonal(diag, hop[:-1], select="i", select_range=(0, 0))
+    v = np.abs(vec[:, 0])
+    if nu % 2 == 0:
+        v[-1] *= np.sqrt(2.0)
+    x = np.concatenate((v, v[nu - half - 1::-1]))
+    return x / np.linalg.norm(x)
+
+
+WINDOW_GAMMAS = [-1e170, -1e100, -1e12, -1e4, -70.0, -4.0, -2.0, -1.5, -1.1, -1.0, -0.9,
+                 0.0, 1.0, 5.0, 10.0, 1e3, 1e12, 1e300]
+
+
+@pytest.mark.parametrize("gamma", WINDOW_GAMMAS)
+@pytest.mark.parametrize("nu", [2050, 3001, 4096, 4097, 8193, 2 ** 16 + 1])
+def test_windowed_ground_state_matches_the_whole_sector(nu, gamma):
+    # sectors above 1025 levels take the ground energy from a window around
+    # the well; the vector, f and E stay those of the whole-sector solve
+    params = resources.BoseHubbardParams.from_gamma(nu, gamma)
+    x = resources.double_well_ground_amplitudes(params)
+    want = whole_sector_ground(params)
+    assert np.all(np.isfinite(x)) and np.array_equal(x, x[::-1])
+    assert np.max(np.abs(x - want)) <= 1e-13
+    for N in (1, 4, 64):
+        for functional in (fidelity_closed, avg_entanglement_closed):
+            got, exact = functional(x, N), functional(want, N)
+            assert abs(got - exact) <= 1e-14 * abs(exact), (N, functional.__name__)
+
+
+def lapack_spy(monkeypatch):
+    """The (range, m) of each `dstebz` call made through `scipy.linalg.lapack`
+    (`eigh_tridiagonal` reaches LAPACK by its own route)."""
+    from scipy.linalg import lapack
+
+    calls, dstebz = [], lapack.dstebz
+
+    def spy(d, e, rng, *args):
+        out = dstebz(d, e, rng, *args)
+        calls.append((rng, int(out[0])))
+        return out
+
+    monkeypatch.setattr(lapack, "dstebz", spy)
+    return calls
+
+
+@pytest.mark.parametrize("nu, gamma", [(8193, 5.0), (8192, -4.0), (2 ** 16 + 1, -2.0)])
+def test_sturm_count_rejects_a_window_off_the_well(monkeypatch, nu, gamma):
+    params = resources.BoseHubbardParams.from_gamma(nu, gamma)
+    calls = lapack_spy(monkeypatch)
+    resources.double_well_ground_amplitudes(params)
+    assert calls[-1] == (1, 0)  # the certificate held on the true window
+
+    window = resources._ground_window
+
+    def off_the_well(d, e, bound):
+        # as wide as the true window, at the far end of the sector from it
+        lo, hi, floor, norm = window(d, e, bound)
+        width = hi - lo
+        lo = d.size - 1 - width if lo < d.size - 1 - hi else 0
+        return lo, lo + width, floor, norm
+
+    monkeypatch.setattr(resources, "_ground_window", off_the_well)
+    monkeypatch.setattr(resources, "_TAIL", 1.0)  # no edge test: the count alone decides
+    calls.clear()
+    x = resources.double_well_ground_amplitudes(params)
+    assert calls[-1][0] == 1 and calls[-1][1] > 0  # eigenvalues below the window's
+    assert x.tobytes() == whole_sector_ground(params).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [-1e100, -4.0, -1.1, 0.0, 5.0, 1e300])
+@pytest.mark.parametrize("nu", [3, 8, 400, 1000, 2048, 2049])
+def test_sectors_up_to_1025_levels_keep_the_whole_sector_bytes(monkeypatch, nu, gamma):
+    params = resources.BoseHubbardParams.from_gamma(nu, gamma)
+    calls = lapack_spy(monkeypatch)
+    x = resources.double_well_ground_amplitudes(params)
+    assert calls == []
+    assert x.tobytes() == whole_sector_ground(params).tobytes()
+
+
 def test_imbalance_mean_is_summed_over_mirror_pairs():
     # exactly 0 on any mirror-symmetric population vector, and the plain
     # mean to rounding on an asymmetric one
@@ -470,7 +561,14 @@ def oracle_su2(nu, theta, phi):
     left = np.cumprod(np.sqrt(j / (nu + 1 - j)) / q)
     moduli = np.concatenate((left[::-1], [1.0], right))
     moduli[moduli < 1e-300] = 0.0
-    return oracle_normalized(moduli * resources.linear_phase(phi, nu + 1))
+    return oracle_normalized(oracle_flushed(moduli * resources.linear_phase(phi, nu + 1), 1.0))
+
+
+def oracle_flushed(z, peak):
+    # each real and imaginary part below 1e-300 of the peak made a zero of its sign
+    parts = z.view(float)
+    parts[np.abs(parts) < 1e-300 * peak] *= 0.0
+    return z
 
 
 def oracle_phases(resource, nu, phase):
@@ -514,6 +612,20 @@ def test_su2_vectors_hold_no_subnormal_entry(nu, theta):
         assert not np.any((x != 0.0) & (np.abs(x) < tiny))
 
 
+@pytest.mark.parametrize("theta", [1.0, 1.1])
+def test_phased_su2_vectors_hold_no_subnormal_part(theta):
+    # a modulus near the 1e-300 floor times a phase component ~1e-16 (phi =
+    # pi/2 or pi, or an alternating phase on phi = 0) once left ~100 of them
+    nu, tiny = 2 ** 16, np.finfo(float).tiny
+    spec = {"name": "su2_coherent", "theta": theta}
+    for z in (resources.su2_coherent_amplitudes(nu, theta, np.pi / 2),
+              resources.su2_coherent_amplitudes(nu, theta, np.pi),
+              cli.resolve_resource({**spec, "phi": np.pi / 2}, nu),
+              cli.resolve_resource({**spec, "phases": {"kind": "alternating"}}, nu)):
+        parts = z.view(float)
+        assert not np.any((parts != 0.0) & (np.abs(parts) < tiny))
+
+
 def test_su2_oracle_cases_hold_signed_zeros():
     # the byte comparison above sees the signs of underflowed entries
     x = resources.su2_coherent_amplitudes(5000, 0.3, 2.0).view(float)
@@ -537,8 +649,9 @@ def test_phased_resources_keep_the_bytes_of_the_oracle(spec, phase, nu):
     if spec["name"] == "su2_coherent":
         # one phase table of the slope phi + c on the real moduli
         c = math.pi if phase["kind"] == "alternating" else phase["coefficient"]
-        want = (resources.su2_coherent_moduli(nu, spec["theta"])
-                * resources.linear_phase(spec["phi"] + c, nu + 1))
+        moduli = resources.su2_coherent_moduli(nu, spec["theta"])
+        want = oracle_flushed(moduli * resources.linear_phase(spec["phi"] + c, nu + 1),
+                              moduli.max())
     else:
         want = oracle_phases(cli.resolve_resource(spec, nu), nu, phase)
     assert same_bytes(cli.resolve_resource({**spec, "phases": phase}, nu), want)
