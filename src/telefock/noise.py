@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,18 +27,6 @@ from .errors import (
 )
 from .fock import Diagonals, ResourceState, _reader, dense_state
 from .protocol import Band, band, band_of_diagonals, fidelity_closed, separable_fidelity
-
-
-def __getattr__(name: str):
-    """Load scipy's `solve_ivp` at first use and keep it as the module
-    attribute `solve_ivp`, which `particle_loss_lindblad` calls; rebinding
-    that attribute rebinds the integrator (PEP 562)."""
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
-
-        globals()[name] = solve_ivp
-        return solve_ivp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +379,83 @@ def _loss_generator(spec: LossSpec, nu: int):
     return csr_matrix(entries, shape=(size, size))
 
 
+# The Dormand-Prince 5(4) pair as scipy's `RK45` holds it: nodes, stage
+# coefficients, fifth-order weights and the weights of the error estimate.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+
+
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> SimpleNamespace:
+    """Integrate y' = fun(t, y) over t_span = (t0, t1), t0 <= t1, step for
+    step as scipy's `solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol)`.
+
+    That is its RK45 (Dormand and Prince 1980; Hairer, Norsett and Wanner,
+    Solving ODEs I, sec. II.4) in scipy's operation order: the same first
+    step (`select_initial_step`), stage dot products and RMS error norm,
+    step factors 0.9 err^(-1/5) within [0.2, 10] (at most 1 right after a
+    rejection), the floor of 10 spacings of t and the clamp at t1.  So it
+    returns the same bits.  The result holds the final state as y[:, -1],
+    `success`, `message` and `nfev`; only the final state is kept.
+    """
+    t, t_bound = map(float, t_span)
+    if t_bound < t:
+        raise ValueError(f"solve_ivp integrates forward only: t_span = {t_span!r}")
+    nfev = 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        return fun(t, y)
+
+    def rms(x):
+        return np.linalg.norm(x) / x.size ** 0.5
+
+    y = np.asarray(y0, dtype=float)
+    f = rhs(t, y)
+    if t < t_bound:  # scipy's `select_initial_step` for an error of order 4
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = rms(y / scale), rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
+        d2 = rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+        h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+        h_abs = min(100 * h0, h1, t_bound - t)
+    K = np.empty((7, y.size))
+    while t < t_bound:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                return SimpleNamespace(y=y[:, None], success=False, nfev=nfev, message=(
+                    "Required step size is less than spacing between numbers."))
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = rhs(t + _DP_C[s] * h, y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            f_new = K[6] = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = rms(np.dot(K.T, _DP_E) * h / scale)
+            factor = 10 if error_norm == 0 else 0.9 * error_norm ** -0.2
+            if error_norm < 1:
+                h_abs *= min(1 if rejected else 10, factor)
+                break
+            h_abs *= max(0.2, factor)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return SimpleNamespace(y=y[:, None], success=True, nfev=nfev, message=(
+        "The solver successfully reached the end of the integration interval."))
+
+
 def particle_loss_lindblad(rho: ResourceState, spec: LossSpec, t: float) -> LossResult:
     """Direct integration of the loss master equation.
 
@@ -397,8 +463,9 @@ def particle_loss_lindblad(rho: ResourceState, spec: LossSpec, t: float) -> Loss
     anticommutator acts within each block, the jump term feeds block b from
     block b + m + n.  It is constant in time, so it is assembled once as a
     sparse matrix (`_loss_generator`) and each right-hand side is one
-    mat-vec.  Adaptive embedded Runge-Kutta, no trace renormalization
-    (trace drift is a diagnostic, not something to hide).
+    mat-vec.  Adaptive embedded Runge-Kutta (the module's `solve_ivp`, read
+    at call time), no trace renormalization (trace drift is a diagnostic,
+    not something to hide).
     """
     if t < 0.0:
         raise StateValidationError("time must be nonnegative")
@@ -407,13 +474,12 @@ def particle_loss_lindblad(rho: ResourceState, spec: LossSpec, t: float) -> Loss
     y = np.zeros(int(offsets[-1]), dtype=complex)
     y[offsets[nu] :] = rho.matrix.reshape(-1)
     if t > 0.0:
-        solve_ivp = globals().get("solve_ivp") or __getattr__("solve_ivp")
         generator = _loss_generator(spec, nu)
 
         def rhs(_t: float, yflat: np.ndarray) -> np.ndarray:
             return (generator @ yflat.view(complex)).view(float)
 
-        sol = solve_ivp(rhs, (0.0, t), y.view(float), method="RK45", rtol=1e-10, atol=1e-12)
+        sol = solve_ivp(rhs, (0.0, t), y.view(float), rtol=1e-10, atol=1e-12)
         if not sol.success:
             raise NumericalError(f"loss integrator failed: {sol.message}")
         y = sol.y[:, -1].copy().view(complex)

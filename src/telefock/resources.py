@@ -216,9 +216,11 @@ class BoseHubbardParams:
             raise StateValidationError("tunnelling amplitude tau must be positive")
         if not np.isfinite(self.gamma):
             raise StateValidationError("gamma = nu U / tau must be finite")
-        # the largest diagonal entry and twice the largest hop of the Hamiltonian
-        nu, U, tau = int(self.nu), float(self.U), float(self.tau)
-        if not math.isfinite(abs(U) * nu * (nu - 1) + tau * (nu + 1)):
+        # the solve builds H / tau: a bound on its row sums |d_k| + |e_{k-1}| + |e_k|,
+        # and on 4 times that, the tolerance of a window's Sturm count (`_windowed_ground`)
+        nu = int(self.nu)
+        norm = abs(float(self.U) / float(self.tau)) * nu * (nu - 1) + 2 * (nu + 1)
+        if not math.isfinite(norm * (4.0 if nu // 2 + 1 > _WINDOW_MIN else 1.0)):
             raise StateValidationError(
                 f"gamma = {self.gamma!r} (U = {self.U!r}, tau = {self.tau!r}) puts the "
                 f"Hamiltonian's entries beyond the floats for nu = {self.nu}")

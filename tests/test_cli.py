@@ -754,6 +754,44 @@ def test_double_well_with_a_huge_tau_solves_in_gamma(tmp_path, capsys, resource)
         assert g["avg_entanglement"] == pytest.approx(w["avg_entanglement"], abs=1e-12)
 
 
+# (U, tau, nu, exit code): the solve builds H / tau, whose row sums reach
+# |U / tau| nu (nu-1) + 2 (nu+1); a sector of more than 1025 levels also
+# needs 4 times that for its window's Sturm count
+EXTREME_DOUBLE_WELLS = [
+    (1e283, 1e-20, 10000, 2),  # (U / tau) nu (nu-1) = 1e311 once overflowed and exited 3
+    (-1e283, 1e-20, 10000, 2),
+    (1e283, 1e-20, 3, 0),
+    (1e308 / (4097 * 4096), 1.0, 4097, 2),  # row sums below the floats, 4 times them not
+    (4e307 / (4097 * 4096), 1.0, 4097, 0),
+    (-4e307 / (4097 * 4096), 1.0, 4097, 0),
+    (1.7e308 / (1000 * 999), 1.0, 1000, 0),  # whole sector: no Sturm count
+    (8.5e307, 1.0, 2, 0),  # gamma = 1.7e308, in closed form
+    (1e-300, 5e-324, 10000, 0),
+    (-1e-320, 1e-10, 10000, 0),
+    (1e-308, 1e308, 10000, 0),
+    (1.0, 5e-324, 10, 2),  # U / tau overflows
+    (1e308, 1e308, 10000, 2),  # nu U overflows in gamma
+    (1.7e308, 1e-300, 1, 2),
+]
+
+
+@pytest.mark.parametrize("U, tau, nu, code", EXTREME_DOUBLE_WELLS,
+                         ids=[f"U={U:.3g}-tau={tau:.3g}-nu={nu}" for U, tau, nu, _ in EXTREME_DOUBLE_WELLS])
+def test_extreme_double_well_pairs_solve_or_exit_2_without_a_warning(tmp_path, capsys, U, tau, nu, code):
+    resource = {"name": "double_well", "U": U, "tau": tau}
+    path = write_config(tmp_path, sweep_config(N=2, nu_grid=[nu], resource=resource))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "--config", path, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == code, err
+    if code == 0:
+        [row] = json.loads(out)
+        assert all(math.isfinite(row[c]) for c in ("fidelity", "avg_entanglement"))
+    else:
+        assert out == "" and err.startswith("config error:") and len(err.strip().splitlines()) == 1
+
+
 def test_ground_state_reads_the_populations_once(capsys, monkeypatch):
     # one norm check in `band` for f and E, one in the reader of the
     # populations that the moments and the peaks share

@@ -1,9 +1,8 @@
 """Import layout of the package: every module-level import is used, scipy
-is imported only inside the functions that call it, and the scipy entry
-point an outside tracer rebinds (`noise.solve_ivp`) is looked up at call
-time.  Only the oracles and the dense channels read a dense state's
-matrix, and only `protocol.band` takes a vector's band.  The lints are
-stdlib-only."""
+is imported only inside the functions that call it, and the integrator an
+outside tracer rebinds (`noise.solve_ivp`) is looked up at call time.  Only
+the oracles and the dense channels read a dense state's matrix, and only
+`protocol.band` takes a vector's band.  The lints are stdlib-only."""
 
 import ast
 import json
@@ -297,19 +296,37 @@ def test_continuum_functionals_on_stock_profiles_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_noise_solve_ivp_resolves_before_other_scipy_use():
+def test_noise_solve_ivp_is_the_port_and_noise_loads_no_scipy():
+    # the RK45 port; tests/test_rk45.py pins it to scipy's bit for bit
     code = (
         "import sys\n"
         "from telefock import noise\n"
-        "assert 'scipy' not in sys.modules\n"
-        "import scipy.integrate\n"
-        "assert noise.solve_ivp is scipy.integrate.solve_ivp\n"
-        "assert vars(noise)['solve_ivp'] is scipy.integrate.solve_ivp\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'import'\n"
+        "assert vars(noise)['solve_ivp'].__module__ == 'telefock.noise'\n"
     )
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     with pytest.raises(AttributeError, match="no_such_name"):
         noise.no_such_name
+
+
+def test_selftest_and_the_lindblad_oracle_load_no_scipy_integrate():
+    # the loss generator is a scipy.sparse matrix; the integrator is the port
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy as np\n"
+        "from telefock import fock, noise\n"
+        "from telefock.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['selftest'])\n"
+        "assert rc == 0, rc\n"
+        "rho = fock.ResourceState.from_amplitudes(np.full(5, 5 ** -0.5))\n"
+        "noise.particle_loss_lindblad(rho, noise.two_particle_loss_spec(0.3, 0.2, 0.1, 0.1, 0.05, 0.4), 0.4)\n"
+        "loaded = [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def counting(fn, calls):
