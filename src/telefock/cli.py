@@ -155,9 +155,27 @@ def _nu_grid(cfg: dict) -> list[int]:
     return grid
 
 
+def _check_keys(spec: dict, keys: dict, section: str) -> str:
+    """The spec's `name`, once every other key of the spec is among its `keys`."""
+    name = _get(spec, "name", str)
+    if name not in keys:
+        raise ConfigError(f"unknown {section} name {name!r}")
+    unknown = [key for key in spec if key not in ("name", *keys[name])]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} in a {name!r} {section}")
+    return name
+
+
 def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
     """The amplitude vector of a pure family, or the diagonals of a mixed one."""
     return _phased(*_unphased_resource(spec, nu))
+
+
+# the keys each resource reads besides `name`; `phases` goes on vectors only
+RESOURCE_KEYS = {"max_entangled": ("phases",), "noon": ("phases",), "fock_separable": ("k",),
+                 "gaussian": ("beta", "sigma", "center", "phases"),
+                 "su2_coherent": ("theta", "phi", "phases"),
+                 "double_well": ("gamma", "tau", "U", "phases"), "four_coherence": tuple("abcdxy")}
 
 
 def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals, str | None,
@@ -167,7 +185,7 @@ def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals
     with the slope phi, plus the slope of its `phases`."""
     if not isinstance(spec, dict):
         raise ConfigError("resource spec must be an object")
-    name = _get(spec, "name", str)
+    name = _check_keys(spec, RESOURCE_KEYS, "resource")
     kind, slope = None, 0.0
     if name == "max_entangled":
         resource = resources.max_entangled_amplitudes(nu)
@@ -205,19 +223,15 @@ def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals
                 nu=nu, tau=_get(spec, "tau", float), U=_get(spec, "U", float)
             )
         resource = resources.double_well_ground_amplitudes(params)
-    elif name == "four_coherence":
+    else:  # four_coherence
         resource = noise.four_coherence_diagonals(
             _get(spec, "a", float), _get(spec, "b", float),
             _get(spec, "c", float), _get(spec, "d", float),
             _get(spec, "x", float), _get(spec, "y", float), nu,
         )
-    else:
-        raise ConfigError(f"unknown resource name {name!r}")
     phase = spec.get("phases")
     if phase is None:
         return resource, kind, slope
-    if isinstance(resource, fock.Diagonals):
-        raise ConfigError(f"config key 'phases' does not apply to the {name!r} state")
     phase_kind = _get(phase, "kind", str)
     if phase_kind == "alternating":
         c = math.pi
@@ -293,8 +307,13 @@ def _time_grid(cfg: dict) -> np.ndarray:
     raise ConfigError("missing or malformed 'times'")
 
 
+# the keys each `converge` family reads besides `name`
+FAMILY_KEYS = {"flat": (), "gaussian": ("beta",), "noon": (), "fock": (),
+               "double_well": ("gamma",)}
+
+
 def resolve_family(spec: dict) -> continuum.ContinuumProfile:
-    name = _get(spec, "name", str)
+    name = _check_keys(spec, FAMILY_KEYS, "family")
     if name == "flat":
         return continuum.flat_family()
     if name == "gaussian":
@@ -303,9 +322,7 @@ def resolve_family(spec: dict) -> continuum.ContinuumProfile:
         return continuum.discrete_only_family(resources.noon_amplitudes)
     if name == "fock":
         return continuum.discrete_only_family(lambda nu: np.arange(nu + 1) == nu)
-    if name == "double_well":
-        return continuum.double_well_family(_get(spec, "gamma", float))
-    raise ConfigError(f"unknown family name {name!r}")
+    return continuum.double_well_family(_get(spec, "gamma", float))
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ class BoseHubbardParams:
 
     @property
     def gamma(self) -> float:
-        return self.nu * self.U / self.tau
+        return self.nu * (self.U / self.tau)
 
     @classmethod
     def from_gamma(cls, nu: int, gamma: float, tau: float = 1.0) -> "BoseHubbardParams":

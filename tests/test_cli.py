@@ -202,6 +202,64 @@ def test_readme_synopsis_lists_each_subcommand_option(tmp_path, capsys):
     assert exc.value.code == 2 and "--threads" in capsys.readouterr().err
 
 
+def readme_key_lists(section: str) -> dict[str, set[str]]:
+    """name -> keys, from README's list of the keys of a `resource` or `family` section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split(f"* `{section}`", 1)[1].split("\n\n", 1)[0].split("\n* ", 1)[0]
+    keys = {}
+    for item in block.split("\n  * ")[1:]:
+        names, body = item.split(":", 1)
+        keys.update(dict.fromkeys(re.findall(r"`(\w+)`", names), set(re.findall(r"`(\w+)`", body))))
+    return keys
+
+
+@pytest.mark.parametrize("section, keys", [("resource", cli.RESOURCE_KEYS),
+                                           ("family", cli.FAMILY_KEYS)])
+def test_readme_lists_the_keys_of_each_resource_and_family(section, keys):
+    # `phases`, which README names once for every vector resource, aside
+    assert readme_key_lists(section) == {name: set(k) - {"phases"} for name, k in keys.items()}
+
+
+def test_cli_resources_name_each_resource_and_phases_go_on_vectors_only():
+    assert sorted({spec["name"] for spec in CLI_RESOURCES}) == sorted(cli.RESOURCE_KEYS)
+    for spec in CLI_RESOURCES:
+        unphased = {key: value for key, value in spec.items() if key != "phases"}
+        vector = isinstance(cli.resolve_resource(unphased, 6), np.ndarray)
+        assert ("phases" in cli.RESOURCE_KEYS[spec["name"]]) == vector, spec
+
+
+# each resource and each family with one misspelt key
+MISSPELT = [
+    ("resource", {"name": "max_entangled", "phase": {"kind": "alternating"}}, "phase"),
+    ("resource", {"name": "noon", "phase": {"kind": "alternating"}}, "phase"),
+    ("resource", {"name": "fock_separable", "n": 2}, "n"),
+    ("resource", {"name": "gaussian", "centre": 5.0, "sigma": 3.0}, "centre"),
+    ("resource", {"name": "su2_coherent", "theta": 1.1, "Phi": 0.4}, "Phi"),
+    ("resource", {"name": "double_well", "gama": 3.0}, "gama"),
+    ("resource", {"name": "four_coherence", "a": 0.35, "b": 0.15, "c": 0.15, "d": 0.35,
+                  "x": -0.1, "z": 0.3}, "z"),
+    ("family", {"name": "flat", "beta": 0.5}, "beta"),
+    ("family", {"name": "gaussian", "betta": 0.75}, "betta"),
+    ("family", {"name": "noon", "phases": {"kind": "alternating"}}, "phases"),
+    ("family", {"name": "fock", "k": 2}, "k"),
+    ("family", {"name": "double_well", "gamma": 3.0, "tau": 0.5}, "tau"),
+]
+
+
+@pytest.mark.parametrize("section, spec, key", MISSPELT,
+                         ids=[f"{section}-{spec['name']}-{key}" for section, spec, key in MISSPELT])
+def test_a_misspelt_resource_or_family_key_exits_2_naming_it(tmp_path, capsys, section, spec, key):
+    if section == "resource":
+        kind, cfg = "sweep", sweep_config(N=2, nu_grid=[10], resource=spec)
+    else:
+        kind, cfg = "converge", {"schema_version": 1, "kind": "converge", "N": 2,
+                                 "nu_grid": [20, 40, 80], "family": spec}
+    assert main([kind, "--config", write_config(tmp_path, cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert repr(key) in err
+
+
 def test_consecutive_calls_share_no_options(tmp_path):
     cfg = write_config(tmp_path, sweep_config(nu_grid=[10, 20]))
     timed, plain = tmp_path / "timed.json", tmp_path / "plain.csv"
@@ -770,7 +828,7 @@ EXTREME_DOUBLE_WELLS = [
     (-1e-320, 1e-10, 10000, 0),
     (1e-308, 1e308, 10000, 0),
     (1.0, 5e-324, 10, 2),  # U / tau overflows
-    (1e308, 1e308, 10000, 2),  # nu U overflows in gamma
+    (1e308, 1e308, 10000, 0),  # gamma = nu (U / tau) = 1e4; nu U once overflowed and exited 2
     (1.7e308, 1e-300, 1, 2),
 ]
 
