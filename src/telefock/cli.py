@@ -31,6 +31,12 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 
+# the top-level keys each subcommand reads besides `schema_version` and `kind`
+CONFIG_KEYS = {"teleport": ("N", "nu", "resource", "psi"), "sweep": ("N", "nu_grid", "resource"),
+               "noise": ("N", "nu", "resource", "noise", "times", "weights"),
+               "converge": ("N", "nu_grid", "family", "superposition", "noise", "time_rule"),
+               "ground-state": ("N", "nu", "gamma")}
+
 SWEEP_COLUMNS = ("nu", "N", "fidelity", "avg_entanglement", "f_sep",
                  "triangle_slack", "wall_time_s")
 NOISE_COLUMNS = ("t", "N", "fidelity", "avg_entanglement", "f_sep",
@@ -155,15 +161,23 @@ def _nu_grid(cfg: dict) -> list[int]:
     return grid
 
 
-def _check_keys(spec: dict, keys: dict, section: str) -> str:
-    """The spec's `name`, once every other key of the spec is among its `keys`."""
-    name = _get(spec, "name", str)
+def _check_keys(spec: dict, keys: dict, section: str, tag: str = "name") -> str:
+    """The spec's `tag` (its `name` or `kind`), once every other key of the
+    spec is among the `keys` of that name."""
+    name = _get(spec, tag, str)
     if name not in keys:
-        raise ConfigError(f"unknown {section} name {name!r}")
-    unknown = [key for key in spec if key not in ("name", *keys[name])]
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r} in a {name!r} {section}")
+        raise ConfigError(f"unknown {section} {tag} {name!r}")
+    _only_keys(spec, (tag, *keys[name]), f"a {name!r} {section}")
     return name
+
+
+def _only_keys(spec: dict, keys, where: str) -> None:
+    """Raise unless spec, the section named by `where`, is an object of `keys` alone."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object, got {type(spec).__name__}")
+    unknown = [key for key in spec if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} in {where}")
 
 
 def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
@@ -232,13 +246,9 @@ def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals
     phase = spec.get("phases")
     if phase is None:
         return resource, kind, slope
-    phase_kind = _get(phase, "kind", str)
-    if phase_kind == "alternating":
-        c = math.pi
-    elif phase_kind == "linear":
-        c = _get(phase, "coefficient", float)
-    else:
-        raise ConfigError(f"unknown phase kind {phase_kind!r}")
+    phase_kind = _check_keys(phase, {"alternating": (), "linear": ("coefficient",)},
+                             "phase", "kind")
+    c = math.pi if phase_kind == "alternating" else _get(phase, "coefficient", float)
     if kind is None:
         kind, slope = phase_kind, c
     else:  # SU(2): one linear slope
@@ -270,28 +280,30 @@ def _report_form(resource, kind: str | None, slope: float, N: int):
     return resource
 
 
+# the keys each noise section reads besides `kind`; `s` is refused below
+NOISE_KEYS = {"dephasing": ("lambda3", "lambda4"), "loss": ("channels",),
+              "mixing": ("undesired", "s")}
+
+
 def resolve_noise(spec: dict, nu: int | None = None):
-    kind = _get(spec, "kind", str)
+    kind = _check_keys(spec, NOISE_KEYS, "noise", "kind")
     if kind == "dephasing":
         return noise.DephasingSpec(
             _get(spec, "lambda3", float), _get(spec, "lambda4", float), t=0.0
         )
     if kind == "loss":
-        channels = _get(spec, "channels", list)
-        parsed = tuple(
-            noise.LossChannel(_get(ch, "rate", float), _get(ch, "m", int),
-                              _get(ch, "n", int))
-            for ch in channels
-        )
-        return noise.LossSpec(parsed, t=0.0)
-    if kind == "mixing":
-        if nu is None:
-            raise ConfigError("mixing channel needs a fixed nu")
-        if "s" in spec:
-            raise ConfigError("mixing noise takes no 's' key: the scan runs over 'weights'")
-        undesired = resolve_resource(_get(spec, "undesired", dict), nu)
-        return noise.MixingSpec(undesired, 0.0)
-    raise ConfigError(f"unknown noise kind {kind!r}")
+        channels = []
+        for ch in _get(spec, "channels", list):
+            _only_keys(ch, ("rate", "m", "n"), "a loss channel")
+            channels.append(noise.LossChannel(_get(ch, "rate", float), _get(ch, "m", int),
+                                              _get(ch, "n", int)))
+        return noise.LossSpec(tuple(channels), t=0.0)
+    if nu is None:
+        raise ConfigError("mixing channel needs a fixed nu")
+    if "s" in spec:
+        raise ConfigError("mixing noise takes no 's' key: the scan runs over 'weights'")
+    undesired = resolve_resource(_get(spec, "undesired", dict), nu)
+    return noise.MixingSpec(undesired, 0.0)
 
 
 def _time_grid(cfg: dict) -> np.ndarray:
@@ -299,6 +311,7 @@ def _time_grid(cfg: dict) -> np.ndarray:
     if isinstance(times, list):
         return np.asarray(_nonnegative_list(times, "times"))
     if isinstance(times, dict):
+        _only_keys(times, ("start", "stop", "num"), "'times'")
         start, stop = _get(times, "start", float), _get(times, "stop", float)
         num = times.get("num")
         if isinstance(num, bool) or not isinstance(num, int) or not 1 <= num < 2 ** 63:
@@ -475,6 +488,7 @@ def cmd_converge(cfg: dict, args) -> int:
     grid = _nu_grid(cfg)
     if "superposition" in cfg:
         sup = cfg["superposition"]
+        _only_keys(sup, ("a", "b", "c1", "c2"), "'superposition'")
         prof_a = resolve_family(_get(sup, "a", dict))
         prof_b = resolve_family(_get(sup, "b", dict))
         report = continuum.check_proposition3(
@@ -484,6 +498,7 @@ def cmd_converge(cfg: dict, args) -> int:
         profile = resolve_family(_get(cfg, "family", dict))
         noise_spec = resolve_noise(cfg["noise"])
         rule = _get(cfg, "time_rule", dict)
+        _only_keys(rule, ("exponent", "scale"), "'time_rule'")
         exponent = _get(rule, "exponent", float)
         scale = _get(rule, "scale", float, required=False, default=1.0)
         report = noise.noisy_convergence(
@@ -581,6 +596,8 @@ def main(argv=None) -> int:
         if cfg is not None and cfg.get("kind", args.command) != args.command:
             raise ConfigError(f"config kind {cfg['kind']!r} does not match "
                               f"the subcommand {args.command!r}")
+        if cfg is not None:
+            _only_keys(cfg, ("schema_version", "kind", *CONFIG_KEYS[args.command]), "the config")
         return args.handler(cfg, args)
     except TelefockError as exc:
         if isinstance(exc, NumericalError):

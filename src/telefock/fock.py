@@ -22,6 +22,9 @@ NORM_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 PRODUCT_AMPLITUDE_TOL = 1e-10
 _NORM_BLOCK = 8192  # entries per BLAS dot in `_check_normalized`
+# rows per block in `_haar_forms`: its block buffers (~150 KB at N = 3) stay
+# in cache, where 8192-row blocks slowed the small oracle calls run next
+_HAAR_BLOCK = 2048
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -120,20 +123,21 @@ def _check_hermitian(m: np.ndarray) -> None:
 def _psd_certified(m: np.ndarray) -> bool:
     """True if Cholesky certifies that every eigenvalue of m is >= PSD_EIG_FLOOR.
 
-    Factors m - PSD_EIG_FLOOR * 1 with LAPACK zpotrf in one buffer; success
-    proves the shifted matrix positive definite up to Cholesky's backward
-    error (~dim * eps * ||m||; Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 10).  zpotrf reads the upper triangle of m.T,
-    i.e. the lower triangle of m that eigvalsh reads, so both test the same
-    Hermitian matrix.  A False result proves nothing; the caller then
-    decides with the spectrum.
+    Factors m - PSD_EIG_FLOOR * 1 with `numpy.linalg.cholesky` (LAPACK
+    potrf); success proves the shifted matrix positive definite up to
+    Cholesky's backward error (~dim * eps * ||m||; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10).  It reads the lower
+    triangle of m, the one eigvalsh reads, so both test the same Hermitian
+    matrix.  A False result proves nothing; the caller then decides with the
+    spectrum.
     """
-    from scipy.linalg.lapack import zpotrf
-
-    a = np.array(m.T, order="F")  # same buffer layout as m: a plain copy
+    a = m.copy()
     a.flat[:: a.shape[0] + 1] -= PSD_EIG_FLOOR  # the diagonal
-    _, info = zpotrf(a, clean=0, overwrite_a=1)
-    return info == 0
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class ResourceState(TwoModeDensityMatrix):
@@ -318,33 +322,55 @@ def sample_haar(N: int, rng_seed: int) -> PureTwoModeState:
     return PureTwoModeState(N, c)
 
 
-def _haar_normals(N: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Real and imaginary parts of `size` rows of N+1 standard complex
-    Gaussians, as a (2, size, N+1) array: one draw, the same stream as the
-    real parts drawn first and the imaginary parts second."""
+def haar_amplitude_batch(N: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """`size` Haar-uniform amplitude vectors, one per row: the real parts of
+    every row are drawn first, then the imaginary parts."""
     if N < 0:
         raise StateValidationError("particle number must be nonnegative")
-    return rng.standard_normal((2, size, N + 1))
-
-
-def haar_amplitude_batch(N: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """`size` Haar-uniform amplitude vectors, one per row."""
-    z = _haar_normals(N, size, rng)
-    a = z[0] + 1j * z[1]
+    a = rng.standard_normal((size, N + 1)) + 1j * rng.standard_normal((size, N + 1))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     return a
 
 
-def haar_weight_batch(N: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """The populations |c_k|^2 of `haar_amplitude_batch(N, size, rng)`, each
-    row summing to one, computed in real arithmetic from the same draws."""
-    z = _haar_normals(N, size, rng)
-    z *= z  # in place: no array beyond the draws themselves
-    w = z[0]
-    w += z[1]
-    # a matrix-vector product sums a few columns per row ~10x faster than axis=1
-    w /= (w @ np.ones(N + 1))[:, None]
-    return w
+def _haar_forms(N: int, samples: int, rng_seed: int, kernel: np.ndarray,
+                moduli: bool) -> np.ndarray:
+    """q^T kernel q for each row of `haar_amplitude_batch(N, samples,
+    default_rng(rng_seed))`, q its populations |c_k|^2, or its moduli |c_k|
+    when `moduli` is set.
+
+    Reads the same stream without forming the amplitudes: the squared real
+    parts fill one samples x (N+1) buffer, and the imaginary parts are drawn
+    _HAAR_BLOCK rows at a time into a small one and folded in; each block's
+    forms are summed in buffers of that many rows.  With u = |z_k|^2 of the
+    unnormalized draws and s = sum_k u_k, the form is u^T K u / s^2, or
+    sqrt(u)^T K sqrt(u) / s.
+    """
+    if N < 0:
+        raise StateValidationError("particle number must be nonnegative")
+    rng = np.random.default_rng(rng_seed)
+    u = rng.standard_normal((samples, N + 1))
+    u *= u
+    rows = min(samples, _HAAR_BLOCK)
+    buffers = np.empty((rows, N + 1)), np.empty((rows, N + 1)), np.empty(rows)
+    ones = np.ones(N + 1)
+    forms = np.empty(samples)
+    for i in range(0, samples, _HAAR_BLOCK):
+        ub = u[i : i + _HAAR_BLOCK]
+        im, qk, s = (b[: ub.shape[0]] for b in buffers)
+        form = forms[i : i + ub.shape[0]]
+        rng.standard_normal(out=im)
+        im *= im
+        ub += im
+        q = np.sqrt(ub, out=im) if moduli else ub
+        # a matrix-vector product sums a few columns per row ~10x faster than axis=1
+        np.matmul(ub, ones, out=s)
+        np.matmul(q, kernel, out=qk)
+        qk *= q
+        np.matmul(qk, ones, out=form)
+        if not moduli:
+            s *= s
+        form /= s
+    return forms
 
 
 def is_product_pure(state: PureTwoModeState) -> bool:

@@ -345,17 +345,31 @@ def _block_offsets(nu: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.arange(1, nu + 2) ** 2)))
 
 
-def _loss_generator(spec: LossSpec, nu: int):
+class _CSR:
+    """A square sparse matrix in compressed sparse rows, from its (row,
+    column, value) triplets: row i holds data[indptr[i]:indptr[i+1]] at its
+    sorted columns, and a repeated position is summed by the mat-vec.  Every
+    row must hold an entry, which `np.add.reduceat` needs to sum each row."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int):
+        order = np.lexsort((cols, rows))
+        self.data, self.indices = vals[order], cols[order]
+        self.indptr = np.searchsorted(rows[order], np.arange(size + 1))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
+
+
+def _loss_generator(spec: LossSpec, nu: int) -> _CSR:
     """The loss master equation on the blocks b = 0..nu, stacked as in
-    `_block_offsets`, as one complex sparse matrix.
+    `_block_offsets`, as one complex sparse matrix (each row holds its
+    anticommutator entry).
 
     The anticommutator damps entry (k, j) of block b at eta_k + eta_j; the
     jump term of a channel a_3^m a_4^n feeds entry (k - m, j - m) of block
     b - m - n from entry (k, j) of block b with rate * A_k A_j, where
     A_k = sqrt(k!/(k-m)! (b-k)!/(b-k-n)!).
     """
-    from scipy.sparse import csr_matrix
-
     offsets = _block_offsets(nu)
     rows, cols, vals = [], [], []
     for b in range(nu + 1):
@@ -374,9 +388,8 @@ def _loss_generator(spec: LossSpec, nu: int):
             rows.append((offsets[dst] + i[:, None] * (dst + 1) + i[None, :]).ravel())
             cols.append((offsets[src] + k[:, None] * (src + 1) + k[None, :]).ravel())
             vals.append((ch.rate * np.outer(amp, amp)).ravel())
-    size = int(offsets[-1])
-    entries = (np.concatenate(vals).astype(complex), (np.concatenate(rows), np.concatenate(cols)))
-    return csr_matrix(entries, shape=(size, size))
+    return _CSR(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals).astype(complex),
+                int(offsets[-1]))
 
 
 # The Dormand-Prince 5(4) pair as scipy's `RK45` holds it: nodes, stage
@@ -462,7 +475,7 @@ def particle_loss_lindblad(rho: ResourceState, spec: LossSpec, t: float) -> Loss
     The generator preserves the direct sum over particle numbers: the
     anticommutator acts within each block, the jump term feeds block b from
     block b + m + n.  It is constant in time, so it is assembled once as a
-    sparse matrix (`_loss_generator`) and each right-hand side is one
+    numpy CSR matrix (`_loss_generator`) and each right-hand side is one
     mat-vec.  Adaptive embedded Runge-Kutta (the module's `solve_ivp`, read
     at call time), no trace renormalization (trace drift is a diagnostic,
     not something to hide).

@@ -27,8 +27,8 @@ from .fock import (
     ResourceState,
     TwoModeDensityMatrix,
     _check_normalized,
+    _haar_forms,
     _reader,
-    haar_weight_batch,
     sample_haar,
 )
 
@@ -599,8 +599,7 @@ def fidelity_monte_carlo(
     independent of the closed-form band sum.
     """
     kernel = _sector_kernel(rho, N, moduli=False)
-    w = haar_weight_batch(N, samples, np.random.default_rng(rng_seed))
-    return _estimate(np.einsum("sk,sk->s", w @ kernel, w))
+    return _estimate(_haar_forms(N, samples, rng_seed, kernel, moduli=False))
 
 
 def entanglement_monte_carlo(
@@ -608,18 +607,16 @@ def entanglement_monte_carlo(
 ) -> tuple[float, float]:
     """(mean, standard error) of the outcome-averaged conditional negativity."""
     kernel = _sector_kernel(rho, N, moduli=True)
-    r = haar_weight_batch(N, samples, np.random.default_rng(rng_seed))
-    np.sqrt(r, out=r)  # the moduli |c_k|
-    return _estimate(0.5 * np.einsum("sk,sk->s", r @ kernel, r))
+    return _estimate(0.5 * _haar_forms(N, samples, rng_seed, kernel, moduli=True))
 
 
 def pure_negativity_monte_carlo(
     N: int, samples: int = 100_000, rng_seed: int = 0
 ) -> tuple[float, float]:
-    """(mean, standard error) of the negativity of Haar-random pure states.
+    """(mean, standard error) of the negativity of Haar-random pure states,
+    ((sum_k |c_k|)^2 - 1) / 2.
 
     The Haar integral of the pure-state negativity equals pi N / 8.
     """
-    r = haar_weight_batch(N, samples, np.random.default_rng(rng_seed))
-    np.sqrt(r, out=r)
-    return _estimate(((r @ np.ones(N + 1)) ** 2 - 1.0) / 2.0)
+    squared_sums = _haar_forms(N, samples, rng_seed, np.ones((N + 1, N + 1)), moduli=True)
+    return _estimate((squared_sums - 1.0) / 2.0)

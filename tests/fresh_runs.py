@@ -39,7 +39,8 @@ ROWS = [
         "noise": {"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5},
         "times": {"start": 0.0, "stop": 0.3, "num": 13}}, 40),
     ("dephasing threshold sample", "noise", ROOT / "configs/noise_dephasing_threshold.json", 50),
-    ("selftest", "selftest", None, 70),
+    ("teleport sample", "teleport", ROOT / "configs/teleport_maxent.json", 45),
+    ("selftest", "selftest", None, 45),
 ]
 
 

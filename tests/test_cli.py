@@ -220,6 +220,14 @@ def test_readme_lists_the_keys_of_each_resource_and_family(section, keys):
     assert readme_key_lists(section) == {name: set(k) - {"phases"} for name, k in keys.items()}
 
 
+def test_readme_lists_the_top_level_keys_of_each_subcommand():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    item = text.split("* the top level", 1)[1].split("\n* ", 1)[0]
+    listed = {name: tuple(re.findall(r"`(\w+)`", body))
+              for name, body in re.findall(r"`([\w-]+)`: ([^;]+)", item)}
+    assert listed == cli.CONFIG_KEYS
+
+
 def test_cli_resources_name_each_resource_and_phases_go_on_vectors_only():
     assert sorted({spec["name"] for spec in CLI_RESOURCES}) == sorted(cli.RESOURCE_KEYS)
     for spec in CLI_RESOURCES:
@@ -258,6 +266,45 @@ def test_a_misspelt_resource_or_family_key_exits_2_naming_it(tmp_path, capsys, s
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:") and len(err.strip().splitlines()) == 1
     assert repr(key) in err
+
+
+CONVERGE = {"schema_version": 1, "kind": "converge", "N": 2, "nu_grid": [20, 40, 80, 160]}
+LOSS = {"kind": "loss", "channels": [{"rate": 0.5, "m": 1, "n": 1}]}
+# one misspelt key in each of the other sections and at each top level
+MISSPELT_ELSEWHERE = [
+    ("sweep", sweep_config(nu_grid=[10], nu_gird=[5]), "nu_gird"),
+    ("sweep", sweep_config(nu_grid=[10], resource={
+        "name": "max_entangled", "phases": {"kind": "alternating", "coefficient": 0.3}}),
+     "coefficient"),
+    ("sweep", sweep_config(nu_grid=[10], resource={
+        "name": "noon", "phases": {"kind": "linear", "coefficent": 0.3}}), "coefficent"),
+    ("teleport", {"schema_version": 1, "kind": "teleport", "N": 1, "nu": 3,
+                  "resource": {"name": "max_entangled"}, "seed": 4}, "seed"),
+    ("ground-state", {"schema_version": 1, "N": 2, "nu": 40, "gamma": 3.0, "tau": 1.0}, "tau"),
+    ("noise", noise_config(time=[0.0]), "time"),
+    ("noise", noise_config(noise={"kind": "dephasing", "lambda3": 1.0, "lambda_4": 1.0}),
+     "lambda_4"),
+    ("noise", noise_config(noise={**LOSS, "rates": [0.5]}), "rates"),
+    ("noise", noise_config(noise={"kind": "loss", "channels": [{"rate": 0.5, "m": 1, "k": 1}]}),
+     "k"),
+    ("noise", noise_config(noise={**MIXING, "undesire": {}}, weights=[0.0]), "undesire"),
+    ("noise", noise_config(times={"start": 0.0, "stop": 0.3, "number": 4}), "number"),
+    ("converge", {**CONVERGE, "family": {"name": "flat"}, "familly": {"name": "flat"}},
+     "familly"),
+    ("converge", {**CONVERGE, "superposition": {"a": {"name": "flat"}, "b": {"name": "noon"},
+                                                "c1": 0.6, "c2": 0.8, "c3": 0.0}}, "c3"),
+    ("converge", {**CONVERGE, "family": {"name": "flat"}, "noise": LOSS,
+                  "time_rule": {"exponent": -2.5, "scael": 1.0}}, "scael"),
+]
+
+
+@pytest.mark.parametrize("kind, cfg, key", MISSPELT_ELSEWHERE,
+                         ids=[f"{kind}-{key}" for kind, _, key in MISSPELT_ELSEWHERE])
+def test_a_misspelt_key_in_any_other_section_exits_2_naming_it(tmp_path, capsys, kind, cfg, key):
+    assert main([kind, "--config", write_config(tmp_path, cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: unknown config key")
+    assert len(err.strip().splitlines()) == 1 and repr(key) in err
 
 
 def test_consecutive_calls_share_no_options(tmp_path):
@@ -585,7 +632,7 @@ def test_converge_constant_deficit_fits_exponent_zero(tmp_path):
         "N": 4,
         "nu_grid": [40, 80, 160, 320],
         "family": {"name": "noon"},
-        "noise": {"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5, "t": 0.1},
+        "noise": {"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5},
         "time_rule": {"exponent": -1.0},
     })
     out = tmp_path / "noon.json"

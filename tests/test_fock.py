@@ -1,5 +1,7 @@
 """State containers, negativity (both routes), Haar sampling, separability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,8 +15,8 @@ from telefock.fock import (
     PureTwoModeState,
     ResourceState,
     TwoModeDensityMatrix,
+    _haar_forms,
     haar_amplitude_batch,
-    haar_weight_batch,
     is_product_pure,
     negativity,
     negativity_partial_transpose,
@@ -197,11 +199,43 @@ def test_haar_amplitude_batch_draws_real_then_imaginary_parts():
 
 @pytest.mark.parametrize("N, size", [(0, 5), (1, 1000), (3, 1000), (8, 200)])
 def test_haar_weights_are_the_amplitude_populations(N, size):
-    # same seed, same stream: the weights are |c_k|^2 of the amplitude batch
-    w = haar_weight_batch(N, size, np.random.default_rng(N + 40))
+    # same seed, same stream: on the moduli, a unit kernel at (k, k) picks
+    # out the weight |c_k|^2 of one component; on the weights, its square
     amps = haar_amplitude_batch(N, size, np.random.default_rng(N + 40))
-    assert w.shape == (size, N + 1)
-    assert np.max(np.abs(w - np.abs(amps) ** 2)) <= 1e-15
+    for k in range(N + 1):
+        unit = np.zeros((N + 1, N + 1))
+        unit[k, k] = 1.0
+        w = _haar_forms(N, size, N + 40, unit, moduli=True)
+        assert w.shape == (size,)
+        assert np.max(np.abs(w - np.abs(amps[:, k]) ** 2)) <= 1e-15
+        assert np.max(np.abs(_haar_forms(N, size, N + 40, unit, moduli=False) - w * w)) <= 1e-15
+
+
+@pytest.mark.parametrize("samples", [2, fock._HAAR_BLOCK - 1, fock._HAAR_BLOCK,
+                                     fock._HAAR_BLOCK + 1, 100_003])
+@pytest.mark.parametrize("N", range(5))
+def test_haar_forms_are_the_forms_of_the_amplitude_batch(N, samples):
+    # block edges of the streamed imaginary parts: every per-sample form
+    # equals q^T K q of the amplitudes drawn from the same seed
+    kernel = np.random.default_rng(N).standard_normal((N + 1, N + 1))
+    amps = haar_amplitude_batch(N, samples, np.random.default_rng(samples + N))
+    for moduli, q in ((False, np.abs(amps) ** 2), (True, np.abs(amps))):
+        got = _haar_forms(N, samples, samples + N, kernel, moduli)
+        assert np.max(np.abs(got - np.einsum("sk,kj,sj->s", q, kernel, q))) <= 1e-13
+
+
+def test_monte_carlo_keeps_no_copy_of_the_draws():
+    # the squared real parts (N+1 per sample) and the forms (one per sample)
+    # are all that grows with the samples: no (2, samples, N+1) draw array
+    N, samples = 3, 100_000
+    rho = resources.max_entangled(6)
+    tracemalloc.start()
+    try:
+        protocol.fidelity_monte_carlo(rho, N, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (N + 2) * 8 * samples + 2 ** 20
 
 
 def test_haar_mean_population_is_uniform():
@@ -311,6 +345,15 @@ def test_diagonal_state_needs_no_factorization(monkeypatch):
     assert np.array_equal(Diagonals(3, (populations,)).state().matrix, np.diag(populations))
     with pytest.raises(AssertionError, match="factorized"):
         Diagonals(3, (np.array([0.5, -0.1, 0.35, 0.25]),)).state()
+
+
+def test_the_certificate_reads_the_lower_triangle():
+    # as eigvalsh does: an upper triangle that differs changes nothing
+    m = random_resource(5, np.random.default_rng(8)).matrix
+    garbage = np.triu(np.full(m.shape, 7.0 - 5.0j), 1)
+    assert fock._psd_certified(m)
+    assert fock._psd_certified(np.tril(m) + garbage)
+    assert not fock._psd_certified(np.tril(-m) + garbage)
 
 
 def test_diagonals_rebuild_the_dense_state():

@@ -45,3 +45,21 @@ def test_every_row_config_loads_and_names_its_own_subcommand(tmp_path):
             config = tmp_path / f"config{i}.json"
             config.write_text(json.dumps(fresh_runs.ROWS[i][2]))
         assert cli.load_config(str(config))["kind"] == subcommand, label
+
+
+def test_a_golden_row_fails_under_python_O(tmp_path):
+    # `python -O` strips `assert` statements; the golden comparison must not
+    # pass vacuously there
+    tests = Path(__file__).resolve().parent
+    golden = json.loads((tests / "golden" / "sweep_maxent.json").read_text())
+    golden[0]["N"] += 1
+    out = tmp_path / "out.json"
+    out.write_text(json.dumps(golden))
+    code = ("import sys\nfrom pathlib import Path\nimport fresh_runs\n"
+            "print(fresh_runs._golden_mismatch(sys.argv[1], Path('configs/sweep_maxent.json')))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(out)], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": f"{tests}{os.pathsep}{src}"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("differs from tests/golden/sweep_maxent.json: $[0].N: 2 != 1")

@@ -21,21 +21,29 @@ FLOAT_REL_TOL = 1e-14
 
 
 def assert_matches(got, want, where="$"):
+    """Raise AssertionError where got differs from want; explicit raises, not
+    `assert` statements, so `python -O` (as `tests/fresh_runs.py` may run)
+    checks too."""
     if isinstance(want, float) and isinstance(got, float):
-        assert math.isclose(got, want, rel_tol=FLOAT_REL_TOL, abs_tol=0.0), \
-            f"{where}: {got!r} != {want!r}"
+        _expect(math.isclose(got, want, rel_tol=FLOAT_REL_TOL, abs_tol=0.0),
+                f"{where}: {got!r} != {want!r}")
         return
-    assert type(got) is type(want), f"{where}: {type(got).__name__} != {type(want).__name__}"
+    _expect(type(got) is type(want), f"{where}: {type(got).__name__} != {type(want).__name__}")
     if isinstance(want, dict):
-        assert list(got) == list(want), f"{where}: keys {list(got)} != {list(want)}"
+        _expect(list(got) == list(want), f"{where}: keys {list(got)} != {list(want)}")
         for key in want:
             assert_matches(got[key], want[key], f"{where}.{key}")
     elif isinstance(want, list):
-        assert len(got) == len(want), f"{where}: length {len(got)} != {len(want)}"
+        _expect(len(got) == len(want), f"{where}: length {len(got)} != {len(want)}")
         for i, (g, w) in enumerate(zip(got, want)):
             assert_matches(g, w, f"{where}[{i}]")
     else:
-        assert got == want, f"{where}: {got!r} != {want!r}"
+        _expect(got == want, f"{where}: {got!r} != {want!r}")
+
+
+def _expect(ok: bool, message: str) -> None:
+    if not ok:
+        raise AssertionError(message)
 
 
 def test_every_sample_config_has_a_golden_output():

@@ -310,8 +310,26 @@ def test_noise_solve_ivp_is_the_port_and_noise_loads_no_scipy():
         noise.no_such_name
 
 
+@pytest.mark.parametrize("argv", [["teleport", "--config", "configs/teleport_maxent.json"],
+                                  ["selftest"]], ids=["teleport", "selftest"])
+def test_teleport_and_selftest_load_no_scipy(argv):
+    # the PSD certificate is numpy's Cholesky and the loss generator a numpy
+    # CSR matrix: only the double well's eigensolver loads scipy
+    code = (
+        "import contextlib, io, sys\n"
+        "from telefock.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(sys.argv[1:])\n"
+        "assert rc == 0, rc\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = run_python(code, *argv)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_selftest_and_the_lindblad_oracle_load_no_scipy_integrate():
-    # the loss generator is a scipy.sparse matrix; the integrator is the port
+    # the integrator is the port and the loss generator a numpy CSR matrix
     code = (
         "import contextlib, io, sys\n"
         "import numpy as np\n"
@@ -365,15 +383,20 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_commands_without_scipy_run_or_exit_3_cleanly():
-    sweep = run_python(WITHOUT_SCIPY, "sweep", "--config", "configs/sweep_maxent.json")
-    assert sweep.returncode == 0, sweep.stderr
-    assert sweep.stderr == ""
-    teleport = run_python(WITHOUT_SCIPY, "teleport", "--config", "configs/teleport_maxent.json")
-    assert teleport.returncode == 3
-    assert teleport.stdout == ""
-    assert teleport.stderr.startswith("environment error: No module named 'scipy")
-    assert "Traceback" not in teleport.stderr
-    assert len(teleport.stderr.strip().splitlines()) == 1
+    for config in ("configs/sweep_maxent.json", "configs/teleport_maxent.json"):
+        kind = json.loads((ROOT / config).read_text())["kind"]
+        proc = run_python(WITHOUT_SCIPY, kind, "--config", config, "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == (ROOT / "tests" / "golden" / Path(config).name).read_text()
+    # the double well's eigensolver is the one use of scipy left
+    ground = run_python(WITHOUT_SCIPY, "ground-state", "--config",
+                        "configs/ground_state_repulsive.json")
+    assert ground.returncode == 3
+    assert ground.stdout == ""
+    assert ground.stderr.startswith("environment error: No module named 'scipy")
+    assert "Traceback" not in ground.stderr
+    assert len(ground.stderr.strip().splitlines()) == 1
 
 
 NOISY_CONVERGE = {

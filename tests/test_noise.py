@@ -305,6 +305,20 @@ def test_loss_generator_matches_the_blockwise_rhs(nu, pairs):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_csr_mat_vec_matches_scipy_with_repeated_positions():
+    from scipy.sparse import csr_matrix
+
+    rng = np.random.default_rng(29)
+    size = 40
+    rows = np.concatenate([np.arange(size), rng.integers(0, size, 300)])
+    cols = np.concatenate([np.arange(size), rng.integers(0, size, 300)])
+    vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    want = csr_matrix((vals, (rows, cols)), shape=(size, size)) @ x
+    got = noise._CSR(rows, cols, vals, size) @ x
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_lindblad_at_time_zero_returns_the_input_block():
     rng = np.random.default_rng(75)
     rho = random_resource(5, rng)
