@@ -16,7 +16,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -50,12 +52,28 @@ def _fmt(value) -> str:
 
 
 def _emit(path, text: str) -> None:
-    """Write text to the file at path, or to stdout if path is None."""
+    """Write text to stdout if path is None, else to a temp file in the
+    file's directory that then takes its place (`os.replace`), so a failed
+    write leaves no partial file and an existing one as it was.  A path that
+    exists but names no regular file (/dev/stdout on a pipe) is written directly."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    real = os.path.realpath(path)  # a symlink keeps naming its file
+    if os.path.exists(path) and not os.path.isfile(real):
         with open(path, "w", newline="") as fh:
             fh.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(prefix=".telefock-", suffix=".tmp", dir=os.path.dirname(real))
+    try:
+        with open(fd, "w", newline="") as fh:
+            os.umask(umask := os.umask(0o022))  # read the umask, and keep it
+            os.fchmod(fd, 0o666 & ~umask)  # the mode `open` gives a new file
+            fh.write(text)
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_rows(path, columns, rows) -> None:
@@ -76,11 +94,8 @@ def _write_gnuplot(script_path: str, csv_path: str, x: str, ys: list[str],
         f"'{csv_path}' using {idx[x]}:{idx[y]} with linespoints title '{y}'"
         for y in ys
     )
-    with open(script_path, "w") as fh:
-        fh.write("set datafile separator ','\n")
-        fh.write("set key autotitle columnhead\n")
-        fh.write(f"set xlabel '{x}'\n")
-        fh.write(f"plot {plots}\n")
+    _emit(script_path, "set datafile separator ','\nset key autotitle columnhead\n"
+                       f"set xlabel '{x}'\nplot {plots}\n")
 
 
 def _json_default(obj):
@@ -260,14 +275,13 @@ def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals
 
 def _phased(resource, kind: str | None, slope: float):
     """The resource times its phases.  The constructors return vectors of
-    their own, so the phases go on in place; a linear phase leaves no part
-    below 1e-300 of the peak (`resources._flush_tiny_parts`)."""
+    their own, so `alternating` signs go on in place; a linear phase goes
+    through `resources.linear_phased`."""
     if kind == "alternating":  # a real vector: times +1 leaves its bytes
         np.multiply(resource[1::2], -1.0, out=resource[1::2])
     elif kind == "linear":
         peak = max(float(resource.max()), -float(resource.min()))
-        factor = resources.linear_phase(slope, resource.shape[0])
-        resource = resources._flush_tiny_parts(np.multiply(resource, factor, out=factor), peak)
+        resource = resources.linear_phased(resource, slope, peak)
     return resource
 
 
@@ -486,7 +500,11 @@ def cmd_noise(cfg: dict, args) -> int:
 def cmd_converge(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     grid = _nu_grid(cfg)
+    # each branch reads its own keys; CONFIG_KEYS["converge"] is their union
+    common = ("schema_version", "kind", "N", "nu_grid")
     if "superposition" in cfg:
+        # an unread `family` still passes here: configs in use carry one
+        _only_keys(cfg, (*common, "superposition", "family"), "a 'superposition' converge config")
         sup = cfg["superposition"]
         _only_keys(sup, ("a", "b", "c1", "c2"), "'superposition'")
         prof_a = resolve_family(_get(sup, "a", dict))
@@ -505,6 +523,7 @@ def cmd_converge(cfg: dict, args) -> int:
             profile, noise_spec, lambda nu: scale * float(nu) ** exponent, N, grid
         )
     else:
+        _only_keys(cfg, (*common, "family"), "a converge config without 'noise'")
         profile = resolve_family(_get(cfg, "family", dict))
         report = continuum.check_proposition2(profile, N, grid)
     _write_json(args.out, dataclasses.asdict(report))
@@ -530,12 +549,11 @@ def cmd_ground_state(cfg: dict, args) -> int:
         "avg_entanglement": report.avg_entanglement,
         "peaks": peaks,
     }
+    profile = continuum.double_well_family(gamma)
     if gamma > -1.0:
         payload["predicted_variance"] = 1.0 / (nu * np.sqrt(gamma + 1.0))
-    else:
-        z0 = float(np.sqrt(1.0 - 1.0 / gamma ** 2))
-        payload["predicted_peaks"] = [-z0, z0]
-    profile = continuum.double_well_family(gamma)
+    else:  # the bumps' centres, -z0 and z0
+        payload["predicted_peaks"] = profile.mixture(nu)[1].tolist()
     payload["fidelity_continuum"] = continuum.fidelity_continuum(profile, N, nu)
     _write_json(args.out, payload)
     return 0

@@ -30,7 +30,7 @@ from . import resources
 # smaller deviations (compact-interval truncation of wide shapes) renormalize
 RENORM_LIMIT = 0.5
 
-SMOOTHNESS_CLASSES = ("twice", "once", "continuous", "none")
+SMOOTHNESS_CLASSES = ("twice", "none")
 
 # the fixed rule of the band integral: Gauss-Legendre nodes per panel, and
 # how many widths s from a pair's center the edge strips' panels reach
@@ -55,7 +55,7 @@ class ContinuumProfile:
 
     `alpha(nu)` is the width scaling the convergence fits read.
     `smoothness` declares the regularity class of the shape function
-    ("twice", "once", "continuous", or "none"); it is asserted by the
+    ("twice" or "none"); it is asserted by the
     convergence checks, never inferred.  `amplitudes_of_nu` optionally
     supplies the discrete amplitudes used for closed-form sweeps (defaulting
     to discretizing chi), which stay O(nu) in memory.
@@ -482,6 +482,12 @@ def gaussian_bump_family(
     )
 
 
+def _ground_amplitudes(gamma_of_nu: Callable[[float], float]) -> Callable[[int], np.ndarray]:
+    """The exact double-well ground state at each nu, at gamma_of_nu(nu)."""
+    return lambda nu: resources.double_well_ground_amplitudes(
+        resources.BoseHubbardParams.from_gamma(nu, gamma_of_nu(nu)))
+
+
 def double_well_profile(gamma_of_nu: Callable[[float], float]) -> ContinuumProfile:
     """Continuum shape of the repulsive-side double-well ground state.
 
@@ -496,12 +502,7 @@ def double_well_profile(gamma_of_nu: Callable[[float], float]) -> ContinuumProfi
             )
         return (nu * np.sqrt(g + 1.0)) ** -0.5
 
-    def amps(nu: int) -> np.ndarray:
-        return resources.double_well_ground_amplitudes(
-            resources.BoseHubbardParams.from_gamma(nu, gamma_of_nu(nu))
-        )
-
-    return gaussian_bump_family(0.0, sigma, amplitudes_of_nu=amps)
+    return gaussian_bump_family(0.0, sigma, amplitudes_of_nu=_ground_amplitudes(gamma_of_nu))
 
 
 def double_well_bimodal_profile(gamma: float) -> ContinuumProfile:
@@ -524,16 +525,11 @@ def double_well_bimodal_profile(gamma: float) -> ContinuumProfile:
         norm = math.sqrt(2.0 * (1.0 + math.exp(z0 * z0 / (-2.0 * s * s))))
         return (weight / norm,) * 2, (-z0, z0), s
 
-    def amps(nu: int) -> np.ndarray:
-        return resources.double_well_ground_amplitudes(
-            resources.BoseHubbardParams.from_gamma(nu, gamma)
-        )
-
     return ContinuumProfile(
         smoothness="twice",
         alpha=lambda nu: 1.0 / sigma(nu),
         mixture_of_nu=mixture_of_nu,
-        amplitudes_of_nu=amps,
+        amplitudes_of_nu=_ground_amplitudes(lambda nu: gamma),
     )
 
 

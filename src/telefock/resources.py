@@ -15,7 +15,7 @@ are the real vector that the CLI reads with a phase slope.  Those moduli are
 ratio products outward from the binomial mode, in numpy alone (no log-gamma),
 and hold no subnormal entry: a modulus below 1e-300 of the peak is 0, and so
 is a real or imaginary part of a phased vector below 1e-300 of its peak
-(`_flush_tiny_parts`), which a component of the phase near 1e-16 (phi = pi/2)
+(`linear_phased`), which a component of the phase near 1e-16 (phi = pi/2)
 would otherwise leave subnormal.  Only the double well's eigensolver loads
 scipy (`scipy.linalg`), inside its constructor.
 """
@@ -32,7 +32,7 @@ from .fock import Diagonals, ResourceState, _normalize, _reader
 
 _SU2_BLOCK = 4096  # levels per cumulative product in `_su2_moduli`
 _SU2_FLOOR = 1e-300  # moduli, and parts of phased vectors, below this fraction of the peak are 0
-_FLUSH_BLOCK = 1 << 16  # float parts per mask in `_flush_tiny_parts`
+_FLUSH_BLOCK = 1 << 16  # float parts per mask in `linear_phased`
 _WINDOW_MIN = 1025  # double-well sectors up to this size are solved whole
 _WINDOW_PAD = 32  # rows a window reaches past the WKB estimate of its tail
 _TAIL = 1e-25  # a window's Perron vector must end below this fraction of its peak
@@ -126,9 +126,7 @@ def su2_coherent_amplitudes(nu: int, theta: float, phi: float) -> np.ndarray:
     so theta = 0 gives |0> (x) |nu> and theta = pi gives |nu> (x) |0>.
     """
     _check_su2_angles(theta, phi)
-    moduli = _su2_moduli(nu, theta)
-    phase = linear_phase(phi, nu + 1)
-    return _normalize(_flush_tiny_parts(np.multiply(moduli, phase, out=phase), 1.0))
+    return _normalize(linear_phased(_su2_moduli(nu, theta), phi, 1.0))
 
 
 def su2_coherent_moduli(nu: int, theta: float) -> np.ndarray:
@@ -136,21 +134,6 @@ def su2_coherent_moduli(nu: int, theta: float) -> np.ndarray:
     whose phases e^(i k phi) act on its band (`protocol.phased_band`)."""
     _check_su2_angles(theta)
     return _normalize(_su2_moduli(nu, theta))
-
-
-def _flush_tiny_parts(z: np.ndarray, peak: float) -> np.ndarray:
-    """z, a complex vector whose moduli peak at `peak`, with every real and
-    imaginary part below `_SU2_FLOOR` of the peak made a zero of its sign,
-    in place.  Where a component of a phase e^(i c k) is ~1e-16 (c = pi/2 or
-    pi), a modulus near the floor times it would be subnormal and slow every
-    later pass; such a part moves no digit of any sum.  Blocks of
-    `_FLUSH_BLOCK` parts keep the mask small."""
-    parts = z.view(np.float64)
-    tiny = _SU2_FLOOR * peak
-    for start in range(0, parts.size, _FLUSH_BLOCK):
-        block = parts[start:start + _FLUSH_BLOCK]
-        np.multiply(block, 0.0, out=block, where=np.abs(block) < tiny)
-    return z
 
 
 def _check_su2_angles(theta: float, phi: float = 0.0) -> None:
@@ -429,6 +412,22 @@ def _check_linear_phase(coeff: float, n: int) -> None:
         raise StateValidationError(
             f"linear phase coefficient {coeff!r} puts e^(i coefficient k) beyond the "
             f"floats for k < {n}")
+
+
+def linear_phased(x: np.ndarray, coeff: float, peak: float) -> np.ndarray:
+    """The real vector x times e^{i coeff k} (`linear_phase`), in the phase's
+    buffer, with every real and imaginary part below `_SU2_FLOOR` of `peak`,
+    x's largest modulus, made a zero of its sign: where a component of the
+    phase is ~1e-16 (coeff = pi/2 or pi), such a part would be subnormal and
+    slow every later pass, yet moves no digit of any sum.  Blocks of
+    `_FLUSH_BLOCK` parts keep the mask small."""
+    z = linear_phase(coeff, x.shape[0])
+    parts = np.multiply(x, z, out=z).view(np.float64)
+    tiny = _SU2_FLOOR * peak
+    for start in range(0, parts.size, _FLUSH_BLOCK):
+        block = parts[start:start + _FLUSH_BLOCK]
+        np.multiply(block, 0.0, out=block, where=np.abs(block) < tiny)
+    return z
 
 
 def _imbalance_populations(rho) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -113,6 +114,41 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("environment error:") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_partial_one(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("old rows\n")
+    # a lone surrogate has no UTF-8 form: the write fails once the output is open
+    with pytest.raises(UnicodeEncodeError):
+        cli._emit(str(out), "nu,N\n" * 1000 + "\udc80\n")
+    assert out.read_text() == "old rows\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+def test_outputs_replace_the_file_a_link_names(tmp_path):
+    cfg = write_config(tmp_path, sweep_config(nu_grid=[10]))
+    target, link, script = tmp_path / "rows.csv", tmp_path / "link.csv", tmp_path / "plot.gp"
+    target.write_text("old rows\n")
+    link.symlink_to(target)
+    assert main(["sweep", "--config", cfg, "--out", str(link), "--gnuplot", str(script)]) == 0
+    assert link.is_symlink() and target.read_text().startswith("nu,N,fidelity,")
+    assert f"'{link}' using 1:3" in script.read_text()
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert {stat.S_IMODE(p.stat().st_mode) for p in (target, script)} == {0o666 & ~umask}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "link.csv", "plot.gp", "rows.csv"]
+
+
+def test_an_out_path_on_a_pipe_is_written_directly(tmp_path):
+    cfg = write_config(tmp_path, sweep_config(nu_grid=[10]))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "telefock.cli", "sweep", "--config", cfg,
+                          "--out", "/dev/stdout"], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("nu,N,fidelity,") and len(run.stdout.splitlines()) == 2
 
 
 @pytest.mark.parametrize("overrides", [
@@ -305,6 +341,52 @@ def test_a_misspelt_key_in_any_other_section_exits_2_naming_it(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error: unknown config key")
     assert len(err.strip().splitlines()) == 1 and repr(key) in err
+
+
+SUPERPOSITION = {"a": {"name": "flat"}, "b": {"name": "noon"}, "c1": 0.6, "c2": 0.8}
+# a top-level converge key that the config's branch does not read
+CONVERGE_UNREAD = [
+    ({**CONVERGE, "family": {"name": "flat"}, "time_rule": {"exponent": -2.5}}, "time_rule"),
+    ({**CONVERGE, "superposition": SUPERPOSITION, "noise": LOSS}, "noise"),
+    ({**CONVERGE, "superposition": SUPERPOSITION, "time_rule": {"exponent": -2.5}},
+     "time_rule"),
+]
+
+
+@pytest.mark.parametrize("cfg, key", CONVERGE_UNREAD,
+                         ids=["time_rule-without-noise", "noise-beside-superposition",
+                              "time_rule-beside-superposition"])
+def test_a_converge_key_its_branch_does_not_read_exits_2_naming_it(tmp_path, capsys, cfg, key):
+    assert main(["converge", "--config", write_config(tmp_path, cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: unknown config key")
+    assert len(err.strip().splitlines()) == 1 and repr(key) in err
+
+
+# config errors on paths no other test takes: (subcommand, config file text as
+# a string or a dict, None for no file, a fragment of the message)
+UNREACHED_CONFIG_ERRORS = [
+    ("teleport", None, "config file not found"),
+    ("sweep", "[1, 2]", "config root must be a JSON object"),
+    ("sweep", sweep_config(N="4"), "'N'"),
+    ("noise", noise_config(noise=MIXING, weights=[]), "weights"),
+    ("noise", {k: v for k, v in noise_config().items() if k != "times"}, "'times'"),
+    ("converge", {**CONVERGE, "family": {"name": "flat"}, "noise": MIXING,
+                  "time_rule": {"exponent": -1.0}}, "needs a fixed nu"),
+]
+
+
+@pytest.mark.parametrize("kind, cfg, fragment", UNREACHED_CONFIG_ERRORS,
+                         ids=["missing-file", "list-root", "string-for-int", "empty-weights",
+                              "missing-times", "converge-mixing"])
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, kind, cfg, fragment):
+    path = tmp_path / "config.json"
+    if cfg is not None:
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    assert main([kind, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and fragment in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_consecutive_calls_share_no_options(tmp_path):

@@ -334,3 +334,35 @@ def test_adversarial_profiles_match_the_reference(name):
     profile, cases = ADVERSARIAL[name]
     errors = {(nu, N): relative_errors(profile, N, nu) for nu, N in cases}
     assert {case: err for case, err in errors.items() if max(err) > 1e-13} == {}
+
+
+def test_proposition2_flags_a_twice_profile_outside_its_envelope():
+    # a "twice" label on amplitudes that do not converge: 1 - f stays put
+    # while alpha N / nu halves at each step, so the ratio doubles
+    profile = continuum.ContinuumProfile(smoothness="twice",
+                                         amplitudes_of_nu=resources.noon_amplitudes)
+    report = continuum.check_proposition2(profile, 1, [10, 20, 40, 80])
+    assert "envelope-exceeded" in report.hypothesis_flags
+    assert "profile-not-continuous" not in report.hypothesis_flags
+    ratios = report.diagnostics["envelope_ratios"]
+    assert all(b > 1.2 * a for a, b in zip(ratios, ratios[1:]))
+
+
+def test_proposition3_rejects_a_negative_component():
+    alternating = continuum.discrete_only_family(lambda nu: (-1.0) ** np.arange(nu + 1))
+    with pytest.raises(HypothesisViolationError, match="component amplitudes"):
+        continuum.check_proposition3(continuum.flat_family(), alternating, 1.0, 1.0, 2,
+                                     [100, 200, 400, 800])
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -0.5, 3.0])
+def test_bimodal_profile_needs_gamma_below_minus_one(gamma):
+    with pytest.raises(HypothesisViolationError, match="gamma < -1"):
+        continuum.double_well_bimodal_profile(gamma)
+
+
+@pytest.mark.parametrize("label", ["once", "continuous", "thrice", ""])
+def test_unknown_smoothness_label_is_rejected(label):
+    # no family makes "once" or "continuous", and the checks read neither
+    with pytest.raises(StateValidationError, match="unknown smoothness class"):
+        continuum.ContinuumProfile(smoothness=label)

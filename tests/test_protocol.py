@@ -785,6 +785,13 @@ def test_pure_functionals_equal_their_twins_on_every_form():
                     == (f, e), name
 
 
+def test_the_pure_functionals_are_aliases_of_the_closed_ones():
+    # one implementation each: `performance_report` still looks its fidelity
+    # up as `fidelity_closed_pure`, so rebinding that name shifts sweep rows
+    assert protocol.fidelity_closed_pure is protocol.fidelity_closed
+    assert protocol.avg_entanglement_closed_pure is protocol.avg_entanglement_closed
+
+
 def test_success_probability_matches_outcome_sum():
     rng = np.random.default_rng(36)
     for nu, N in [(1, 1), (3, 1), (5, 2), (8, 3), (12, 12), (30, 4)]:

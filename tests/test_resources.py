@@ -682,3 +682,14 @@ def test_constructors_build_in_bounded_memory(build, bound):
     # also holds its float moduli (SU(2)) or the real vector it multiplies
     # (a linear phase) while it is formed
     assert peak_over_output(lambda: build(2 ** 20)) <= bound
+
+
+@pytest.mark.parametrize("n", [1, 5, 2 ** 16 + 7])  # the last: three flush blocks
+@pytest.mark.parametrize("coeff", [0.0, np.pi / 2, np.pi, 0.37])
+def test_linear_phased_keeps_the_bytes_of_the_oracle(n, coeff):
+    # signed entries spread down to 1e-310, so many parts land near the floor
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-310.0, 0.0, n)
+    peak = float(np.max(np.abs(x)))
+    want = oracle_flushed(x * resources.linear_phase(coeff, n), peak)
+    assert same_bytes(resources.linear_phased(x, coeff, peak), want)
