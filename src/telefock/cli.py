@@ -207,16 +207,24 @@ RESOURCE_KEYS = {"max_entangled": ("phases",), "noon": ("phases",), "fock_separa
                  "double_well": ("gamma", "tau", "U", "phases"), "four_coherence": tuple("abcdxy")}
 
 
-def _unphased_resource(spec: dict, nu: int) -> tuple[np.ndarray | fock.Diagonals, str | None,
-                                                     float]:
+# the resources whose exact `protocol.Band` the library forms in O(N)
+EXACT_BANDS = {"max_entangled": resources.max_entangled_band, "noon": resources.noon_band}
+
+
+def _unphased_resource(spec: dict, nu: int, N: int | None = None) -> tuple[
+        np.ndarray | fock.Diagonals | protocol.Band, str | None, float]:
     """(resource without its phases, their kind or None, their slope c): the
     phases are e^{i c k}, c = pi for `alternating`.  SU(2) is its real moduli
-    with the slope phi, plus the slope of its `phases`."""
+    with the slope phi, plus the slope of its `phases`.  Given N, a resource
+    of `EXACT_BANDS` is its exact band of width N, and no vector is built:
+    this is the one place that decides what a report reads of them."""
     if not isinstance(spec, dict):
         raise ConfigError("resource spec must be an object")
     name = _check_keys(spec, RESOURCE_KEYS, "resource")
     kind, slope = None, 0.0
-    if name == "max_entangled":
+    if N is not None and name in EXACT_BANDS:
+        resource = EXACT_BANDS[name](nu, N)
+    elif name == "max_entangled":
         resource = resources.max_entangled_amplitudes(nu)
     elif name == "noon":
         resource = resources.noon_amplitudes(nu)
@@ -286,9 +294,10 @@ def _phased(resource, kind: str | None, slope: float):
 
 
 def _report_form(resource, kind: str | None, slope: float, N: int):
-    """What `performance_report` reads of a resolved resource: a real vector
-    with phases as its `protocol.phased_band`, with no phased vector formed;
-    any other resource as `resolve_resource` returns it."""
+    """What `performance_report` reads of a resource `_unphased_resource`
+    resolved for N: a real vector or an exact band with phases as its
+    `protocol.phased_band`, with no phased vector formed; any other resource
+    as it is."""
     if kind is not None:
         return protocol.phased_band(resource, slope, N)
     return resource
@@ -372,16 +381,19 @@ def cmd_teleport(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     nu = _get(cfg, "nu", int)
     resource_spec = _get(cfg, "resource", dict)
-    resource, kind, slope = _unphased_resource(resource_spec, nu)
+    resource, kind, slope = _unphased_resource(resource_spec, nu, N)
     psi_cfg = cfg.get("psi")
     if psi_cfg is not None:
         psi = fock.PureTwoModeState(N, _psi_amplitudes(psi_cfg, N))
     else:
         psi = fock.sample_haar(N, args.seed)
     # the report reads what a sweep row reads, taken before `alternating`
-    # signs go on the vector in place
+    # signs go on the vector in place; the outcome table reads the vector
     form = _report_form(resource, kind, slope, N)
-    rho = _phased(resource, kind, slope)
+    if isinstance(resource, protocol.Band):
+        rho = resolve_resource(resource_spec, nu)
+    else:
+        rho = _phased(resource, kind, slope)
 
     rows = []
     for outcome in protocol.iter_outcomes(psi, rho):
@@ -419,7 +431,7 @@ def cmd_teleport(cfg: dict, args) -> int:
 
 def _sweep_row(nu: int, N: int, resource_spec: dict, timings: bool) -> dict:
     start = time.perf_counter()
-    form = _report_form(*_unphased_resource(resource_spec, nu), N)
+    form = _report_form(*_unphased_resource(resource_spec, nu, N), N)
     report = protocol.performance_report(form, N)
     elapsed = time.perf_counter() - start if timings else 0.0
     return {
@@ -451,8 +463,12 @@ def cmd_noise(cfg: dict, args) -> int:
     resource = resolve_resource(resource_spec, nu)
     noise_spec = resolve_noise(_get(cfg, "noise", dict), nu)
 
-    # a mixing scan runs over the weight s, written to the `t` column
+    # a mixing scan runs over the weight s, written to the `t` column; each
+    # kind reads one scan key, and CONFIG_KEYS["noise"] is their union
     mixing = isinstance(noise_spec, noise.MixingSpec)
+    scan_key = "weights" if mixing else "times"
+    _only_keys(cfg, ("schema_version", "kind", "N", "nu", "resource", "noise", scan_key),
+               f"a {cfg['noise']['kind']!r} noise config")
     scan = _nonnegative_list(_get(cfg, "weights", list), "weights") if mixing else _time_grid(cfg)
     loss = isinstance(noise_spec, noise.LossSpec)
     # a loss scan also takes f(0) for its floor f(0) exp(-2 t max eta) from the
@@ -503,8 +519,7 @@ def cmd_converge(cfg: dict, args) -> int:
     # each branch reads its own keys; CONFIG_KEYS["converge"] is their union
     common = ("schema_version", "kind", "N", "nu_grid")
     if "superposition" in cfg:
-        # an unread `family` still passes here: configs in use carry one
-        _only_keys(cfg, (*common, "superposition", "family"), "a 'superposition' converge config")
+        _only_keys(cfg, (*common, "superposition"), "a 'superposition' converge config")
         sup = cfg["superposition"]
         _only_keys(sup, ("a", "b", "c1", "c2"), "'superposition'")
         prof_a = resolve_family(_get(sup, "a", dict))

@@ -294,7 +294,7 @@ def band_of_diagonals(nu: int, upper, N: int) -> Band:
 
 def phased_band(x, c: float, N: int) -> Band:
     """The `Band` (width N) of the amplitudes x_k e^{i c k}, read from the
-    real vector x without forming them.
+    real vector x, or from the `Band` of one, without forming them.
 
     The phase is a local unitary on one mode: it multiplies rho_{k,k+d} by
     e^{-i c d}, so it scales the band sum of diagonal d by cos(c d) and
@@ -304,7 +304,7 @@ def phased_band(x, c: float, N: int) -> Band:
     x would need the imaginary parts of its sums, which `Band` does not
     hold, so it is rejected: form its phased vector and read that instead.
     """
-    if np.iscomplexobj(x) or np.ndim(x) != 1:
+    if not isinstance(x, Band) and (np.iscomplexobj(x) or np.ndim(x) != 1):
         raise StateValidationError("a phase goes on the band of a real amplitude vector only")
     b = band(x, N)
     return replace(b, sums=b.sums * np.cos(c * np.arange(1, b.sums.size + 1)))
@@ -428,32 +428,36 @@ def max_avg_entanglement(N: int) -> float:
 
 @dataclass(frozen=True)
 class PerformanceReport:
-    """Closed-form performance summary for one (resource, N) pair."""
+    """Closed-form performance summary for one (resource, N) pair.
+
+    `triangle_slack` is 8E/pi - (N+2)f + 2, nonnegative for every valid
+    resource, as `performance_report` reads it from the band; the report
+    checks the difference itself, so a fidelity or entanglement that breaks
+    the inequality raises.
+    """
 
     N: int
     fidelity: float
     avg_entanglement: float
     f_sep: float
     e_max: float
-
-    @property
-    def triangle_slack(self) -> float:
-        """8E/pi - (N+2)f + 2; nonnegative for every valid resource."""
-        return 8.0 * self.avg_entanglement / np.pi - (self.N + 2) * self.fidelity + 2.0
+    triangle_slack: float
 
     def __post_init__(self):
-        if self.triangle_slack < -PROBABILITY_SUM_TOL:
-            raise NumericalError(
-                f"triangle inequality violated: slack = {self.triangle_slack:g}"
-            )
+        slack = 8.0 * self.avg_entanglement / np.pi - (self.N + 2) * self.fidelity + 2.0
+        if slack < -PROBABILITY_SUM_TOL:
+            raise NumericalError(f"triangle inequality violated: slack = {slack:g}")
 
 
 def performance_report(rho: ResourceState | np.ndarray | Diagonals, N: int) -> PerformanceReport:
-    """Fidelity, averaged final entanglement and their baselines.
+    """Fidelity, averaged final entanglement, their baselines and the
+    triangle slack.
 
     Every form is read once: its `band` goes to `fidelity_closed_pure` and
     `avg_entanglement_closed`, which give bit for bit what each closed
-    functional gives on the form itself.
+    functional gives on the form itself.  The slack is read from the band
+    as sum_d (N+1-d)(moduli_d - sums_d)/(N+1) + 2(1 - weight): each term is
+    nonnegative, and it is exactly 0 where the moduli are the sums.
     """
     b = band(rho, N)
     return PerformanceReport(
@@ -462,6 +466,7 @@ def performance_report(rho: ResourceState | np.ndarray | Diagonals, N: int) -> P
         avg_entanglement=avg_entanglement_closed(b, N),
         f_sep=separable_fidelity(N),
         e_max=max_avg_entanglement(N),
+        triangle_slack=_band_total(b.moduli - b.sums, N) / (N + 1) + 2.0 * (1.0 - b.weight),
     )
 
 

@@ -6,7 +6,9 @@ exact diagonalization.
 
 Every pure family has one constructor, `*_amplitudes`, returning the
 normalized coefficient vector; the separable Fock state is its one diagonal
-(`fock_separable_diagonals`).  The functionals and noise scans read these
+(`fock_separable_diagonals`).  The uniform and N00N families also give their
+exact `protocol.Band` (`max_entangled_band`, `noon_band`) in O(N), with no
+vector, at any nu.  The functionals and noise scans read these
 forms directly; an oracle that needs the dense state builds it with
 `ResourceState.from_amplitudes` or `Diagonals.state`.  Real families
 (uniform, N00N, Gaussian, double well) return float64 vectors; SU(2)
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, StateValidationError
 from .fock import Diagonals, ResourceState, _normalize, _reader
+from .protocol import Band, _check_regime
 
 _SU2_BLOCK = 4096  # levels per cumulative product in `_su2_moduli`
 _SU2_FLOOR = 1e-300  # moduli, and parts of phased vectors, below this fraction of the peak are 0
@@ -43,6 +46,22 @@ def max_entangled_amplitudes(nu: int) -> np.ndarray:
     if nu < 0:
         raise StateValidationError("nu must be nonnegative")
     return np.full(nu + 1, 1.0 / np.sqrt(nu + 1))
+
+
+def max_entangled_band(nu: int, N: int) -> Band:
+    """The exact `protocol.Band` (width N) of `max_entangled_amplitudes(nu)`,
+    in O(N) time with no vector.
+
+    Lag d holds nu+1-d pairs of amplitudes 1/sqrt(nu+1), so its sum and its
+    modulus are 2(nu+1-d)/(nu+1): a quotient of Python ints, rounded once,
+    at any nu.
+    """
+    if nu < 0:
+        raise StateValidationError("nu must be nonnegative")
+    _check_regime(N, nu)
+    levels = int(nu) + 1
+    sums = np.fromiter((2 * (levels - d) / levels for d in range(1, N + 1)), float, count=N)
+    return Band(nu, 1.0, sums, sums)
 
 
 def max_entangled(nu: int) -> ResourceState:
@@ -66,6 +85,19 @@ def noon_amplitudes(nu: int) -> np.ndarray:
     x = np.zeros(nu + 1)
     x[0] = x[nu] = 1.0 / np.sqrt(2.0)
     return x
+
+
+def noon_band(nu: int, N: int) -> Band:
+    """The exact `protocol.Band` (width N) of `noon_amplitudes(nu)`, in O(N)
+    time with no vector: the one coherence pairs levels 0 and nu, so every
+    lag sums to 0 but lag nu, read once N = nu, which sums to 1."""
+    if nu < 1:
+        raise StateValidationError("N00N state needs nu >= 1")
+    _check_regime(N, nu)
+    sums = np.zeros(N)
+    if N == nu:
+        sums[-1] = 1.0
+    return Band(nu, 1.0, sums, sums)
 
 
 @dataclass(frozen=True)

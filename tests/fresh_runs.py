@@ -33,6 +33,13 @@ ROWS = [
         "name": "max_entangled", "phases": {"kind": "linear", "coefficient": 0.01}}}, 150),
     ("uniform sweep row at nu = 1e7, N = 256", "sweep",
      {**SWEEP, "N": 256, "resource": {"name": "max_entangled"}}, 150),
+    # the uniform rows above read their exact band: these keep a linear phase
+    # on a real vector, and the Gram reader at W = 256, under the same bound
+    ("linear-phase Gaussian sweep row at nu = 1e7", "sweep", {**SWEEP, "resource": {
+        "name": "gaussian", "beta": 0.75, "phases": {"kind": "linear", "coefficient": 0.01}}},
+     150),
+    ("Gaussian sweep row at nu = 1e7, N = 256", "sweep",
+     {**SWEEP, "N": 256, "resource": {"name": "gaussian", "beta": 0.75}}, 150),
     ("SU(2) sweep row at nu = 1e7", "sweep", {**SWEEP, "resource": SU2}, 150),
     ("SU(2) dephasing scan at nu = 1024", "noise", {
         "schema_version": 1, "kind": "noise", "N": 4, "nu": 1024, "resource": SU2,

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -181,6 +182,8 @@ def noise_config(**overrides):
         "times": [0.0],
     }
     cfg.update(overrides)
+    if cfg["noise"]["kind"] == "mixing":  # a mixing scan reads `weights` alone
+        del cfg["times"]
     return cfg
 
 
@@ -350,14 +353,34 @@ CONVERGE_UNREAD = [
     ({**CONVERGE, "superposition": SUPERPOSITION, "noise": LOSS}, "noise"),
     ({**CONVERGE, "superposition": SUPERPOSITION, "time_rule": {"exponent": -2.5}},
      "time_rule"),
+    ({**CONVERGE, "superposition": SUPERPOSITION, "family": {"name": "flat"}}, "family"),
 ]
 
 
 @pytest.mark.parametrize("cfg, key", CONVERGE_UNREAD,
                          ids=["time_rule-without-noise", "noise-beside-superposition",
-                              "time_rule-beside-superposition"])
+                              "time_rule-beside-superposition", "family-beside-superposition"])
 def test_a_converge_key_its_branch_does_not_read_exits_2_naming_it(tmp_path, capsys, cfg, key):
     assert main(["converge", "--config", write_config(tmp_path, cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: unknown config key")
+    assert len(err.strip().splitlines()) == 1 and repr(key) in err
+
+
+# a top-level noise key that the section's kind does not read: a mixing scan
+# reads `weights`, the others `times`
+NOISE_UNREAD = [
+    ({**noise_config(noise=MIXING, weights=[0.0]), "times": [0.0]}, "times"),
+    (noise_config(weights=[0.0]), "weights"),
+    (noise_config(noise=LOSS, weights=[0.0]), "weights"),
+]
+
+
+@pytest.mark.parametrize("cfg, key", NOISE_UNREAD,
+                         ids=["times-beside-mixing", "weights-beside-dephasing",
+                              "weights-beside-loss"])
+def test_a_noise_scan_key_its_kind_does_not_read_exits_2_naming_it(tmp_path, capsys, cfg, key):
+    assert main(["noise", "--config", write_config(tmp_path, cfg)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error: unknown config key")
     assert len(err.strip().splitlines()) == 1 and repr(key) in err
@@ -674,7 +697,6 @@ def test_converge_superposition(tmp_path):
         "kind": "converge",
         "N": 2,
         "nu_grid": [100, 200, 400, 800],
-        "family": {"name": "flat"},
         "superposition": {
             "a": {"name": "gaussian", "beta": 0.75},
             "b": {"name": "gaussian", "beta": 0.75},
@@ -819,11 +841,12 @@ def test_integer_beyond_parser_digit_limit_exits_2(tmp_path, capsys):
 
 def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     # what numpy raises for a grid point such as nu = 10**12
-    def exhausted(nu):
-        raise MemoryError(f"Unable to allocate {8 * (nu + 1)} bytes")
+    def exhausted(spec):
+        raise MemoryError(f"Unable to allocate {8 * (spec.nu + 1)} bytes")
 
-    monkeypatch.setattr(resources, "max_entangled_amplitudes", exhausted)
-    assert main(["sweep", "--config", write_config(tmp_path, sweep_config())]) == 3
+    monkeypatch.setattr(resources, "gaussian_amplitudes", exhausted)
+    cfg = sweep_config(resource={"name": "gaussian", "beta": 0.75})
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("environment error: out of memory")
     assert len(err.strip().splitlines()) == 1
@@ -1001,7 +1024,8 @@ CONVERGE_OVERFLOW = {
 
 
 @pytest.mark.parametrize("kind, cfg, exc", [
-    ("sweep", sweep_config(nu_grid=[2 ** 62]), "ValueError"),
+    ("sweep", sweep_config(nu_grid=[2 ** 62], resource={"name": "gaussian", "beta": 0.75}),
+     "ValueError"),
     ("teleport", teleport_config(nu=2 ** 62), "ValueError"),
     ("converge", CONVERGE_OVERFLOW, "OverflowError"),
 ])
@@ -1310,6 +1334,23 @@ def test_sweep_of_the_uniform_resource_at_ten_million(tmp_path):
     assert main(["sweep", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
     [row] = json.loads(out.read_text())
     assert abs(row["fidelity"] - (1.0 - 1.0 / (3.0 * (nu + 1)))) <= 1e-12
+
+
+@pytest.mark.parametrize("resource", [{"name": "max_entangled"}, {"name": "noon"}])
+def test_sweep_rows_of_exact_bands_reach_the_top_of_nu_grid(tmp_path, capsys, resource):
+    # the rows read their exact band: no vector, and Python-int quotients
+    grid, N = [2 ** 62, 2 ** 63 - 1], 4
+    cfg = write_config(tmp_path, sweep_config(N=N, nu_grid=grid, resource=resource))
+    assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+    for nu, row in zip(grid, json.loads(capsys.readouterr().out)):
+        if resource["name"] == "noon":
+            f, e = Fraction(2, N + 2), Fraction(0)
+        else:
+            f = 1 - Fraction(N, 3 * (nu + 1))
+            e = Fraction(N * (3 * nu - N + 1), 24 * (nu + 1)) * Fraction(math.pi)
+        assert abs(Fraction(row["fidelity"]) - f) <= Fraction(1e-15) * f
+        assert abs(Fraction(row["avg_entanglement"]) - e) <= Fraction(1e-15) * e
+        assert row["triangle_slack"] == 0.0
 
 
 def test_ground_state_reads_its_vector_once(tmp_path, capsys, monkeypatch):

@@ -2,16 +2,18 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from telefock import cli, resources
-from telefock.errors import StateValidationError
+from telefock.errors import StateValidationError, UnsupportedRegimeError
 from telefock.fock import Diagonals, ResourceState, negativity
 from telefock.protocol import (
     avg_entanglement_closed,
+    band,
     fidelity_closed,
     fidelity_closed_pure,
     performance_report,
@@ -693,3 +695,56 @@ def test_linear_phased_keeps_the_bytes_of_the_oracle(n, coeff):
     peak = float(np.max(np.abs(x)))
     want = oracle_flushed(x * resources.linear_phase(coeff, n), peak)
     assert same_bytes(resources.linear_phased(x, coeff, peak), want)
+
+
+EXACT_FAMILIES = {"uniform": (resources.max_entangled_band, resources.max_entangled_amplitudes),
+                  "noon": (resources.noon_band, resources.noon_amplitudes)}
+# (nu, N): small and odd sizes, the Gram reader's widths 32..256, and N = nu,
+# where N00N's one nonzero lag is read
+EXACT_SIZES = [(1, 1), (2, 1), (2, 2), (7, 3), (7, 7), (64, 32), (257, 257), (1000, 1000),
+               (2 ** 16, 1), (2 ** 16, 4), (2 ** 16, 64), (2 ** 16, 256)]
+
+
+@pytest.mark.parametrize("nu, N", EXACT_SIZES)
+@pytest.mark.parametrize("phase", [None, np.pi, 0.7, -0.013], ids=["none", "alternating",
+                                                                  "linear-0.7", "linear-0.013"])
+@pytest.mark.parametrize("name", sorted(EXACT_FAMILIES))
+def test_exact_band_matches_the_band_of_the_vector(name, phase, nu, N):
+    # the vector path rounds its amplitudes 1/sqrt(nu+1) and the products of
+    # each lag in the same direction: 3.5e-15 relative (16 ulp) at 2^16
+    exact, vector = EXACT_FAMILIES[name]
+    got, want = exact(nu, N), band(vector(nu), N)
+    if phase is not None:
+        got, want = phased_band(got, phase, N), phased_band(vector(nu), phase, N)
+    assert got.n_particles == want.n_particles == nu and got.weight == want.weight == 1.0
+    for a, b in ((got.sums, want.sums), (got.moduli, want.moduli)):
+        assert a.shape == b.shape == (N,)
+        np.testing.assert_allclose(a, b, rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("nu, N", EXACT_SIZES + [(2 ** 62, 4), (2 ** 63 - 1, 4)])
+def test_exact_bands_are_the_rationals_rounded_once(nu, N):
+    lags = [Fraction(2 * (nu + 1 - d), nu + 1) for d in range(1, N + 1)]
+    noon = [Fraction(d == nu) for d in range(1, N + 1)]
+    for b, want in ((resources.max_entangled_band(nu, N), lags),
+                    (resources.noon_band(nu, N), noon)):
+        assert b.weight == 1.0
+        assert b.sums.tolist() == b.moduli.tolist() == [float(q) for q in want]
+
+
+def test_uniform_vector_at_nu_1e7_enters_band():
+    # the normalization check once rejected this vector above nu ~ 2.7e6; the
+    # CLI reads the exact band, so this is the vector path's own regression
+    nu = 10 ** 7
+    got = band(resources.max_entangled_amplitudes(nu), 1)
+    assert got.weight == 1.0
+    assert got.sums[0] == pytest.approx(2 * nu / (nu + 1), rel=2e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("exact, nu", [(resources.max_entangled_band, -1),
+                                       (resources.noon_band, 0)])
+def test_exact_band_keeps_the_vector_validation(exact, nu):
+    with pytest.raises(StateValidationError, match="nu"):
+        exact(nu, 1)
+    with pytest.raises(UnsupportedRegimeError, match="nu=3 < N=4"):
+        exact(3, 4)
