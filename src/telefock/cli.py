@@ -195,11 +195,6 @@ def _only_keys(spec: dict, keys, where: str) -> None:
         raise ConfigError(f"unknown config key {unknown[0]!r} in {where}")
 
 
-def resolve_resource(spec: dict, nu: int) -> np.ndarray | fock.Diagonals:
-    """The amplitude vector of a pure family, or the diagonals of a mixed one."""
-    return _phased(*_unphased_resource(spec, nu))
-
-
 # the keys each resource reads besides `name`; `phases` goes on vectors only
 RESOURCE_KEYS = {"max_entangled": ("phases",), "noon": ("phases",), "fock_separable": ("k",),
                  "gaussian": ("beta", "sigma", "center", "phases"),
@@ -211,15 +206,14 @@ RESOURCE_KEYS = {"max_entangled": ("phases",), "noon": ("phases",), "fock_separa
 EXACT_BANDS = {"max_entangled": resources.max_entangled_band, "noon": resources.noon_band}
 
 
-def _unphased_resource(spec: dict, nu: int, N: int | None = None) -> tuple[
-        np.ndarray | fock.Diagonals | protocol.Band, str | None, float]:
-    """(resource without its phases, their kind or None, their slope c): the
-    phases are e^{i c k}, c = pi for `alternating`.  SU(2) is its real moduli
-    with the slope phi, plus the slope of its `phases`.  Given N, a resource
-    of `EXACT_BANDS` is its exact band of width N, and no vector is built:
-    this is the one place that decides what a report reads of them."""
-    if not isinstance(spec, dict):
-        raise ConfigError("resource spec must be an object")
+def resolve_resource(spec: dict, nu: int, N: int | None = None
+                     ) -> np.ndarray | fock.Diagonals | protocol.Band:
+    """The one place that decides a resource's form.  Without N: the amplitude
+    vector of a pure family times its phases e^{i c k} (c = pi for `alternating`;
+    SU(2) adds its slope phi), or the diagonals of a mixed one.  Given N: what a
+    report of width N reads, with no phased vector formed: the exact band of a
+    resource of `EXACT_BANDS`, `protocol.phased_band` of a real vector (SU(2):
+    its moduli) or exact band with phases, and any other resource as without N."""
     name = _check_keys(spec, RESOURCE_KEYS, "resource")
     kind, slope = None, 0.0
     if N is not None and name in EXACT_BANDS:
@@ -267,39 +261,25 @@ def _unphased_resource(spec: dict, nu: int, N: int | None = None) -> tuple[
             _get(spec, "x", float), _get(spec, "y", float), nu,
         )
     phase = spec.get("phases")
-    if phase is None:
-        return resource, kind, slope
-    phase_kind = _check_keys(phase, {"alternating": (), "linear": ("coefficient",)},
-                             "phase", "kind")
-    c = math.pi if phase_kind == "alternating" else _get(phase, "coefficient", float)
-    if kind is None:
-        kind, slope = phase_kind, c
-    else:  # SU(2): one linear slope
-        slope += c
-    if kind == "linear":
-        resources._check_linear_phase(slope, nu + 1)
-    return resource, kind, slope
-
-
-def _phased(resource, kind: str | None, slope: float):
-    """The resource times its phases.  The constructors return vectors of
-    their own, so `alternating` signs go on in place; a linear phase goes
-    through `resources.linear_phased`."""
-    if kind == "alternating":  # a real vector: times +1 leaves its bytes
+    if phase is not None:
+        phase_kind = _check_keys(phase, {"alternating": (), "linear": ("coefficient",)},
+                                 "phase", "kind")
+        c = math.pi if phase_kind == "alternating" else _get(phase, "coefficient", float)
+        if kind is None:
+            kind, slope = phase_kind, c
+        else:  # SU(2): one linear slope
+            slope += c
+        if kind == "linear":
+            resources._check_linear_phase(slope, nu + 1)
+    if kind is not None and N is not None:
+        return protocol.phased_band(resource, slope, N)
+    # the constructors return vectors of their own, so `alternating` signs go
+    # on in place (times +1 leaves a real vector's bytes)
+    if kind == "alternating":
         np.multiply(resource[1::2], -1.0, out=resource[1::2])
     elif kind == "linear":
         peak = max(float(resource.max()), -float(resource.min()))
         resource = resources.linear_phased(resource, slope, peak)
-    return resource
-
-
-def _report_form(resource, kind: str | None, slope: float, N: int):
-    """What `performance_report` reads of a resource `_unphased_resource`
-    resolved for N: a real vector or an exact band with phases as its
-    `protocol.phased_band`, with no phased vector formed; any other resource
-    as it is."""
-    if kind is not None:
-        return protocol.phased_band(resource, slope, N)
     return resource
 
 
@@ -381,19 +361,13 @@ def cmd_teleport(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     nu = _get(cfg, "nu", int)
     resource_spec = _get(cfg, "resource", dict)
-    resource, kind, slope = _unphased_resource(resource_spec, nu, N)
+    form = resolve_resource(resource_spec, nu, N)  # what a sweep row reads
     psi_cfg = cfg.get("psi")
     if psi_cfg is not None:
         psi = fock.PureTwoModeState(N, _psi_amplitudes(psi_cfg, N))
     else:
         psi = fock.sample_haar(N, args.seed)
-    # the report reads what a sweep row reads, taken before `alternating`
-    # signs go on the vector in place; the outcome table reads the vector
-    form = _report_form(resource, kind, slope, N)
-    if isinstance(resource, protocol.Band):
-        rho = resolve_resource(resource_spec, nu)
-    else:
-        rho = _phased(resource, kind, slope)
+    rho = resolve_resource(resource_spec, nu)  # the outcome table reads the vector
 
     rows = []
     for outcome in protocol.iter_outcomes(psi, rho):
@@ -431,8 +405,7 @@ def cmd_teleport(cfg: dict, args) -> int:
 
 def _sweep_row(nu: int, N: int, resource_spec: dict, timings: bool) -> dict:
     start = time.perf_counter()
-    form = _report_form(*_unphased_resource(resource_spec, nu, N), N)
-    report = protocol.performance_report(form, N)
+    report = protocol.performance_report(resolve_resource(resource_spec, nu, N), N)
     elapsed = time.perf_counter() - start if timings else 0.0
     return {
         "nu": nu, "N": N, "fidelity": report.fidelity,
@@ -460,8 +433,10 @@ def cmd_noise(cfg: dict, args) -> int:
     N = _get(cfg, "N", int)
     nu = _get(cfg, "nu", int)
     resource_spec = _get(cfg, "resource", dict)
-    resource = resolve_resource(resource_spec, nu)
     noise_spec = resolve_noise(_get(cfg, "noise", dict), nu)
+    # dephasing scans read the band a report reads; loss and mixing, the vector
+    dephasing = isinstance(noise_spec, noise.DephasingSpec)
+    resource = resolve_resource(resource_spec, nu, N if dephasing else None)
 
     # a mixing scan runs over the weight s, written to the `t` column; each
     # kind reads one scan key, and CONFIG_KEYS["noise"] is their union
@@ -490,8 +465,7 @@ def cmd_noise(cfg: dict, args) -> int:
         })
 
     report = None
-    if (isinstance(noise_spec, noise.DephasingSpec)
-            and resource_spec["name"] == "four_coherence" and N > 2):
+    if dephasing and resource_spec["name"] == "four_coherence" and N > 2:
         try:
             report = noise.dephasing_threshold_demo(
                 *(resource_spec[k] for k in "abcdxy"),

@@ -20,6 +20,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP = {"schema_version": 1, "kind": "sweep", "N": 4, "nu_grid": [10_000_000]}
 SU2 = {"name": "su2_coherent", "theta": 1.1, "phi": 0.4}
+DEPHASING = {"schema_version": 1, "kind": "noise", "N": 4, "nu": 10_000_000,
+             "noise": {"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5}, "times": [0.0, 0.1]}
 
 # (label, subcommand, config as a dict, a path or None, MB bound or None for a golden row)
 ROWS = [
@@ -45,6 +47,11 @@ ROWS = [
         "schema_version": 1, "kind": "noise", "N": 4, "nu": 1024, "resource": SU2,
         "noise": {"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5},
         "times": {"start": 0.0, "stop": 0.3, "num": 13}}, 40),
+    # a dephasing scan reads the band a sweep row reads: no uniform vector,
+    # and SU(2)'s real moduli with no complex phased vector
+    ("uniform dephasing scan at nu = 1e7", "noise",
+     {**DEPHASING, "resource": {"name": "max_entangled"}}, 40),
+    ("SU(2) dephasing scan at nu = 1e7", "noise", {**DEPHASING, "resource": SU2}, 150),
     ("dephasing threshold sample", "noise", ROOT / "configs/noise_dephasing_threshold.json", 50),
     ("teleport sample", "teleport", ROOT / "configs/teleport_maxent.json", 45),
     ("selftest", "selftest", None, 45),

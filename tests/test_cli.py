@@ -15,6 +15,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from telefock import cli, continuum, fock, noise, protocol, resources
 from telefock.cli import main
@@ -305,6 +307,53 @@ def test_a_misspelt_resource_or_family_key_exits_2_naming_it(tmp_path, capsys, s
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:") and len(err.strip().splitlines()) == 1
     assert repr(key) in err
+
+
+# a value of each JSON type, the non-finite and the largest floats among them
+FUZZ_VALUES = st.one_of(
+    st.integers(-2, 80), st.integers(), st.sampled_from([0.3, 0.75, 1.1, 3.0, -0.1]), st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308]), st.booleans(),
+    st.text(max_size=4), st.lists(st.integers(-2, 4), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+FUZZ_PHASES = st.one_of(
+    st.just({"kind": "alternating"}),
+    st.builds(lambda c: {"kind": "linear", "coefficient": c}, FUZZ_VALUES),
+    st.dictionaries(st.sampled_from(["kind", "coefficient", "coefficent"]),
+                    st.sampled_from(["alternating", "linear"]) | FUZZ_VALUES, max_size=3),
+    FUZZ_VALUES)
+
+
+@st.composite
+def fuzzed_resources(draw):
+    """(spec, its undeclared key or None): a name of `RESOURCE_KEYS` or an
+    unknown one, some of its declared keys, and perhaps one undeclared key
+    (misspelt, or `phases` on a resource that takes none)."""
+    name = draw(st.sampled_from([*cli.RESOURCE_KEYS, "max_entangle"]))
+    declared = cli.RESOURCE_KEYS.get(name, ())
+    spec = {"name": name}
+    for key in draw(st.lists(st.sampled_from(declared), unique=True)) if declared else ():
+        spec[key] = draw(FUZZ_PHASES if key == "phases" else FUZZ_VALUES)
+    misspelt = draw(st.none() | st.sampled_from(
+        [key for key in ("phases", "phase", "betta", "Theta", "gama", "z") if key not in declared]))
+    if misspelt is not None:
+        spec[misspelt] = draw(FUZZ_PHASES if "phase" in misspelt else FUZZ_VALUES)
+    return spec, misspelt if name in cli.RESOURCE_KEYS else None
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_resources(), st.integers(1, 3), st.integers(1, 64))
+def test_fuzzed_resource_specs_exit_0_2_or_3_with_one_line(tmp_path, capsys, case, N, nu):
+    spec, misspelt = case
+    for kind, cfg in (("sweep", sweep_config(N=N, nu_grid=[nu], resource=spec)),
+                      ("noise", noise_config(N=N, nu=nu, resource=spec, times=[0.0, 0.5])),
+                      ("teleport", teleport_config(N=N, nu=nu, resource=spec))):
+        rc = main([kind, "--config", write_config(tmp_path, cfg), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert rc in (0, 2, 3) and "Traceback" not in err, (kind, spec, rc, err)
+        assert len(err.splitlines()) == (rc != 0) and (out == "") == (rc != 0), (kind, spec, err)
+        if misspelt is not None:
+            assert rc == 2 and f"unknown config key {misspelt!r}" in err, (kind, spec, err)
 
 
 CONVERGE = {"schema_version": 1, "kind": "converge", "N": 2, "nu_grid": [20, 40, 80, 160]}
@@ -1104,8 +1153,15 @@ def test_noise_at_a_million_particles_in_bounded_memory(tmp_path, kind, cfg):
     {"name": "four_coherence", "a": 0.35, "b": 0.15, "c": 0.15, "d": 0.35, "x": -0.1, "y": 0.3},
 ])
 def test_noise_scan_beyond_memory_exits_3(tmp_path, capsys, monkeypatch, resource):
+    built = resource
+    if resource["name"] == "max_entangled":
+        # a dephasing scan reads the uniform resource's exact band, no vector
+        cfg = write_config(tmp_path, noise_config(nu=2 ** 62, resource=resource))
+        assert main(["noise", "--config", cfg, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["fidelity"] == 1.0
+        built = {"name": "gaussian", "beta": 0.75}
     # numpy refuses a 2**62-entry diagonal before allocating anything
-    cfg = write_config(tmp_path, noise_config(nu=2 ** 62, resource=resource))
+    cfg = write_config(tmp_path, noise_config(nu=2 ** 62, resource=built))
     assert main(["noise", "--config", cfg]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical error: ValueError:")
@@ -1229,7 +1285,8 @@ def test_teleport_text_output_with_out_writes_the_json_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("spec", CLI_RESOURCES, ids=resource_id)
 def test_teleport_and_sweep_report_the_same_functionals(tmp_path, capsys, spec):
-    # both read the resolved resource, so the numbers agree bit for bit
+    # all three read the resolved resource, so the numbers agree bit for bit;
+    # a dephasing scan's t = 0 row reads the same band
     grid = [37, 100, 211]
     for N in (1, 2, 3):
         cfg = write_config(tmp_path, sweep_config(N=N, nu_grid=grid, resource=spec))
@@ -1241,6 +1298,11 @@ def test_teleport_and_sweep_report_the_same_functionals(tmp_path, capsys, spec):
             report = json.loads(capsys.readouterr().out)
             for key in ("fidelity", "avg_entanglement", "triangle_slack"):
                 assert report[key] == row[key], (N, nu, key)
+            cfg = write_config(tmp_path, noise_config(N=N, nu=nu, resource=spec, times=[0.0]))
+            assert main(["noise", "--config", cfg, "--format", "json"]) == 0
+            (scanned,) = json.loads(capsys.readouterr().out)["rows"]
+            for key in ("fidelity", "avg_entanglement"):
+                assert scanned[key] == row[key], (N, nu, key)
 
 
 def test_commands_build_no_dense_resource(tmp_path, capsys, monkeypatch):
