@@ -29,6 +29,7 @@ from .errors import (
     NumericalError,
     StateValidationError,
     TelefockError,
+    UnsupportedRegimeError,
 )
 
 SCHEMA_VERSION = 1
@@ -445,34 +446,31 @@ def cmd_noise(cfg: dict, args) -> int:
     _only_keys(cfg, ("schema_version", "kind", "N", "nu", "resource", "noise", scan_key),
                f"a {cfg['noise']['kind']!r} noise config")
     scan = _nonnegative_list(_get(cfg, "weights", list), "weights") if mixing else _time_grid(cfg)
-    loss = isinstance(noise_spec, noise.LossSpec)
-    # a loss scan also takes f(0) for its floor f(0) exp(-2 t max eta) from the
-    # same band call as its rows, so a t = 0 row and f(0) agree bitwise
-    noisy = noise.band_scan(resource, noise_spec, N, [0.0, *scan] if loss else scan)
-    floor = np.zeros(len(scan))
-    if loss:
-        (band0, _), *noisy = noisy
-        max_eta = float(np.max(noise.eta_rates(noise_spec, nu)))
-        floor = noise.loss_floor(protocol.fidelity_closed(band0, N), max_eta, scan)
+    if isinstance(noise_spec, noise.LossSpec):
+        bounds = noise.loss_fidelity_bounds(resource, noise_spec, N, scan)
+        noisy, fidelity, floor = bounds.bands, bounds.fidelity, bounds.lower_bound
+    else:
+        noisy = noise.band_scan(resource, noise_spec, N, scan)
+        fidelity = [protocol.fidelity_closed(band, N) for band, _ in noisy]
+        floor = [0.0] * len(scan)
     f_sep = protocol.separable_fidelity(N)
     rows = []
-    for x, lower, (band, weight) in zip(scan, floor, noisy):
+    for x, f, lower, (band, weight) in zip(scan, fidelity, floor, noisy):
         rows.append({
-            "t": float(x), "N": N,
-            "fidelity": protocol.fidelity_closed(band, N),
+            "t": float(x), "N": N, "fidelity": f,
             "avg_entanglement": protocol.avg_entanglement_closed(band, N),
-            "f_sep": f_sep, "lower_bound": float(lower), "survival_weight": weight,
+            "f_sep": f_sep, "lower_bound": lower, "survival_weight": weight,
         })
 
     report = None
-    if dephasing and resource_spec["name"] == "four_coherence" and N > 2:
+    if dephasing and resource_spec["name"] == "four_coherence":
         try:
             report = noise.dephasing_threshold_demo(
                 *(resource_spec[k] for k in "abcdxy"),
                 N, noise_spec.lambda3, noise_spec.lambda4, nu=nu,
             )
-        except StateValidationError:
-            pass  # no crossing: x >= 0, y <= 0, no initial advantage or no dephasing
+        except (StateValidationError, UnsupportedRegimeError):
+            pass  # no crossing: N <= 2, x >= 0, y <= 0, no initial advantage or no dephasing
     extra = dataclasses.asdict(report) if report is not None else None
     if args.format == "json":
         _write_json(args.out, {"rows": rows, "threshold": extra})

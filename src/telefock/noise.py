@@ -11,7 +11,7 @@ supplies the lower blocks the closed form does not reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from itertools import zip_longest
 from types import SimpleNamespace
 
@@ -71,6 +71,9 @@ class DephasingSpec:
     def __post_init__(self):
         if self.lambda3 < 0.0 or self.lambda4 < 0.0 or self.t < 0.0:
             raise StateValidationError("dephasing rates and time must be nonnegative")
+        if not math.isfinite(self.rate_sum):
+            raise StateValidationError(f"dephasing rate sum lambda3 + lambda4 = {self.lambda3!r} + "
+                                       f"{self.lambda4!r} is beyond the floats")
 
     @property
     def rate_sum(self) -> float:
@@ -284,23 +287,28 @@ def eta_rates(spec: LossSpec, nu: int) -> np.ndarray:
     """Fock-diagonal decay rates eta_k = sum_i (rate_i/2) k!/(k-m)! (nu-k)!/(nu-k-n)!.
 
     Falling factorials vanish whenever the channel would remove more
-    particles than a mode holds.  They are float products of integers, so
-    exact while below 2**53.
+    particles than a mode holds, so a channel reaches only m <= k <= nu - n.
+    They are float products of integers, so exact while below 2**53.  A
+    channel of rate 0 adds nothing, and rates beyond the floats raise
+    `StateValidationError`.
     """
-    k = np.arange(nu + 1)
     eta = np.zeros(nu + 1)
-    for ch in spec.channels:
-        eta += 0.5 * ch.rate * _falling(k, ch.m) * _falling(nu - k, ch.n)
+    with np.errstate(over="ignore"):  # refused below
+        for ch in spec.channels:
+            if ch.rate != 0.0 and ch.m <= nu - ch.n:
+                k = np.arange(ch.m, nu - ch.n + 1)
+                eta[k[0] : k[-1] + 1] += 0.5 * ch.rate * _falling(k, ch.m) * _falling(nu - k, ch.n)
+    if not np.isfinite(eta).all():
+        raise StateValidationError(f"loss rates eta_k at nu = {nu} are beyond the floats for the "
+                                   f"channels (rate, m, n) {[astuple(ch) for ch in spec.channels]}")
     return eta
 
 
 def _falling(x: np.ndarray, m: int) -> np.ndarray:
-    """x!/(x-m)! elementwise, zero where x < m."""
+    """x!/(x-m)! elementwise, for x >= m (each caller keeps only the k a channel reaches)."""
     out = np.ones(x.shape)
-    # once i exceeds max(x) every entry is already zero: stop there, so a
-    # huge m costs no more than max(x) + 1 products
-    for i in range(min(m, int(x.max(initial=0)) + 1)):
-        out *= np.maximum(x - i, 0)
+    for i in range(m):
+        out *= x - i
     return out
 
 
@@ -563,9 +571,11 @@ def band_scan(
     out = []
     if isinstance(spec, DephasingSpec):
         clean = band(resource, N)
-        d2 = np.arange(len(clean.sums) + 1) ** 2
+        d2 = np.arange(1, len(clean.sums) + 1) ** 2
         for t in points:
-            w = np.exp(-0.5 * t * spec.rate_sum * d2)[1:]  # as `dephase`'s kernel
+            # every w_d is exactly 0 once the exponent falls below -1e100: flooring it
+            # there keeps a long time's product with d^2 inside the floats
+            w = np.exp(max(-0.5 * t * spec.rate_sum, -1e100) * d2)  # as `dephase`'s kernel
             out.append((replace(clean, sums=clean.sums * w, moduli=clean.moduli * w), 1.0))
         return out
     nu, rho, _ = _reader(resource, N)
@@ -578,10 +588,12 @@ def band_scan(
             out.append((band_of_diagonals(nu, ((r + s * q) / (1.0 + s) for r, q in pairs), N), 1.0))
         return out
     eta = eta_rates(spec, nu)
-    for t in points:
-        e = np.exp(-t * eta)
-        lossy = band_of_diagonals(nu, (e[: nu + 1 - d] * u * e[d:] for d, u in enumerate(rho())), N)
-        out.append((lossy, lossy.weight))
+    with np.errstate(over="ignore"):  # a long time damps to exactly 0
+        for t in points:
+            e = np.exp(-t * eta)
+            diagonals = (e[: nu + 1 - d] * u * e[d:] for d, u in enumerate(rho()))
+            lossy = band_of_diagonals(nu, diagonals, N)
+            out.append((lossy, lossy.weight))
     return out
 
 
@@ -596,6 +608,7 @@ class BoundsReport:
     f_sep: float
     max_eta: float
     t_critical: float
+    bands: list[tuple[Band, float]] = field(compare=False, repr=False)  # `band_scan`'s pairs
     bound_satisfied: bool = field(init=False)
 
     def __post_init__(self):
@@ -605,15 +618,15 @@ class BoundsReport:
 
 def loss_floor(f0: float, max_eta: float, times) -> np.ndarray:
     """The bound exp(-2 t max_k eta_k) f(0) on the loss-channel fidelity at each time."""
-    return np.exp(-2.0 * np.asarray(times) * max_eta) * f0
+    with np.errstate(over="ignore"):  # t max_eta first: a rate of 0 keeps f(0) at any time
+        return np.exp(-2.0 * (np.asarray(times) * max_eta)) * f0
 
 
-def loss_fidelity_bounds(
-    rho, spec: LossSpec, N: int, n_times: int = 20
-) -> BoundsReport:
-    """f(t) over a time grid with the bound f(t) >= exp(-2 t max_k eta_k) f(0).
+def loss_fidelity_bounds(rho, spec: LossSpec, N: int, times) -> BoundsReport:
+    """f(t) at each of `times` with the bound f(t) >= exp(-2 t max_k eta_k) f(0).
 
     `rho` is any resource `band_scan` reads: amplitudes, `Diagonals` or a state.
+    As in `band_scan`, each time passes through `spec`, whose own `t` is not read.
 
     Lower particle-number blocks never contribute to the fidelity (a state
     with the wrong particle number has zero overlap with the input), so f(t)
@@ -622,7 +635,7 @@ def loss_fidelity_bounds(
     time 2 t max eta = ln(f(0) (N+2)/2) bounds the window in which the
     evolved state still beats the separable baseline.
     """
-    times = np.linspace(0.0, spec.t, n_times)
+    times = np.asarray(times, dtype=float)
     # f(0) is the scan's own t = 0 row: exp(-0 * eta) is exactly 1
     scan = band_scan(rho, spec, N, [0.0, *times])
     max_eta = float(np.max(eta_rates(spec, scan[0][0].n_particles)))
@@ -643,6 +656,7 @@ def loss_fidelity_bounds(
         f_sep=separable_fidelity(N),
         max_eta=max_eta,
         t_critical=t_crit,
+        bands=scan[1:],
     )
 
 

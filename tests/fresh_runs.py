@@ -52,6 +52,12 @@ ROWS = [
     ("uniform dephasing scan at nu = 1e7", "noise",
      {**DEPHASING, "resource": {"name": "max_entangled"}}, 40),
     ("SU(2) dephasing scan at nu = 1e7", "noise", {**DEPHASING, "resource": SU2}, 150),
+    # a loss scan keeps O(N) numbers a time, the bands of its report, and no vector a time
+    ("Gaussian loss scan at nu = 1e6", "noise", {
+        "schema_version": 1, "kind": "noise", "N": 4, "nu": 1_000_000,
+        "resource": {"name": "gaussian", "beta": 0.75},
+        "noise": {"kind": "loss", "channels": [{"rate": 0.5, "m": 1, "n": 1}]},
+        "times": [0.0, 1e-13, 1e-12, 1e-11, 1e-10]}, 135),
     ("dephasing threshold sample", "noise", ROOT / "configs/noise_dephasing_threshold.json", 50),
     ("teleport sample", "teleport", ROOT / "configs/teleport_maxent.json", 45),
     ("selftest", "selftest", None, 45),

@@ -271,7 +271,7 @@ def test_acceptance_10_loss_bounds():
     for label, channels in channel_sets.items():
         rho = random_resource(8, rng)
         spec = noise.LossSpec(channels, t=0.6)
-        report = noise.loss_fidelity_bounds(rho, spec, N=2, n_times=20)
+        report = noise.loss_fidelity_bounds(rho, spec, N=2, times=np.linspace(0.0, spec.t, 20))
         assert len(report.times) == 20
         assert report.bound_satisfied, label
 

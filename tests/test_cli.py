@@ -395,6 +395,137 @@ def test_a_misspelt_key_in_any_other_section_exits_2_naming_it(tmp_path, capsys,
     assert len(err.strip().splitlines()) == 1 and repr(key) in err
 
 
+def reject_constant(token):
+    raise AssertionError(f"{token} is not valid JSON")
+
+
+# the extreme rates, counts and times of a valid noise section
+FUZZ_RATES = st.sampled_from([0, 0.0, -0.0, 1e-300, 0.5, 1e300, 1e308])
+FUZZ_COUNTS = st.sampled_from([0, 1, 2, 7, 2 ** 62, 2 ** 63 - 1]) | st.integers(0, 2 ** 63 - 1)
+FUZZ_TIMES = st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1e4, 1e300, 1e308]) | st.floats(0.0, 1e308)
+# a list, a grid of a few points (a large `num` would allocate its grid), or any value
+FUZZ_SCAN = st.one_of(
+    st.lists(FUZZ_TIMES, min_size=1, max_size=3),
+    st.fixed_dictionaries({"start": FUZZ_TIMES, "stop": FUZZ_TIMES, "num": st.integers(1, 4)}),
+    FUZZ_VALUES)
+
+
+@st.composite
+def fuzzed_noise(draw):
+    """(section, its undeclared key or None): a kind of `NOISE_KEYS` or an
+    unknown one with its keys at extreme values, where one value may be any
+    JSON value or missing, and perhaps one undeclared key."""
+    kind = draw(st.sampled_from([*cli.NOISE_KEYS, "damping"]))
+    spec, slots = {"kind": kind}, []
+    if kind == "dephasing":
+        spec.update(lambda3=draw(FUZZ_RATES), lambda4=draw(FUZZ_RATES))
+    elif kind == "loss":
+        spec["channels"] = draw(st.lists(st.fixed_dictionaries(
+            {"rate": FUZZ_RATES, "m": FUZZ_COUNTS, "n": FUZZ_COUNTS}), min_size=1, max_size=3))
+        slots = [(ch, key) for ch in spec["channels"] for key in ch]
+    elif kind == "mixing":
+        spec["undesired"] = draw(st.sampled_from(CLI_RESOURCES))
+    slots += [(spec, key) for key in spec if key != "kind"]
+    if slots and draw(st.integers(0, 2)) == 0:
+        section, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            section[key] = draw(FUZZ_VALUES)
+        else:
+            del section[key]
+    misspelt = None
+    if draw(st.integers(0, 3)) == 0:
+        misspelt = draw(st.sampled_from(["lambda_3", "rates", "undesire", "t"]))
+        spec[misspelt] = draw(FUZZ_VALUES)
+    return spec, misspelt if kind in cli.NOISE_KEYS else None
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_noise(), FUZZ_SCAN, st.sampled_from(CLI_RESOURCES), st.integers(1, 3),
+       st.integers(1, 64), st.sampled_from([1.0, 1e300, 1e308]))
+def test_fuzzed_noise_specs_exit_0_2_or_3_with_one_line(tmp_path, capsys, case, scan, resource,
+                                                         N, nu, scale):
+    spec, misspelt = case
+    scan_key = "weights" if spec["kind"] == "mixing" else "times"
+    for kind, cfg in (
+            ("noise", {"schema_version": 1, "kind": "noise", "N": N, "nu": nu,
+                       "resource": resource, "noise": spec, scan_key: scan}),
+            ("converge", {**CONVERGE, "N": N, "family": {"name": "gaussian", "beta": 0.75},
+                          "noise": spec, "time_rule": {"exponent": -2.5, "scale": scale}})):
+        rc = main([kind, "--config", write_config(tmp_path, cfg), "--format", "json"])
+        out, err = capsys.readouterr()
+        # a numpy warning is an error under the test settings: none may arise
+        assert rc in (0, 2, 3) and "Traceback" not in err and "Warning" not in err, (cfg, err)
+        assert len(err.splitlines()) == (rc != 0) and (out == "") == (rc != 0), (cfg, err)
+        if misspelt is not None:
+            assert rc == 2 and f"unknown config key {misspelt!r}" in err, (cfg, err)
+        if rc == 0:
+            json.loads(out, parse_constant=reject_constant)
+
+
+# a noise scan at times whose damping passes below the floats: (section, t)
+LONG_SCANS = [
+    ({"kind": "dephasing", "lambda3": 0.5, "lambda4": 0.5}, 1e308),
+    ({"kind": "dephasing", "lambda3": 0.0, "lambda4": 2 ** 62}, 1e300),
+    ({"kind": "loss", "channels": [{"rate": 0.5, "m": 1, "n": 0}]}, 1e308),
+    ({"kind": "loss", "channels": [{"rate": 0.0, "m": 1, "n": 0}]}, 1e308),
+]
+
+
+@pytest.mark.parametrize("section, t", LONG_SCANS, ids=[
+    "dephasing-1e308", "dephasing-2^62-rate", "loss-1e308", "loss-rate-0"])
+def test_a_long_noise_scan_reaches_its_exact_limit(tmp_path, capsys, section, t):
+    # damping exp(-t L d^2 / 2) and exp(-t eta_k) is exactly 0 at t = 1e4 already,
+    # and a rate of 0 damps nothing: t adds no warning, no NaN and no other row
+    cfg = write_config(tmp_path, noise_config(noise=section, times=[0.0, 1e4, t]))
+    assert main(["noise", "--config", cfg, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    clean, settled, late = json.loads(out, parse_constant=reject_constant)["rows"]
+    assert {**late, "t": 1e4} == settled
+    if "channels" in section and section["channels"][0]["rate"] == 0.0:
+        assert {**late, "t": 0.0} == clean and late["lower_bound"] == clean["fidelity"]
+
+
+RATES_BEYOND_THE_FLOATS = [
+    ({"kind": "dephasing", "lambda3": 1e308, "lambda4": 1e308}, "lambda3 + lambda4"),
+    ({"kind": "loss", "channels": [{"rate": 1e308, "m": 1, "n": 1}]}, "eta_k"),
+]
+
+
+@pytest.mark.parametrize("kind", ["noise", "converge"])
+@pytest.mark.parametrize("section, named", RATES_BEYOND_THE_FLOATS, ids=["dephasing", "loss"])
+def test_noise_rates_beyond_the_floats_exit_2_naming_them(tmp_path, capsys, kind, section, named):
+    if kind == "noise":
+        cfg = noise_config(nu=64, noise=section, times=[0.0, 0.5])
+    else:
+        cfg = {**CONVERGE, "family": {"name": "flat"}, "noise": section,
+               "time_rule": {"exponent": -2.5}}
+    assert main([kind, "--config", write_config(tmp_path, cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and named in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.1, 0.5, 2.0], {"start": 0.0, "stop": 0.8, "num": 5}],
+                         ids=["list", "grid"])
+@pytest.mark.parametrize("resource", CLI_RESOURCES, ids=resource_id)
+def test_loss_rows_are_loss_fidelity_bounds_bit_for_bit(tmp_path, capsys, resource, times):
+    section = {"kind": "loss", "channels": [{"rate": 0.2, "m": 1, "n": 0},
+                                            {"rate": 0.1, "m": 1, "n": 1}]}
+    cfg = noise_config(nu=8, resource=resource, noise=section, times=times)
+    assert main(["noise", "--config", write_config(tmp_path, cfg), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    report = noise.loss_fidelity_bounds(cli.resolve_resource(resource, 8),
+                                        cli.resolve_noise(section), 2, cli._time_grid(cfg))
+    assert [row["t"] for row in rows] == report.times
+    assert [row["fidelity"] for row in rows] == report.fidelity
+    assert [row["lower_bound"] for row in rows] == report.lower_bound
+    assert [row["survival_weight"] for row in rows] == [w for _, w in report.bands]
+    assert [row["avg_entanglement"] for row in rows] == [
+        protocol.avg_entanglement_closed(band, 2) for band, _ in report.bands]
+
+
 SUPERPOSITION = {"a": {"name": "flat"}, "b": {"name": "noon"}, "c1": 0.6, "c2": 0.8}
 # a top-level converge key that the config's branch does not read
 CONVERGE_UNREAD = [
@@ -916,6 +1047,17 @@ def test_dephasing_scan_without_crossing_reports_null_threshold(tmp_path, capsys
     assert main(["noise", "--config", cfg, "--out", str(csv_out)]) == 0
     assert capsys.readouterr().err == ""
     assert len(csv_out.read_text().strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_dephasing_scan_below_three_particles_reports_null_threshold(tmp_path, capsys, N):
+    # the crossing criterion needs N > 2, which `dephasing_threshold_demo` checks first
+    resource = {"name": "four_coherence", "a": 0.35, "b": 0.15, "c": 0.15, "d": 0.35,
+                "x": -0.1, "y": 0.3}
+    cfg = write_config(tmp_path, noise_config(N=N, nu=4, resource=resource, times=[0.0, 0.1]))
+    assert main(["noise", "--config", cfg, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["threshold"] is None and err == ""
 
 
 @pytest.mark.parametrize("resource", [

@@ -348,7 +348,7 @@ def test_loss_bounds_inequality():
     ]:
         rho = random_resource(6, rng)
         spec = noise.LossSpec(channels, t=0.8)
-        report = noise.loss_fidelity_bounds(rho, spec, N)
+        report = noise.loss_fidelity_bounds(rho, spec, N, np.linspace(0.0, spec.t, 20))
         assert report.bound_satisfied
         assert len(report.times) == 20
 
@@ -357,7 +357,7 @@ def test_loss_preservation_window():
     N = 2
     rho = resources.max_entangled(6)
     spec = noise.LossSpec((noise.LossChannel(0.4, 1, 1),), t=0.5)
-    report = noise.loss_fidelity_bounds(rho, spec, N)
+    report = noise.loss_fidelity_bounds(rho, spec, N, np.linspace(0.0, spec.t, 20))
     for t, f in zip(report.times, report.fidelity):
         if t < report.t_critical:
             assert f > report.f_sep
@@ -367,7 +367,7 @@ def test_loss_bounds_zero_rate():
     rng = np.random.default_rng(76)
     rho = random_resource(4, rng)
     spec = noise.LossSpec((noise.LossChannel(0.0, 1, 0),), t=2.0)
-    report = noise.loss_fidelity_bounds(rho, spec, 2)
+    report = noise.loss_fidelity_bounds(rho, spec, 2, np.linspace(0.0, spec.t, 20))
     assert report.t_critical == math.inf
     assert np.allclose(report.fidelity, report.fidelity[0])
 
@@ -502,9 +502,68 @@ def test_loss_floor_matches_bounds_report():
     rng = np.random.default_rng(92)
     rho = random_resource(6, rng)
     spec = noise.two_particle_loss_spec(0.3, 0.7, 0.25, 0.45, 0.15, t=0.8)
-    report = noise.loss_fidelity_bounds(rho, spec, 2, n_times=7)
+    report = noise.loss_fidelity_bounds(rho, spec, 2, np.linspace(0.0, spec.t, 7))
     floor = noise.loss_floor(fidelity_closed(rho, 2), report.max_eta, report.times)
     assert floor.tolist() == report.lower_bound
+
+
+def test_loss_bounds_carry_the_bands_of_their_times():
+    rng = np.random.default_rng(93)
+    rho = random_resource(6, rng)
+    spec = noise.two_particle_loss_spec(0.3, 0.7, 0.25, 0.45, 0.15, t=5.0)  # t is not read
+    times = [0.0, 0.2, 0.8]
+    report = noise.loss_fidelity_bounds(rho, spec, 2, times)
+    assert report.times == times and len(report.bands) == 3
+    scan = noise.band_scan(rho, spec, 2, times)
+    for (got, weight), (want, want_weight) in zip(report.bands, scan):
+        assert weight == want_weight == got.weight == want.weight
+        assert np.array_equal(got.sums, want.sums) and np.array_equal(got.moduli, want.moduli)
+    assert report.fidelity == [fidelity_closed(band, 2) for band, _ in report.bands]
+
+
+def test_loss_floor_at_a_rate_of_0_keeps_f0_at_any_finite_time():
+    # -2 t overflows to -inf for t > 9e307, and -inf * 0 is NaN
+    assert noise.loss_floor(0.9, 0.0, [0.0, 1.0, 1e308]).tolist() == [0.9, 0.9, 0.9]
+    assert noise.loss_floor(0.9, 0.5, [1e308]).tolist() == [0.0]
+    x = resources.max_entangled_amplitudes(6)
+    spec = noise.LossSpec((noise.LossChannel(0.0, 1, 0),), t=0.0)
+    report = noise.loss_fidelity_bounds(x, spec, 2, [0.0, 1e308])
+    assert report.bound_satisfied and report.lower_bound == report.fidelity
+
+
+@pytest.mark.parametrize("spec, t", [
+    (noise.DephasingSpec(0.5, 0.5, 0.0), 1e308),
+    (noise.DephasingSpec(0.0, 2.0 ** 62, 0.0), 1e300),
+    (noise.LossSpec((noise.LossChannel(1.0, 1, 0),), 0.0), 1e308),
+], ids=["dephasing", "dephasing-2^62-rate", "loss"])
+def test_band_scan_at_a_long_time_damps_to_exactly_0(spec, t):
+    # exp(-t L d^2 / 2) and exp(-t eta_k) pass below the floats: w_d = 0 for
+    # d >= 1, e_k = 0 where eta_k > 0, with no warning
+    x = resources.max_entangled_amplitudes(6)
+    [(late, late_weight)] = noise.band_scan(x, spec, 2, [t])
+    [(settled, settled_weight)] = noise.band_scan(x, spec, 2, [1e4])
+    assert not late.sums.any() and not late.moduli.any()
+    assert late_weight == settled_weight and late.weight == settled.weight
+
+
+def test_rates_beyond_the_floats_raise_naming_them():
+    with pytest.raises(StateValidationError, match=r"lambda3 \+ lambda4 = 1e\+308 \+ 1e\+308"):
+        noise.DephasingSpec(1e308, 1e308, 0.0)
+    spec = noise.LossSpec((noise.LossChannel(1e308, 1, 1),), t=0.0)
+    with pytest.raises(StateValidationError, match=r"eta_k at nu = 64 .* \[\(1e\+308, 1, 1\)\]"):
+        noise.eta_rates(spec, 64)
+    # 300!/100! is beyond the floats too
+    with pytest.raises(StateValidationError, match="eta_k at nu = 300"):
+        noise.eta_rates(noise.LossSpec((noise.LossChannel(0.5, 200, 0),), t=0.0), 300)
+
+
+def test_eta_rates_add_0_for_a_channel_that_reaches_no_particle_number():
+    # 200! is beyond the floats: a channel that takes more particles than a
+    # mode holds, or one of rate 0, still adds exactly 0
+    spec = noise.LossSpec((noise.LossChannel(0.5, 250, 0), noise.LossChannel(0.0, 190, 0),
+                           noise.LossChannel(0.5, 2 ** 63 - 1, 2 ** 63 - 1),
+                           noise.LossChannel(0.5, 1, 0)), t=0.0)
+    assert noise.eta_rates(spec, 200).tolist() == (0.25 * np.arange(201)).tolist()
 
 
 def test_noisy_convergence_rejects_mixing_channel():
@@ -697,7 +756,8 @@ def test_loss_bounds_read_the_band_path(monkeypatch):
     monkeypatch.setattr(noise, "particle_loss_analytic", refuse)
     monkeypatch.setattr(noise, "apply", refuse)
     spec = noise.LossSpec((noise.LossChannel(0.5, 1, 1),), t=0.4)
-    report = noise.loss_fidelity_bounds(resources.max_entangled(1000), spec, 2)
+    report = noise.loss_fidelity_bounds(resources.max_entangled(1000), spec, 2,
+                                      np.linspace(0.0, spec.t, 20))
     assert len(report.fidelity) == 20 and report.bound_satisfied
 
 
@@ -710,7 +770,8 @@ def test_loss_bounds_read_every_resource_form_alike(x):
     state = ResourceState.from_amplitudes(x)
     diagonals = Diagonals(8, tuple(state.matrix.diagonal(d) for d in range(9)))
     spec = noise.LossSpec((noise.LossChannel(0.5, 1, 1), noise.LossChannel(0.3, 1, 0)), t=0.6)
-    reports = [noise.loss_fidelity_bounds(form, spec, 2) for form in (x, diagonals, state)]
+    reports = [noise.loss_fidelity_bounds(form, spec, 2, np.linspace(0.0, spec.t, 20))
+               for form in (x, diagonals, state)]
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].max_eta > 0.0
 
@@ -726,6 +787,6 @@ def test_loss_bounds_fidelity_matches_the_dense_block(nu, channels):
     N = 2
     rho = random_resource(nu, rng)
     spec = noise.LossSpec(channels, t=0.8)
-    report = noise.loss_fidelity_bounds(rho, spec, N)
+    report = noise.loss_fidelity_bounds(rho, spec, N, np.linspace(0.0, spec.t, 20))
     dense = [fidelity_closed(noise.apply(rho, replace(spec, t=t))[0], N) for t in report.times]
     assert report.fidelity == pytest.approx(dense, rel=1e-14, abs=0.0)

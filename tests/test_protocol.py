@@ -911,7 +911,8 @@ FORM_READERS = {
         _scan(noise.MixingSpec(resources.fock_separable_diagonals(NU_FORMS, 3), 0.0), [0.0, 0.5]),
         2e-15, 0.0),
     "loss_fidelity_bounds": (
-        lambda rho: noise.loss_fidelity_bounds(rho, LOSS_FORMS, N_FORMS, n_times=5), 2e-15, 0.0),
+        lambda rho: noise.loss_fidelity_bounds(
+            rho, LOSS_FORMS, N_FORMS, np.linspace(0.0, LOSS_FORMS.t, 5)), 2e-15, 0.0),
 }
 
 
